@@ -27,6 +27,26 @@ def _sample_coefficient(coef, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, x.shape).astype(float).copy()
 
 
+def column_bands(lower, diag, upper, ndim: int = 1):
+    """Bands in row convention, trimmed of their zero padding and shaped to
+    broadcast along axis 0 of an operand with `ndim` axes.
+
+    Build them once per operand shape; band_mv then reshapes nothing.
+    """
+    shape = (-1,) + (1,) * (ndim - 1)
+    return (lower[1:].reshape(shape), diag.reshape(shape),
+            upper[:-1].reshape(shape))
+
+
+def band_mv(bands, q: np.ndarray) -> np.ndarray:
+    """Tridiagonal product with bands from column_bands, space on axis 0."""
+    sub, diag, sup = bands
+    out = diag * q
+    out[1:] += sub * q[:-1]
+    out[:-1] += sup * q[1:]
+    return out
+
+
 @dataclass(frozen=True)
 class EllipticOperator:
     """Coefficients of Aq = (a q')' + b q' + c q on the closed interval.
@@ -66,14 +86,6 @@ class DiscreteOperator:
     adj_upper: np.ndarray
     self_adjoint: bool
 
-    def _mv(self, lower, diag, upper, q):
-        q = np.asarray(q, dtype=float)
-        shape = (-1,) + (1,) * (q.ndim - 1)
-        out = diag.reshape(shape) * q
-        out[1:] += lower[1:].reshape((-1,) + (1,) * (q.ndim - 1)) * q[:-1]
-        out[:-1] += upper[:-1].reshape((-1,) + (1,) * (q.ndim - 1)) * q[1:]
-        return out
-
     def apply(self, q: np.ndarray) -> np.ndarray:
         """Aq for a snapshot (nx+1,) or a field (nx+1, nt+1), space on axis 0.
 
@@ -82,15 +94,17 @@ class DiscreteOperator:
         leaving the cancellation error of the expanded bands.
         """
         q = np.asarray(q, dtype=float)
-        shape = (-1,) + (1,) * (q.ndim - 1)
-        out = self.c.reshape(shape) * q
-        out[1:] += self.lower[1:].reshape((-1,) + (1,) * (q.ndim - 1)) * (q[:-1] - q[1:])
-        out[:-1] += self.upper[:-1].reshape((-1,) + (1,) * (q.ndim - 1)) * (q[1:] - q[:-1])
+        sub, c, sup = column_bands(self.lower, self.c, self.upper, q.ndim)
+        out = c * q
+        out[1:] += sub * (q[:-1] - q[1:])
+        out[:-1] += sup * (q[1:] - q[:-1])
         return out
 
     def apply_adjoint(self, q: np.ndarray) -> np.ndarray:
         """Transpose of apply in the trapezoid inner product."""
-        return self._mv(self.adj_lower, self.adj_diag, self.adj_upper, q)
+        q = np.asarray(q, dtype=float)
+        return band_mv(column_bands(self.adj_lower, self.adj_diag,
+                                    self.adj_upper, q.ndim), q)
 
     @property
     def reaction_max(self) -> float:

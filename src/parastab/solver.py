@@ -17,42 +17,39 @@ duality identity
 holds to round-off, with phi extracted by adjoint_gradients. This is the
 exact transpose of the marching scheme in the trapezoid inner products, not
 a separate discretization of the continuous adjoint equation.
+
+Each march factors the constant matrix (I - kappa A), or its adjoint, once
+with LAPACK's tridiagonal LU (dgttrf, partial pivoting) and builds the
+explicit bands of (I + kappa A) once; every level then only applies the
+stored factors (dgttrs). The arithmetic is the one a per-level tridiagonal
+solve performs, so the iterates are bit-identical to it. A zero pivot is
+reported at the first level the march solves, and every level checks its
+iterate for non-finite values.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .mesh import SpaceTimeField, TimeWindow
-from .operator import DiscreteOperator
+from .operator import DiscreteOperator, band_mv, column_bands
 from .stencils import fd_first
 
 
-def _cn_matrices(lower, diag, upper, kappa):
-    """Banded (I - kappa L) in solve_banded layout plus bands of (I + kappa L)."""
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -kappa * upper[:-1]
-    ab[1, :] = 1.0 - kappa * diag
-    ab[2, :-1] = -kappa * lower[1:]
-    plus = (kappa * lower, 1.0 + kappa * diag, kappa * upper)
-    return ab, plus
-
-
-def _band_mv(bands, q):
-    lower, diag, upper = bands
-    out = diag * q
-    out[1:] += lower[1:] * q[:-1]
-    out[:-1] += upper[:-1] * q[1:]
-    return out
-
-
-def _implicit_step(ab, rhs, tag, level):
-    try:
-        out = solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as err:
+def _cn_factors(lower, diag, upper, kappa, tag, first_level):
+    """LU factors of (I - kappa L) plus the bands of (I + kappa L)."""
+    *lu, info = dgttrf(-kappa * lower[1:], 1.0 - kappa * diag,
+                       -kappa * upper[:-1])
+    if info > 0:
         raise RuntimeError(f"singular time-step system in {tag} solve at "
-                           f"level {level}") from err
+                           f"level {first_level}")
+    plus = column_bands(kappa * lower, 1.0 + kappa * diag, kappa * upper)
+    return tuple(lu), plus
+
+
+def solve_banded(lu, rhs, tag, level):
+    """One implicit level: apply the stored factors of (I - kappa L) to rhs."""
+    out, _ = dgttrs(*lu, rhs)  # its info only flags an illegal argument
     if not np.all(np.isfinite(out)):
         raise RuntimeError(f"non-finite iterate in {tag} solve at level {level}")
     return out
@@ -68,7 +65,6 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
     if g.shape != (nx + 1,):
         raise ValueError(f"initial value shape {g.shape}, expected {(nx + 1,)}")
     kappa = 0.5 * window.k
-    ab, plus = _cn_matrices(dop.lower, dop.diag, dop.upper, kappa)
     u = np.empty((nx + 1, window.nt + 1))
     u[:, 0] = g
     fv = None
@@ -76,11 +72,12 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
         if f.values.shape != u.shape:
             raise ValueError("source field grid does not match the window")
         fv = f.values
+    lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward", 1)
     for n in range(window.nt):
-        rhs = _band_mv(plus, u[:, n])
+        rhs = band_mv(plus, u[:, n])
         if fv is not None:
             rhs += kappa * (fv[:, n] + fv[:, n + 1])
-        u[:, n + 1] = _implicit_step(ab, rhs, "forward", n + 1)
+        u[:, n + 1] = solve_banded(lu, rhs, "forward", n + 1)
     return SpaceTimeField(u, dop.domain, window)
 
 
@@ -125,13 +122,14 @@ def adjoint_solve(dop: DiscreteOperator,
             s[gi, sl] += ww * row / wx[gi]
 
     kappa = 0.5 * window.k
-    ab, plus = _cn_matrices(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa)
+    lu, plus = _cn_factors(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa,
+                           "adjoint", nt)
     p = np.empty_like(s)
-    p[:, nt] = _implicit_step(ab, s[:, nt], "adjoint", nt)
+    p[:, nt] = solve_banded(lu, s[:, nt], "adjoint", nt)
     for m in range(nt - 1, 0, -1):
-        rhs = s[:, m] + _band_mv(plus, p[:, m + 1])
-        p[:, m] = _implicit_step(ab, rhs, "adjoint", m)
-    p[:, 0] = s[:, 0] + _band_mv(plus, p[:, 1])
+        rhs = s[:, m] + band_mv(plus, p[:, m + 1])
+        p[:, m] = solve_banded(lu, rhs, "adjoint", m)
+    p[:, 0] = s[:, 0] + band_mv(plus, p[:, 1])
     return SpaceTimeField(p, dop.domain, window)
 
 

@@ -245,6 +245,16 @@ def test_exit_one_on_usage_and_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "z")]) == 1
 
 
+def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
+    rc = main(["forward", "--nx", "16", "--nt", "8",
+               "--g", "eigenmode:1:1e308", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: non-finite iterate in forward solve at level 1"]
+    assert "Traceback" not in err
+
+
 def test_exit_two_flags_violation_and_still_reports(tmp_path):
     out = str(tmp_path / "v")
     rc = main(["stability-probe", "--kind", "source", "--f", "late-onset",

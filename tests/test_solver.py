@@ -1,5 +1,7 @@
 """Forward/adjoint marching: manufactured convergence, exact discrete
-duality, mass conservation, and the window restriction."""
+duality, mass conservation, the window restriction, and the failure paths."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,35 @@ def test_forward_rejects_mismatched_source_grid():
     f = zero_field(other.domain, other.window)
     with pytest.raises(ValueError):
         forward_solve(ctx.dop, f, None, ctx.window)
+
+
+def singular_context():
+    """(I - kappa A) and its adjoint are exactly zero: no couplings and
+    diag = 1/kappa, with kappa = k/2 = 1/16 a power of two."""
+    ctx = make_context(nx=16, nt=16, T=1.0, delta0=1.0, delta1=0.5)
+    kappa = 0.5 * ctx.window.k
+    assert kappa == 1.0 / 16.0
+    zero = np.zeros(17)
+    diag = np.full(17, 1.0 / kappa)
+    dop = dataclasses.replace(ctx.dop, lower=zero, diag=diag, upper=zero,
+                              adj_lower=zero, adj_diag=diag, adj_upper=zero)
+    return dop, ctx.window
+
+
+def test_singular_step_matrix_names_the_first_solved_level():
+    dop, window = singular_context()
+    with pytest.raises(RuntimeError, match=r"^singular time-step system in "
+                       r"forward solve at level 1$"):
+        forward_solve(dop, None, np.ones(17), window)
+    with pytest.raises(RuntimeError, match=r"^singular time-step system in "
+                       rf"adjoint solve at level {window.nt}$"):
+        adjoint_solve(dop, np.ones(17), None, None, window)
+
+
+def test_overflowing_march_raises_at_level_one():
+    ctx = make_context(nx=16, nt=8)
+    g = 1e308 * np.cos(np.pi * ctx.domain.points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"^non-finite iterate in "
+                           r"forward solve at level 1$"):
+            forward_solve(ctx.dop, None, g, ctx.window)
