@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpaceTimeField
+from .norms import l2_space, l2_spacetime
 from .solver import time_derivative
 
 # Relative floor below which a final-snapshot value counts as zero.
@@ -80,12 +81,18 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
     """Validate the rate condition against the budget and record the pair.
 
     The inequality |f_t| <= C0 |f(., T)| is checked on the grid; a pair
-    whose measured minimal budget exceeds C0 is rejected.
+    whose measured minimal budget exceeds C0 is rejected, and so is data
+    too large for floating point (a non-finite L2 norm of f or g, or C^4
+    surrogate of g), before any of it overflows downstream.
     """
     budget = ctx.C0 if C0 is None else float(C0)
     if budget < 0.0:
         raise ValueError("rate budget C0 must be nonnegative")
     if f is not None:
+        with np.errstate(all="ignore"):
+            f_norm = l2_spacetime(f.values, f.domain, f.window)
+        if not math.isfinite(f_norm):
+            raise ValueError(f"source overflows: its L2(Q) norm is {f_norm!r}")
         need = check_source_condition(f, ctx.window.T)
         if not need <= budget * (1.0 + 1e-12):
             raise ValueError(
@@ -95,5 +102,10 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
         g = np.asarray(g, dtype=float)
         if g.shape != (ctx.domain.nx + 1,):
             raise ValueError("initial value shape does not match the spatial grid")
-        seminorm = c4_surrogate(g, ctx.domain.h)
+        with np.errstate(all="ignore"):
+            g_norm = l2_space(g, ctx.domain)
+            seminorm = c4_surrogate(g, ctx.domain.h)
+        if not (math.isfinite(g_norm) and math.isfinite(seminorm)):
+            raise ValueError(f"initial value overflows: its L2 norm is "
+                             f"{g_norm!r} and its C^4 surrogate {seminorm!r}")
     return AdmissiblePair(f, g, budget, seminorm)

@@ -10,7 +10,7 @@ diverges under mesh refinement, so it is offered in two modes:
   exp_weighted      boundary integrand multiplied by e^{2 s theta} (finite,
                     strictly smaller, hence auditing a stronger inequality)
   literal_truncated the printed integrand, restricted to nodes with
-                    l(t) >= l_cut, default l_cut = 4 k t_end
+                    l(t) >= 4 k t_end
 
 The per-s quotient lhs/rhs is the empirical stand-in for the estimate's
 constant; a bounded quotient across an s sweep is the desk-scale proxy for
@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SpaceTimeField, TimeWindow
+from .mesh import SpaceTimeField
 from .operator import DiscreteOperator
+from .solver import RESIDUAL_WARN_TOL, equation_residual
 from .stencils import fd_first, fd_second
 from .weights import (BOUNDARY_MODES, EXP_WEIGHTED, LITERAL_TRUNCATED,
                       UNDERFLOW_EXPONENT, CarlemanWeights, WeightConfig)
-
-RESIDUAL_WARN_TOL = 5e-2
 
 FLAG_OK = ""
 FLAG_DEGENERATE = "degenerate"
@@ -87,30 +86,10 @@ def _exp_factor(theta_int: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def _maybe_warn_residual(u: SpaceTimeField, f: SpaceTimeField | None,
-                         dop: DiscreteOperator | None, window: TimeWindow):
-    if dop is None:
-        return
-    ut = fd_first(u.values, window.k, axis=1)
-    res = ut - dop.apply(u.values)
-    if f is not None:
-        res = res - f.values
-    # one-sided time stencils at the frame ends are not part of the claim
-    res = res[:, 1:-1]
-    scale = max(float(np.max(np.abs(ut))), 1e-300)
-    rel = float(np.max(np.abs(res))) / scale
-    if rel > RESIDUAL_WARN_TOL:
-        warnings.warn(f"field does not satisfy the evolution equation on its "
-                      f"frame (relative residual {rel:.2e}); the audit "
-                      f"quotient is not meaningful for non-solutions",
-                      stacklevel=3)
-
-
 def carleman_sides(u: SpaceTimeField, f: SpaceTimeField | None,
                    weights: CarlemanWeights, s: float, p: int,
                    boundary_weighting: str = EXP_WEIGHTED,
-                   dop: DiscreteOperator | None = None,
-                   l_cut: float | None = None) -> tuple[float, float]:
+                   dop: DiscreteOperator | None = None) -> tuple[float, float]:
     """Quadrature of the two sides of the weighted inequality at one s.
 
     u must solve the evolution equation with source f on its frame (checked
@@ -125,7 +104,13 @@ def carleman_sides(u: SpaceTimeField, f: SpaceTimeField | None,
     l, rho, theta, window = _frame_fields(u, weights)
     if f is not None and f.values.shape != u.values.shape:
         raise ValueError("source grid does not match the solution grid")
-    _maybe_warn_residual(u, f, dop, window)
+    if dop is not None:
+        rel = equation_residual(u, f, dop)
+        if rel > RESIDUAL_WARN_TOL:
+            warnings.warn(f"field does not satisfy the evolution equation on "
+                          f"its frame (relative residual {rel:.2e}); the audit "
+                          f"quotient is not meaningful for non-solutions",
+                          stacklevel=2)
 
     domain = weights.domain
     h, k = domain.h, window.k
@@ -155,9 +140,7 @@ def carleman_sides(u: SpaceTimeField, f: SpaceTimeField | None,
 
     # boundary term over Gamma x (frame interior)
     if boundary_weighting == LITERAL_TRUNCATED:
-        if l_cut is None:
-            l_cut = 4.0 * k * window.t_end
-        keep = l[interior] >= l_cut
+        keep = l[interior] >= 4.0 * k * window.t_end
         bw = np.where(keep, wt, 0.0)
         bf = np.ones_like(ef)
     else:

@@ -25,8 +25,9 @@ from .carleman import constant_sweep, empirical_s_threshold, sweep_statistic
 from .decompose import (check_log_convexity_and_w_bound,
                         decompose_time_derivative)
 from .inverse import InverseProblemSpec, minimize, rate_experiment, \
-    synthesize_data
-from .lab import make_context
+    rel_error, synthesize_data
+from .lab import (DEFAULT_M0, benchmark_initial, benchmark_source,
+                  make_context)
 from .measurement import measure
 from .mesh import SpaceTimeField, field_from_function, zero_field
 from .probes import (initial_eigenmode_family, initial_stability_probe,
@@ -78,10 +79,8 @@ _TABLES = {
         ("kind", "str", "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
         ("f", "str", ""), ("M0", "float", 100.0)],
-    "decompose": _SHARED + [
-        ("f", "str", "zero"), ("g", "str", "eigenmode:1"),
-        ("omega", "float", 0.0)],
-    "reconstruct": _SHARED + _RECON_COMMON + [("noise", "floats", (0.01,))],
+    "decompose": _SHARED + [("f", "str", "zero"), ("g", "str", "eigenmode:1")],
+    "reconstruct": _SHARED + _RECON_COMMON + [("noise", "float", 0.01)],
     "rate": _SHARED + _RECON_COMMON + [
         ("noise", "floats", (1e-1, 1e-2, 1e-3))],
 }
@@ -102,10 +101,13 @@ def _parse_value(key: str, kind: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "floats":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        if kind in ("float", "floats"):
+            vals = (tuple(float(tok) for tok in raw.split(",") if tok.strip())
+                    if kind == "floats" else (float(raw),))
+            # inf stays legal: an infinite rate budget is a documented demo
+            if any(math.isnan(v) for v in vals):
+                raise ValueError(f"nan is not allowed: {raw!r}")
+            return vals if kind == "floats" else vals[0]
         if kind == "bool":
             low = raw.strip().lower()
             if low in ("true", "1", "yes"):
@@ -113,7 +115,11 @@ def _parse_value(key: str, kind: str, raw: str):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw.strip()
+        text = raw.strip()
+        # the manifest echo must parse back: no comment marks, no breaks
+        if "#" in text or len(text.splitlines()) > 1:
+            raise ValueError(f"{raw!r} cannot be echoed as a config value")
+        return text
     except ValueError as exc:
         raise ValueError(f"invalid value for {key}: {exc}") from None
 
@@ -160,12 +166,9 @@ def resolve_config(sub: str, flag_values: dict, config_path: str | None):
 
 
 def _context(typed: dict):
-    extra = {}
-    if "M0" in typed:
-        extra["M0"] = typed["M0"]
     return make_context(nx=typed["nx"], nt=typed["nt"], T=typed["T"],
                         delta0=typed["delta0"], delta1=typed["delta1"],
-                        C0=typed["C0"], **extra)
+                        C0=typed["C0"], M0=typed.get("M0", DEFAULT_M0))
 
 
 def _parse_eigenmode(desc: str):
@@ -180,24 +183,34 @@ def _parse_eigenmode(desc: str):
     return m, amp
 
 
-def spatial_profile(desc: str, domain) -> np.ndarray:
-    """Named initial-value profiles: zero | one | benchmark | eigenmode:m[:amp].
+# descriptor -> (source profile, initial-value profile), both functions of
+# x; eigenmode:m[:amp] is parsed instead, and late-onset is a source only
+_PROFILES = {
+    "zero": (np.zeros_like, np.zeros_like),
+    "one": (np.ones_like, np.ones_like),
+    "benchmark": (benchmark_source, benchmark_initial),
+}
+_SOURCE, _INITIAL = 0, 1
 
-    benchmark is the three-mode combination used throughout the docs; its
-    staggered amplitudes keep the log-rate signature visible in rate runs.
-    """
-    x = domain.points
-    if desc == "zero":
-        return np.zeros(x.size)
-    if desc == "one":
-        return np.ones(x.size)
-    if desc == "benchmark":
-        return (np.cos(np.pi * x) + 0.5 * np.cos(2.0 * np.pi * x)
-                + 0.25 * np.cos(3.0 * np.pi * x))
+
+def _profile(desc: str, role: int, what: str):
     if desc.startswith("eigenmode:"):
         m, amp = _parse_eigenmode(desc)
-        return amp * np.cos(m * np.pi * x)
-    raise ValueError(f"unknown profile descriptor: {desc!r}")
+        return lambda x: amp * np.cos(m * np.pi * x)
+    if desc not in _PROFILES:
+        raise ValueError(f"unknown {what} descriptor: {desc!r}")
+    return _PROFILES[desc][role]
+
+
+def spatial_profile(desc: str, domain) -> np.ndarray:
+    """Named initial values on the grid: zero | one | benchmark |
+    eigenmode:m[:amp]."""
+    return _profile(desc, _INITIAL, "profile")(domain.points)
+
+
+def source_profile(desc: str, domain) -> np.ndarray:
+    """Spatial profile phi of a named time-constant source, on the grid."""
+    return _profile(desc, _SOURCE, "source profile")(domain.points)
 
 
 def source_member(desc: str, ctx):
@@ -219,19 +232,7 @@ def source_member(desc: str, ctx):
             return np.where(t > t_on, (t - t_on) ** 2, 0.0) \
                 * (2.0 + np.cos(np.pi * x))
         return member
-    if desc == "benchmark":
-        def profile(x):
-            return np.cos(np.pi * x) + 0.5
-    elif desc == "one":
-        def profile(x):
-            return np.ones_like(x)
-    elif desc.startswith("eigenmode:"):
-        m, amp = _parse_eigenmode(desc)
-
-        def profile(x):
-            return amp * np.cos(m * np.pi * x)
-    else:
-        raise ValueError(f"unknown source descriptor: {desc!r}")
+    profile = _profile(desc, _SOURCE, "source")
 
     def member(x, t):
         return profile(x) + 0.0 * t
@@ -245,22 +246,21 @@ def source_descriptor(desc: str, ctx) -> SpaceTimeField | None:
     return field_from_function(ctx.domain, ctx.window, member)
 
 
-def _truth_phi(desc: str, domain) -> np.ndarray:
-    if desc == "benchmark":
-        return np.cos(np.pi * domain.points) + 0.5
-    return spatial_profile(desc, domain)
-
-
 def _flag_has_violation(rows) -> bool:
     return any("violation" in r.flag for r in rows)
 
 
-def _run_forward(typed, outdir):
+def _solve_descriptors(typed):
+    """Context, admissible pair and forward solution of the --f/--g names."""
     ctx = _context(typed)
     f = source_descriptor(typed["f"], ctx)
     g = spatial_profile(typed["g"], ctx.domain)
     pair = make_admissible_pair(ctx, f=f, g=g)
-    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
+    return ctx, pair, forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
+
+
+def _run_forward(typed, outdir):
+    ctx, _, u = _solve_descriptors(typed)
     md = measure(u, ctx.domain, ctx.window)
     write_field_csv(os.path.join(outdir, "forward.csv"), u.values,
                     ctx.domain, ctx.window)
@@ -272,14 +272,10 @@ def _run_forward(typed, outdir):
 
 
 def _run_carleman_audit(typed, outdir):
-    ctx = _context(typed)
     if typed["boundary"] not in _BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of "
                          f"{sorted(_BOUNDARY_MODES)}, got {typed['boundary']!r}")
-    f = source_descriptor(typed["f"], ctx)
-    g = spatial_profile(typed["g"], ctx.domain)
-    pair = make_admissible_pair(ctx, f=f, g=g)
-    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
+    ctx, pair, u = _solve_descriptors(typed)
     # the audited field is the time derivative on the shifted frame; it
     # solves the equation with the shifted source's derivative as data
     v = time_derivative(time_shift(u))
@@ -329,18 +325,13 @@ def _run_stability_probe(typed, outdir):
 
 
 def _run_decompose(typed, outdir):
-    ctx = _context(typed)
-    f = source_descriptor(typed["f"], ctx)
-    g = spatial_profile(typed["g"], ctx.domain)
-    pair = make_admissible_pair(ctx, f=f, g=g)
-    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
+    ctx, pair, u = _solve_descriptors(typed)
     dec = decompose_time_derivative(u, pair.f, ctx)
-    # the built-in operator is drift-free, so the sharp interpolation
-    # check always runs; a degenerate run still carries a nan chord of
-    # matching length
+    # the growth rate max c(x) and the drift test come from the operator;
+    # a degenerate run still carries a nan chord of matching length
     report = check_log_convexity_and_w_bound(
         dec.source_free, dec.sourced, pair.f, ctx.window, ctx.C0,
-        self_adjoint=True, omega=typed["omega"])
+        self_adjoint=ctx.dop.self_adjoint, omega=ctx.dop.reaction_max)
     write_profile_csv(os.path.join(outdir, "decompose.csv"), report.times,
                       report.norms, report.chord)
     summary = {"residual_evolution": dec.residuals.evolution,
@@ -357,58 +348,45 @@ def _run_decompose(typed, outdir):
     return ["decompose.csv"], summary, False
 
 
-def _recon_spec(typed, eps: float) -> InverseProblemSpec:
-    return InverseProblemSpec(alpha_f=typed["alpha0_f"] * eps ** 2,
-                              alpha_g=typed["alpha0_g"] * eps ** 2,
+def _recon_spec(typed, eps: float | None = None) -> InverseProblemSpec:
+    # one noise level scales alpha0 by eps^2; rate_experiment scales per level
+    scale = 1.0 if eps is None else eps ** 2
+    return InverseProblemSpec(alpha_f=typed["alpha0_f"] * scale,
+                              alpha_g=typed["alpha0_g"] * scale,
                               max_iters=typed["max_iters"],
                               grad_tol=typed["grad_tol"],
-                              noise_level=eps, seed=typed["seed"])
+                              noise_level=eps or 0.0, seed=typed["seed"])
 
 
 def _run_reconstruct(typed, outdir):
     ctx = _context(typed)
-    if not typed["noise"]:
-        raise ValueError("noise needs at least one level")
-    eps = typed["noise"][0]
-    phi_true = _truth_phi(typed["f"], ctx.domain)
+    eps = typed["noise"]
+    phi_true = source_profile(typed["f"], ctx.domain)
     g_true = spatial_profile(typed["g"], ctx.domain)
-    f_field = SpaceTimeField(
-        np.repeat(phi_true[:, None], ctx.window.nt + 1, axis=1),
-        ctx.domain, ctx.window)
-    pair = make_admissible_pair(ctx, f=f_field, g=g_true)
+    pair = make_admissible_pair(ctx, f=source_descriptor(typed["f"], ctx),
+                                g=g_true)
     spec = _recon_spec(typed, eps)
     data = synthesize_data(pair, spec, ctx)
     n = ctx.domain.nx + 1
     res = minimize(spec, data, (np.zeros(n), np.zeros(n)), ctx)
     wx = ctx.domain.quad_weights
-
-    def rel(est, truth):
-        den = math.sqrt(float(np.sum(wx * truth ** 2)))
-        num = math.sqrt(float(np.sum(wx * (est - truth) ** 2)))
-        return num / den if den > 0.0 else num
-
     write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"),
                              ctx.domain.points, phi_true, g_true,
                              res.phi_est, res.g_est)
     summary = {"eps": eps, "alpha_f": spec.alpha_f, "alpha_g": spec.alpha_g,
                "final_objective": res.final_objective,
                "iterations": res.iterations, "converged": res.converged,
-               "err_f": rel(res.phi_est, phi_true),
-               "err_g": rel(res.g_est, g_true),
+               "err_f": rel_error(res.phi_est, phi_true, wx),
+               "err_g": rel_error(res.g_est, g_true, wx),
                "combined_norm_noisy": data.combined_norm}
     return ["reconstruction.csv"], summary, False
 
 
 def _run_rate(typed, outdir):
     ctx = _context(typed)
-    phi_true = _truth_phi(typed["f"], ctx.domain)
+    phi_true = source_profile(typed["f"], ctx.domain)
     g_true = spatial_profile(typed["g"], ctx.domain)
-    spec = InverseProblemSpec(alpha_f=typed["alpha0_f"],
-                              alpha_g=typed["alpha0_g"],
-                              max_iters=typed["max_iters"],
-                              grad_tol=typed["grad_tol"],
-                              seed=typed["seed"])
-    result = rate_experiment(spec, list(typed["noise"]),
+    result = rate_experiment(_recon_spec(typed), list(typed["noise"]),
                              (phi_true, g_true), ctx)
     write_rate_csv(os.path.join(outdir, "rate.csv"), result.rows)
     summary = {"levels": len(result.rows),
@@ -463,8 +441,7 @@ def run_cli(argv=None) -> int:
         elapsed = time.perf_counter() - started
 
         report = RunReport(config=cfg, artifacts=tuple(artifacts),
-                           summary=summary,
-                           timings={"total_seconds": elapsed})
+                           summary=summary)
         write_manifest(os.path.join(outdir, MANIFEST_NAME), report)
 
         print(f"subcommand: {sub}")

@@ -17,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpaceTimeField, TimeWindow
-from .norms import L2_SPACE, discrete_norm
+from .norms import l2_space
 from .stencils import fd_first
-from .solver import forward_solve, time_derivative
-
-# A solution fed to the splitter should satisfy its equation to a few
-# percent in the relative max norm; noisier fields draw a warning.
-RESIDUAL_WARN_TOL = 5e-2
+from .solver import (RESIDUAL_WARN_TOL, equation_residual, forward_solve,
+                     time_derivative)
 
 
 @dataclass(frozen=True)
@@ -61,12 +58,7 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     if f is not None and f.values.shape != u.values.shape:
         raise ValueError("source grid does not match the solution grid")
 
-    ut = fd_first(u.values, window.k, axis=1)
-    res = ut - dop.apply(u.values)
-    if f is not None:
-        res = res - f.values
-    scale = max(float(np.max(np.abs(ut))), 1e-300)
-    rel = float(np.max(np.abs(res[:, 1:-1]))) / scale
+    rel = equation_residual(u, f, dop)
     if rel > RESIDUAL_WARN_TOL:
         warnings.warn(f"field does not solve the evolution equation "
                       f"(relative residual {rel:.2e}); the split residuals "
@@ -123,8 +115,7 @@ class LogConvexityReport:
 def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
                                     f: SpaceTimeField | None, window: TimeWindow,
                                     C0: float, *, self_adjoint: bool = True,
-                                    omega: float = 0.0,
-                                    tol: float = 1e-8) -> LogConvexityReport:
+                                    omega: float = 0.0) -> LogConvexityReport:
     """Check ||z(t)|| <= ||z(0)||^(1-t/T) ||z(T)||^(t/T) and the sourced-part
     growth bound ||w(t)|| <= C0 t e^(omega t) ||f(.,T)|| on grid t in [0,T].
 
@@ -144,7 +135,7 @@ def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
                                   times, empty, empty, math.nan, math.nan,
                                   *_w_ratio(w, f, window, C0, omega, times))
 
-    norms = np.array([discrete_norm(z.values[:, j], L2_SPACE, domain=domain)
+    norms = np.array([l2_space(z.values[:, j], domain)
                       for j in range(i_T + 1)])
     n0, nT = norms[0], norms[-1]
     degenerate = (nT == 0.0) and (n0 > 0.0)
@@ -176,10 +167,9 @@ def _w_ratio(w, f, window, C0, omega, times):
     if w is None:
         return 0.0, True
     domain = w.domain
-    w_norms = np.array([discrete_norm(w.values[:, j], L2_SPACE, domain=domain)
+    w_norms = np.array([l2_space(w.values[:, j], domain)
                         for j in range(i_T + 1)])
-    fT_norm = (discrete_norm(f.values[:, i_T], L2_SPACE, domain=domain)
-               if f is not None else 0.0)
+    fT_norm = l2_space(f.values[:, i_T], domain) if f is not None else 0.0
     if fT_norm == 0.0:
         if float(np.max(w_norms)) == 0.0:
             return 0.0, True

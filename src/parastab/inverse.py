@@ -22,9 +22,8 @@ import numpy as np
 
 from .admissible import make_admissible_pair
 from .lab import LabContext
-from .measurement import MeasurementData, measure
+from .measurement import MeasurementData, measure, measurement_data
 from .mesh import SpaceTimeField
-from .norms import H2_SPACE, H2_TRACE, discrete_norm
 from .solver import adjoint_gradients, adjoint_solve, forward_solve
 from .stencils import fd_first
 
@@ -82,8 +81,6 @@ class ReconstructionResult:
     final_objective: float
     converged: bool
     iterations: int
-    err_f: float | None = None
-    err_g: float | None = None
 
 
 def _sigma_values(spec: InverseProblemSpec, ctx: LabContext) -> np.ndarray:
@@ -108,7 +105,7 @@ def _param_dim(spec: InverseProblemSpec, ctx: LabContext) -> int:
     return n_space * (ctx.window.nt + 1) + n_space
 
 
-def pack_params(spec: InverseProblemSpec, source, g, ctx: LabContext) -> np.ndarray:
+def pack_params(source, g) -> np.ndarray:
     """Flatten (phi, g) or (f grid, g) into the optimization vector."""
     g = np.asarray(g, dtype=float)
     src = np.asarray(source, dtype=float)
@@ -247,7 +244,7 @@ def minimize(spec: InverseProblemSpec, data: MeasurementData, init,
     and non-increasing. Deterministic: no randomness anywhere.
     """
     source0, g0 = init
-    x = pack_params(spec, source0, g0, ctx)
+    x = pack_params(source0, g0)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess contains non-finite values")
     x = _project_params(spec, x, ctx)
@@ -323,27 +320,21 @@ def synthesize_data(pair, spec: InverseProblemSpec,
         return md
 
     rng = np.random.default_rng(spec.seed)
-    wx = ctx.domain.quad_weights
-    ww = ctx.window.window_weights
-    snap = md.final_snapshot.copy()
-    trace = md.lateral_trace.copy()
+    snap = _perturb(rng, md.final_snapshot, ctx.domain.quad_weights, eps)
+    trace = _perturb(rng, md.lateral_trace,
+                     ctx.window.window_weights[None, :], eps)
+    return measurement_data(snap, trace, ctx.domain, ctx.window)
 
-    eta = rng.standard_normal(snap.shape)
-    eta_norm = math.sqrt(float(np.sum(wx * eta ** 2)))
-    d_norm = math.sqrt(float(np.sum(wx * snap ** 2)))
+
+def _perturb(rng, clean: np.ndarray, weights, eps: float) -> np.ndarray:
+    """A copy of clean moved by exactly eps in its relative weighted L2
+    norm along the next Gaussian draw of rng."""
+    eta = rng.standard_normal(clean.shape)
+    eta_norm = math.sqrt(float(np.sum(weights * eta ** 2)))
+    d_norm = math.sqrt(float(np.sum(weights * clean ** 2)))
     if eta_norm > 0.0 and d_norm > 0.0:
-        snap = snap + (eps * d_norm / eta_norm) * eta
-
-    eta = rng.standard_normal(trace.shape)
-    eta_norm = math.sqrt(float(np.sum(ww[None, :] * eta ** 2)))
-    d_norm = math.sqrt(float(np.sum(ww[None, :] * trace ** 2)))
-    if eta_norm > 0.0 and d_norm > 0.0:
-        trace = trace + (eps * d_norm / eta_norm) * eta
-
-    h2_space = discrete_norm(snap, H2_SPACE, domain=ctx.domain)
-    h2_trace = discrete_norm(trace, H2_TRACE, window=ctx.window)
-    return MeasurementData(snap, trace, h2_space, h2_trace,
-                           math.hypot(h2_space, h2_trace))
+        return clean + (eps * d_norm / eta_norm) * eta
+    return clean.copy()
 
 
 @dataclass(frozen=True)
@@ -365,7 +356,8 @@ class RateResult:
     log_products: tuple
 
 
-def _rel_error(est: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
+def rel_error(est: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted relative L2 error; the absolute error when truth is zero."""
     diff = math.sqrt(float(np.sum(weights * (est - truth) ** 2)))
     base = math.sqrt(float(np.sum(weights * truth ** 2)))
     return diff / base if base > 0.0 else diff
@@ -404,7 +396,8 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
         src_weights = wx[:, None] * ctx.window.quad_weights[None, :]
 
     n_space = ctx.domain.nx + 1
-    clean_combined = _clean_combined(pair, ctx)
+    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
+    clean_combined = measure(u, ctx.domain, ctx.window).combined_norm
     rows = []
     for level, eps in enumerate(noise_list):
         level_spec = replace(spec, noise_level=eps, seed=spec.seed ^ level,
@@ -417,8 +410,8 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
             init = (np.zeros((n_space, ctx.window.nt + 1)), np.zeros(n_space))
         res = minimize(level_spec, data, init, ctx)
         est = res.phi_est if spec.mode == SEPARABLE else res.f_est
-        err_f = _rel_error(est, source_truth, src_weights)
-        err_g = _rel_error(res.g_est, g_truth, wx)
+        err_f = rel_error(est, source_truth, src_weights)
+        err_g = rel_error(res.g_est, g_truth, wx)
         rows.append(RateRow(eps, level_spec.alpha_f, err_f, err_g,
                             clean_combined, data.combined_norm,
                             res.iterations, res.converged))
@@ -432,8 +425,3 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
         slope = float(np.polyfit(lx, ly, 1)[0])
     products = tuple(r.err_g * abs(math.log(r.eps)) for r in rows if r.eps > 0.0)
     return RateResult(tuple(rows), slope, products)
-
-
-def _clean_combined(pair, ctx) -> float:
-    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
-    return measure(u, ctx.domain, ctx.window).combined_norm

@@ -3,11 +3,14 @@
 Everything downstream (probes, decomposition, reconstruction, CLI) takes a
 LabContext so a run is reproducible from the few numbers echoed in reports.
 The elliptic operator is kept alongside its assembled form because probes
-re-assemble it on refined grids.
+re-assemble it on refined grids. The benchmark pair used throughout the
+docs and tests lives here too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .mesh import SpatialDomain, TimeWindow, make_time_window
 from .operator import DiscreteOperator, EllipticOperator, assemble_operator
@@ -19,6 +22,18 @@ DEFAULT_DELTA0 = 0.5
 DEFAULT_DELTA1 = 0.25
 DEFAULT_C0 = 2.0       # admissibility budget |f_t| <= C0 |f(., T)|
 DEFAULT_M0 = 100.0     # cap on the discrete C^4 surrogate of initial values
+
+
+def benchmark_source(x):
+    """Source profile of the benchmark pair: the lifted mode cos(pi x) + 1/2."""
+    return np.cos(np.pi * x) + 0.5
+
+
+def benchmark_initial(x):
+    """Initial value of the benchmark pair: three cosine modes whose
+    staggered amplitudes keep the log-rate signature visible in rate runs."""
+    return (np.cos(np.pi * x) + 0.5 * np.cos(2.0 * np.pi * x)
+            + 0.25 * np.cos(3.0 * np.pi * x))
 
 
 @dataclass(frozen=True)

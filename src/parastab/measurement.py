@@ -3,7 +3,8 @@
 The observation is the final-time snapshot u(., T) together with the
 boundary trace on the observed endpoints over the window
 (T - delta1, T + delta1). Its size is measured by the combined norm
-sqrt(H2_space(snapshot)^2 + H2_trace(trace)^2).
+sqrt(h2_space(snapshot)^2 + h2_trace(trace)^2); measurement_data attaches
+these norms to any snapshot/trace pair, clean or noisy.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpaceTimeField, SpatialDomain, TimeWindow
-from .norms import H2_SPACE, H2_TRACE, discrete_norm
+from .norms import h2_space, h2_trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,13 +26,18 @@ class MeasurementData:
     combined_norm: float
 
 
+def measurement_data(snapshot: np.ndarray, trace: np.ndarray,
+                     domain: SpatialDomain, window: TimeWindow) -> MeasurementData:
+    """Bundle a snapshot and a lateral trace with their H2 norms."""
+    h2s = h2_space(snapshot, domain)
+    h2t = h2_trace(trace, window)
+    return MeasurementData(snapshot, trace, h2s, h2t, math.hypot(h2s, h2t))
+
+
 def measure(u: SpaceTimeField, domain: SpatialDomain, window: TimeWindow) -> MeasurementData:
     """Snapshot, trace, and their norms for a solution on (domain, window)."""
     if u.values.shape != (domain.nx + 1, window.nt + 1):
         raise ValueError("field shape does not match the measurement grids")
     snapshot = u.values[:, window.snapshot_index].copy()
     trace = u.values[np.array(domain.gamma_indices), window.window_slice].copy()
-    h2_space = discrete_norm(snapshot, H2_SPACE, domain=domain)
-    h2_trace = discrete_norm(trace, H2_TRACE, window=window)
-    return MeasurementData(snapshot, trace, h2_space, h2_trace,
-                           math.hypot(h2_space, h2_trace))
+    return measurement_data(snapshot, trace, domain, window)

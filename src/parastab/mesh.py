@@ -30,6 +30,18 @@ def _grid_index(value: float, step: float, limit: int) -> int | None:
     return idx
 
 
+def _check_horizon(T: float, delta0: float, delta1: float) -> None:
+    """0 < delta1 <= min(delta0, T), all finite, and so is T + delta0."""
+    for name, v in (("T", T), ("delta0", delta0), ("delta1", delta1),
+                    ("T + delta0", T + delta0)):
+        if not (np.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    if delta1 > min(delta0, T) * (1.0 + 1e-12):
+        raise ValueError(
+            f"need 0 < delta1 <= min(delta0, T), got delta1={delta1} "
+            f"with T={T}, delta0={delta0}")
+
+
 def _trapezoid_weights(n_points: int, step: float) -> np.ndarray:
     w = np.full(n_points, step)
     w[0] = 0.5 * step
@@ -98,14 +110,7 @@ class TimeWindow:
     nt: int
 
     def __post_init__(self):
-        for name in ("T", "delta0", "delta1"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.delta1 > min(self.delta0, self.T) * (1.0 + 1e-12):
-            raise ValueError(
-                f"need 0 < delta1 <= min(delta0, T), got delta1={self.delta1} "
-                f"with T={self.T}, delta0={self.delta0}")
+        _check_horizon(self.T, self.delta0, self.delta1)
         if self.nt < 2:
             raise ValueError(f"nt must be at least 2, got {self.nt}")
         for t in (self.T - self.delta1, self.T, self.T + self.delta1):
@@ -167,6 +172,7 @@ class TimeWindow:
 
 def make_time_window(T: float, delta0: float, delta1: float, nt: int) -> TimeWindow:
     """Smallest step count >= nt that puts T-delta1, T, T+delta1 on the grid."""
+    _check_horizon(T, delta0, delta1)
     start = max(int(nt), 2)
     t_end = T + delta0
     targets = (T - delta1, T, T + delta1)
@@ -195,14 +201,6 @@ class SpaceTimeField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.domain.points
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.window.times
 
 
 def field_from_function(domain: SpatialDomain, window: TimeWindow, fn) -> SpaceTimeField:

@@ -1,6 +1,7 @@
-"""Trapezoid-rule norms and inner products on grid data.
+"""Trapezoid-rule norms and inner products on grid data, one function per
+norm taking exactly the grids it needs.
 
-H2 kinds add the squared first and second difference quotients to the
+H2 norms add the squared first and second difference quotients to the
 squared values before the square root; differences are centered in the
 interior and one-sided second order at the ends, matching the stencils
 module, so the norms are absolutely homogeneous and exact for the constant.
@@ -9,15 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import SpaceTimeField, SpatialDomain, TimeWindow, _trapezoid_weights
+from .mesh import SpatialDomain, TimeWindow, _trapezoid_weights
 from .stencils import fd_first, fd_second
-
-L2_SPACE = "L2_space"
-L2_SPACETIME = "L2_spacetime"
-H2_SPACE = "H2_space"
-H2_TRACE = "H2_trace"
-
-NORM_KINDS = (L2_SPACE, L2_SPACETIME, H2_SPACE, H2_TRACE)
 
 _MIN_H2_POINTS = 5
 
@@ -44,39 +38,30 @@ def _h2_line_sq(values: np.ndarray, step: float, weights: np.ndarray) -> float:
     return float(np.sum(weights * total))
 
 
-def discrete_norm(q, kind: str, *, domain: SpatialDomain | None = None,
-                  window: TimeWindow | None = None) -> float:
-    """Discrete norm of a snapshot, trace, or space-time field.
-
-    L2_space and H2_space take a spatial snapshot with its domain.
-    L2_spacetime takes a SpaceTimeField, or raw values with both grids.
-    H2_trace takes per-endpoint time rows sampled at the window step; rows
-    are summed before the square root, so a two-point boundary counts both.
-    """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    if isinstance(q, SpaceTimeField):
-        domain = q.domain
-        window = q.window
-        q = q.values
+def l2_space(q, domain: SpatialDomain) -> float:
+    """L2(Omega) norm of a spatial snapshot."""
     q = np.asarray(q, dtype=float)
+    return float(np.sqrt(l2_space_inner(q, q, domain)))
 
-    if kind == L2_SPACE:
-        if domain is None:
-            raise ValueError("L2_space needs the spatial domain")
-        return float(np.sqrt(np.sum(domain.quad_weights * q * q)))
-    if kind == L2_SPACETIME:
-        if domain is None or window is None:
-            raise ValueError("L2_spacetime needs both grids")
-        return float(np.sqrt(l2_spacetime_inner(q, q, domain, window)))
-    if kind == H2_SPACE:
-        if domain is None:
-            raise ValueError("H2_space needs the spatial domain")
-        return float(np.sqrt(_h2_line_sq(q, domain.h, domain.quad_weights)))
 
-    # H2_trace: time series per observed endpoint, step taken from the window.
-    if window is None:
-        raise ValueError("H2_trace needs the time window for its step")
-    rows = np.atleast_2d(q)
+def l2_spacetime(q, domain: SpatialDomain, window: TimeWindow) -> float:
+    """L2(Q) norm of space-time values on (domain, window)."""
+    q = np.asarray(q, dtype=float)
+    return float(np.sqrt(l2_spacetime_inner(q, q, domain, window)))
+
+
+def h2_space(q, domain: SpatialDomain) -> float:
+    """H2(Omega) norm of a spatial snapshot."""
+    q = np.asarray(q, dtype=float)
+    return float(np.sqrt(_h2_line_sq(q, domain.h, domain.quad_weights)))
+
+
+def h2_trace(rows, window: TimeWindow) -> float:
+    """H2 norm of per-endpoint time rows sampled at the window step.
+
+    Rows are summed before the square root, so a two-point boundary counts
+    both.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     weights = _trapezoid_weights(rows.shape[-1], window.k)
     return float(np.sqrt(sum(_h2_line_sq(row, window.k, weights) for row in rows)))

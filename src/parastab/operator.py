@@ -100,12 +100,6 @@ class DiscreteOperator:
         out[:-1] += sup * (q[1:] - q[:-1])
         return out
 
-    def apply_adjoint(self, q: np.ndarray) -> np.ndarray:
-        """Transpose of apply in the trapezoid inner product."""
-        q = np.asarray(q, dtype=float)
-        return band_mv(column_bands(self.adj_lower, self.adj_diag,
-                                    self.adj_upper, q.ndim), q)
-
     @property
     def reaction_max(self) -> float:
         """max c(x), the growth rate bound of the evolution semigroup."""

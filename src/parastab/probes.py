@@ -22,7 +22,7 @@ from .admissible import c4_surrogate, check_source_condition
 from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION
 from .mesh import field_from_function, sample_spatial
 from .measurement import measure
-from .norms import L2_SPACE, L2_SPACETIME, discrete_norm
+from .norms import l2_space, l2_spacetime
 from .solver import forward_solve
 
 FLAG_EXPECTED_FAILURE = "expected_failure"
@@ -99,8 +99,7 @@ def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
                                  f"budget is {c.C0!r}")
             u = forward_solve(c.dop, f, None, c.window)
             md = measure(u, c.domain, c.window)
-            f_norm = discrete_norm(f.values, L2_SPACETIME,
-                                   domain=c.domain, window=c.window)
+            f_norm = l2_spacetime(f.values, c.domain, c.window)
             if md.combined_norm == 0.0:
                 flag = FLAG_DEGENERATE if f_norm == 0.0 else FLAG_VIOLATION
                 value = math.nan if f_norm == 0.0 else math.inf
@@ -129,7 +128,7 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
                 flag = FLAG_EXPECTED_FAILURE
             u = forward_solve(c.dop, None, g, c.window)
             md = measure(u, c.domain, c.window)
-            g_norm = discrete_norm(g, L2_SPACE, domain=c.domain)
+            g_norm = l2_space(g, c.domain)
             combined = md.combined_norm
             if combined == 0.0:
                 # covers g = 0 and decay past the floating-point floor;
@@ -148,12 +147,10 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     return _summarize("initial", rows, levels)
 
 
-def source_eigenmode_family(j_max: int = 6, sigma=None):
-    """(j, cos(j pi x)/j^2 * sigma(t)) for j = 1..j_max; sigma defaults to 1."""
+def source_eigenmode_family(j_max: int = 6):
+    """(j, cos(j pi x)/j^2) for j = 1..j_max, constant in time."""
     def member(j):
-        if sigma is None:
-            return lambda x, t: np.cos(j * np.pi * x) / j ** 2 + 0.0 * t
-        return lambda x, t: np.cos(j * np.pi * x) / j ** 2 * sigma(t)
+        return lambda x, t: np.cos(j * np.pi * x) / j ** 2 + 0.0 * t
     return [(float(j), member(j)) for j in range(1, j_max + 1)]
 
 

@@ -8,7 +8,7 @@ stdout, never to the report files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,11 +91,10 @@ def write_profile_csv(path: str, times, z_norms, chord) -> None:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run leaves behind: identity, files, numbers, timings."""
+    """What a run leaves behind: identity, files and numbers."""
     config: dict
     artifacts: tuple
     summary: dict
-    timings: dict = field(default_factory=dict)
 
     @property
     def echo(self) -> str:
@@ -109,7 +108,7 @@ class RunReport:
 def write_manifest(path: str, report: RunReport) -> None:
     """Record the run identity, its artifacts, and the summary numbers.
 
-    Deliberately excludes timings so two identical runs emit identical
+    Nothing wall-clock enters it, so two identical runs emit identical
     bytes. The echoed config between the begin/end markers parses back to
     the mapping that produced the run.
     """

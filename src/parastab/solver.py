@@ -35,6 +35,10 @@ from .mesh import SpaceTimeField, TimeWindow
 from .operator import DiscreteOperator, band_mv, column_bands
 from .stencils import fd_first
 
+# A field handed to a residual check should satisfy its equation to a few
+# percent in the relative max norm; noisier fields draw a warning.
+RESIDUAL_WARN_TOL = 5e-2
+
 
 def _cn_factors(lower, diag, upper, kappa, tag, first_level):
     """LU factors of (I - kappa L) plus the bands of (I + kappa L)."""
@@ -149,21 +153,33 @@ def adjoint_gradients(p: SpaceTimeField) -> tuple[SpaceTimeField, np.ndarray]:
     return SpaceTimeField(phi, p.domain, p.window), pv[:, 0].copy()
 
 
-def time_shift(field: SpaceTimeField, window: TimeWindow | None = None) -> SpaceTimeField:
-    """Restrict a field to the lateral window and reindex time to start at 0.
+def time_shift(field: SpaceTimeField) -> SpaceTimeField:
+    """Restrict a field to its lateral window and reindex time to start at 0.
 
     Columns are copied, never interpolated: the window endpoints sit on the
     grid by construction, so the translated frame shares the step k.
     """
-    window = field.window if window is None else window
-    if window.nt != field.window.nt or window.t_end != field.window.t_end:
-        raise ValueError("window does not match the field grid")
-    sl = window.window_slice
-    return SpaceTimeField(field.values[:, sl].copy(), field.domain,
-                          window.shifted())
+    window = field.window
+    return SpaceTimeField(field.values[:, window.window_slice].copy(),
+                          field.domain, window.shifted())
 
 
 def time_derivative(field: SpaceTimeField) -> SpaceTimeField:
     """Second-order finite-difference time derivative on the same grid."""
     dv = fd_first(field.values, field.window.k, axis=1)
     return SpaceTimeField(dv, field.domain, field.window)
+
+
+def equation_residual(u: SpaceTimeField, f: SpaceTimeField | None,
+                      dop: DiscreteOperator) -> float:
+    """Relative max-norm residual of u_t = Au + f on u's own frame.
+
+    Only interior time columns count: the one-sided time stencils at the
+    frame ends are not part of the claim.
+    """
+    ut = fd_first(u.values, u.window.k, axis=1)
+    res = ut - dop.apply(u.values)
+    if f is not None:
+        res = res - f.values
+    scale = max(float(np.max(np.abs(ut))), 1e-300)
+    return float(np.max(np.abs(res[:, 1:-1]))) / scale

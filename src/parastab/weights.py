@@ -4,8 +4,8 @@ The spatial weight psi is an explicit affine function: positive, with
 nonvanishing slope, and with nonpositive outward slope at any unobserved
 endpoint. The time factor l(t) = t(t_end - t) vanishes at both ends of the
 frame, so rho = e^{lam psi}/l and theta = (e^{lam psi} - e^{2 lam sup psi})/l
-are unbounded there: endpoint columns are stored as NaN and guarded by
-require_interior, never silently evaluated.
+are unbounded there: endpoint columns are stored as NaN, so a quadrature
+that strays onto them reads NaN instead of a silently wrong number.
 
 Shifted fields live on the translated measurement frame (0, 2 delta1). There
 l is computed in the symmetric form delta1^2 - (t - delta1)^2, algebraically
@@ -72,7 +72,7 @@ def build_psi(domain: SpatialDomain) -> np.ndarray:
 class CarlemanWeights:
     """Weight fields on the solve frame and on the shifted measurement frame.
 
-    rho/theta columns at l = 0 hold NaN; read them through require_interior.
+    rho/theta columns at l = 0 hold NaN; only interior columns carry values.
     """
 
     psi: np.ndarray
@@ -89,24 +89,6 @@ class CarlemanWeights:
     window: TimeWindow
     shifted_window: TimeWindow
     domain: SpatialDomain
-
-    def require_interior(self, t_index: int, shifted: bool = False) -> int:
-        n = self.shifted_window.nt if shifted else self.window.nt
-        if t_index < 0:
-            t_index += n + 1
-        if t_index <= 0 or t_index >= n:
-            raise ValueError(
-                f"weights are unbounded at time endpoint index {t_index} "
-                f"(l = 0 there); only interior nodes carry values")
-        return t_index
-
-    def rho_column(self, t_index: int, shifted: bool = False) -> np.ndarray:
-        t_index = self.require_interior(t_index, shifted)
-        return (self.rho1_shift if shifted else self.rho)[:, t_index]
-
-    def theta_column(self, t_index: int, shifted: bool = False) -> np.ndarray:
-        t_index = self.require_interior(t_index, shifted)
-        return (self.theta1_shift if shifted else self.theta)[:, t_index]
 
 
 def _singular_fields(exp_psi: np.ndarray, big: float, l: np.ndarray):

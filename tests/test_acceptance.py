@@ -17,7 +17,7 @@ from parastab.cli import main
 from parastab.decompose import check_log_convexity_and_w_bound
 from parastab.inverse import (InverseProblemSpec, objective_and_gradient,
                               rate_experiment, synthesize_data)
-from parastab.lab import make_context
+from parastab.lab import benchmark_initial, benchmark_source, make_context
 from parastab.mesh import SpaceTimeField, sample_spatial, zero_field
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
@@ -229,9 +229,8 @@ def test_criterion_08_gradient_check():
     t0 = time.perf_counter()
     ctx = make_context(nx=32, nt=128, T=0.25, delta0=0.25, delta1=0.125)
     x = ctx.domain.points
-    phi = np.cos(np.pi * x) + 0.5
-    g = (np.cos(np.pi * x) + 0.5 * np.cos(2 * np.pi * x)
-         + 0.25 * np.cos(3 * np.pi * x))
+    phi = benchmark_source(x)
+    g = benchmark_initial(x)
     f = SpaceTimeField(np.repeat(phi[:, None], ctx.window.nt + 1, axis=1),
                        ctx.domain, ctx.window)
     pair = make_admissible_pair(ctx, f=f, g=g)
@@ -264,9 +263,8 @@ def test_criterion_09_rate_experiment():
     t0 = time.perf_counter()
     ctx = make_context(nx=32, nt=128, T=0.25, delta0=0.25, delta1=0.125)
     x = ctx.domain.points
-    phi = np.cos(np.pi * x) + 0.5
-    g = (np.cos(np.pi * x) + 0.5 * np.cos(2 * np.pi * x)
-         + 0.25 * np.cos(3 * np.pi * x))
+    phi = benchmark_source(x)
+    g = benchmark_initial(x)
     spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=2000,
                               grad_tol=1e-10, seed=7)
     result = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), ctx)

@@ -98,3 +98,13 @@ def test_admissible_pair_validates_shapes_and_budget_sign():
         make_admissible_pair(ctx, g=np.ones(7))
     with pytest.raises(ValueError):
         make_admissible_pair(ctx, C0=-1.0)
+
+
+def test_overflowing_source_is_refused_at_the_gate():
+    # every value is finite, but its L2(Q) norm is not
+    ctx = make_context(nx=16, nt=32)
+    f = field_from_function(ctx.domain, ctx.window,
+                            lambda x, t: 1e160 * (2.0 + np.cos(np.pi * x))
+                            + 0.0 * t)
+    with pytest.raises(ValueError, match="source overflows"):
+        make_admissible_pair(ctx, f=f)

@@ -1,13 +1,19 @@
 """CLI tests: config resolution, artifacts, exit codes, reproducibility."""
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from parastab.cli import main, resolve_config, source_member, spatial_profile
+from parastab.cli import (main, resolve_config, source_member, source_profile,
+                          spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
-from parastab.lab import make_context
+from parastab.lab import benchmark_initial, benchmark_source, make_context
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 # small grids keep each full CLI run in the tens of milliseconds
 FAST = ["--nx", "16", "--nt", "32"]
@@ -67,9 +73,13 @@ def test_spatial_profiles():
     got = spatial_profile("eigenmode:2:0.5", ctx.domain)
     assert np.allclose(got, 0.5 * np.cos(2 * np.pi * x))
     bench = spatial_profile("benchmark", ctx.domain)
-    expect = (np.cos(np.pi * x) + 0.5 * np.cos(2 * np.pi * x)
-              + 0.25 * np.cos(3 * np.pi * x))
-    assert np.allclose(bench, expect)
+    assert np.array_equal(bench, benchmark_initial(x))
+    assert np.array_equal(source_profile("benchmark", ctx.domain),
+                          benchmark_source(x))
+    # closed forms at the walls: 1 + 1/2 + 1/4 and -1 + 1/2 - 1/4;
+    # cos(pi x) + 1/2 gives 3/2 and -1/2
+    assert bench[0] == pytest.approx(1.75) and bench[-1] == pytest.approx(-0.75)
+    assert benchmark_source(np.array([0.0, 1.0])) == pytest.approx([1.5, -0.5])
 
 
 def test_bad_descriptors_raise():
@@ -246,13 +256,57 @@ def test_exit_one_on_usage_and_validation(tmp_path, capsys):
 
 
 def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
-    rc = main(["forward", "--nx", "16", "--nt", "8",
-               "--g", "eigenmode:1:1e308", "--out", str(tmp_path / "o")])
+    # so long a step that 1 is lost next to kappa*A, whose constants are
+    # in its kernel: the step matrix is singular in floating point
+    # (overflowing data never reaches a march; the admissibility gate
+    # refuses it, see test_overflowing_data_is_refused_in_one_line)
+    long = ["--T", "1e200", "--delta0", "1e200", "--delta1", "1e200"]
+    rc = main(["forward", "--nx", "16", "--nt", "8", *long,
+               "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [
-        "error: non-finite iterate in forward solve at level 1"]
+        "error: singular time-step system in forward solve at level 1"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--C0", "nan"],
+    ["carleman-audit", "--s", "nan,1,8"],
+])
+def test_nan_config_values_are_refused(tmp_path, capsys, argv):
+    rc = main([*argv, *FAST, "--out", str(tmp_path / "n")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: invalid value for ")
+    assert "nan" in lines[0]
+    assert not os.path.exists(tmp_path / "n")
+
+
+def test_reconstruct_takes_exactly_one_noise_level(tmp_path, capsys):
+    rc = main(["reconstruct", *FAST, "--noise", "0.01,0.5",
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "noise" in capsys.readouterr().err
+    cfg, typed = resolve_config("reconstruct", {}, None)
+    assert typed["noise"] == 0.01 and cfg["noise"] == "0.01"
+
+
+@pytest.mark.parametrize("amplitude", ["1e160", "1e308"])
+@pytest.mark.parametrize("sub", ["forward", "decompose", "carleman-audit"])
+def test_overflowing_data_is_refused_in_one_line(tmp_path, sub, amplitude):
+    # a child process, because pytest would capture numpy's warnings
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", sub, "--nx", "16", "--nt",
+         "8", "--g", f"eigenmode:1:{amplitude}", "--out",
+         str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: initial value overflows")
 
 
 def test_exit_two_flags_violation_and_still_reports(tmp_path):

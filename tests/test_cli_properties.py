@@ -1,0 +1,110 @@
+"""Property tests of the command line: the config echo parses back to the
+run's identity, and no argv ends in a traceback."""
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from parastab.cli import _TABLES, resolve_config, run_cli
+from parastab.config import canonical_echo, config_hash
+
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_FLOAT = st.floats(allow_nan=False)
+
+# raw flag text per value kind, drawn in the spellings the parser accepts
+_RAW = {
+    "int": st.integers(-10**6, 10**6).map(str),
+    "float": _FLOAT.map(repr),
+    "floats": st.lists(_FLOAT, max_size=4).map(
+        lambda vs: ",".join(repr(v) for v in vs)),
+    "bool": st.sampled_from(["true", "false", "1", "0", "yes", "no",
+                             " True ", "NO"]),
+    "str": _TEXT,
+}
+
+
+def _echoable(text: str) -> bool:
+    text = text.strip()
+    return "#" not in text and len(text.splitlines()) <= 1
+
+
+@st.composite
+def _flags(draw):
+    sub = draw(st.sampled_from(sorted(_TABLES)))
+    flags = {}
+    for key, kind, _ in _TABLES[sub]:
+        if draw(st.booleans()):
+            flags[key] = draw(_RAW[kind])
+    return sub, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flags())
+def test_config_echo_round_trips(case):
+    sub, flags = case
+    kinds = {key: kind for key, kind, _ in _TABLES[sub]}
+    if not all(_echoable(v) for k, v in flags.items() if kinds[k] == "str"):
+        # refused where it enters instead of being echoed unparseably
+        with contextlib.suppress(ValueError):
+            resolve_config(sub, flags, None)
+            raise AssertionError(f"unechoable value accepted: {flags!r}")
+        return
+    cfg, typed = resolve_config(sub, flags, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "echo.cfg")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(canonical_echo(cfg))
+        again, typed_again = resolve_config(sub, {}, path)
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+    assert typed_again == typed
+
+
+_INTS = ["8", "9", "12", "16", "0", "-3", "2", "1.5", "abc", "", "nan"]
+_STEPS = ["8", "12", "16", "0", "-1", "2", "x", "1e3"]
+_FLOATS = ["1", "0.5", "0.25", "0", "-1", "nan", "inf", "-inf", "1e308",
+           "1e-300", "1e200", "2e-7", "abc", ""]
+_DESCRIPTORS = ["zero", "one", "benchmark", "eigenmode:1", "eigenmode:3:2",
+                "eigenmode:1:1e160", "eigenmode:2:1e308", "eigenmode:1:nan",
+                "eigenmode:1:inf", "eigenmode:x", "eigenmode:1:2:3",
+                "late-onset", "wavelet", ""]
+_JUNK = {
+    "nx": _INTS, "nt": _STEPS, "seed": _INTS + ["123456789"],
+    "T": _FLOATS, "delta0": _FLOATS, "delta1": _FLOATS, "C0": _FLOATS,
+    "lambda": _FLOATS, "f": _DESCRIPTORS, "g": _DESCRIPTORS,
+    "s": ["", "nan,1,8", "0.1,0.2,0.4,0.8", "1,2", "-1,8", "8,1",
+          "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1"],
+    "p": ["0", "1", "2", "-1", "x"],
+    "boundary": ["exp", "literal", "nope", ""],
+}
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(["forward", "decompose", "carleman-audit"]))
+    # tiny grids unless a junk draw replaces them
+    flags = {"nx": "8", "nt": "8"}
+    for key, _, _ in _TABLES[sub]:
+        if draw(st.integers(0, 2)) == 0:
+            flags[key] = draw(st.sampled_from(_JUNK[key]))
+    return [sub] + [tok for key, value in flags.items()
+                    for tok in (f"--{key}", value)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_no_argv_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # Python warnings (the residual diagnostic of coarse grids) are recorded
+    # apart: the property is about the command's own messages
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        rc = run_cli(argv + ["--out", os.path.join(tmp, "o")])
+    assert rc in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

@@ -10,7 +10,7 @@ from parastab.inverse import (FULL, InverseProblemSpec, minimize,
                               objective_and_gradient, pack_params,
                               project_rate_budget, rate_experiment,
                               synthesize_data, unpack_params)
-from parastab.lab import make_context
+from parastab.lab import benchmark_initial, benchmark_source, make_context
 from parastab.measurement import measure
 from parastab.mesh import SpaceTimeField
 from parastab.solver import forward_solve
@@ -22,10 +22,7 @@ CTX = make_context(nx=32, nt=128, T=0.25, delta0=0.25, delta1=0.125)
 
 def truth_arrays(ctx):
     x = ctx.domain.points
-    phi = np.cos(np.pi * x) + 0.5
-    g = (np.cos(np.pi * x) + 0.5 * np.cos(2 * np.pi * x)
-         + 0.25 * np.cos(3 * np.pi * x))
-    return phi, g
+    return benchmark_source(x), benchmark_initial(x)
 
 
 def truth_pair(ctx, phi, g):
@@ -54,7 +51,7 @@ def test_spec_validation():
 def test_pack_unpack_roundtrip():
     phi, g = truth_arrays(CTX)
     spec = InverseProblemSpec()
-    p = pack_params(spec, phi, g, CTX)
+    p = pack_params(phi, g)
     phi2, g2 = unpack_params(spec, p, CTX)
     assert np.array_equal(phi2, phi)
     assert np.array_equal(g2, g)
@@ -121,7 +118,7 @@ def test_objective_zero_at_truth():
     pair = truth_pair(CTX, phi, g)
     spec = InverseProblemSpec(alpha_f=0.0, alpha_g=0.0)
     data = synthesize_data(pair, spec, CTX)
-    J, grad = objective_and_gradient(spec, pack_params(spec, phi, g, CTX),
+    J, grad = objective_and_gradient(spec, pack_params(phi, g),
                                      data, CTX)
     assert J == 0.0
     assert np.all(grad == 0.0)
@@ -211,7 +208,7 @@ def test_self_consistency_recovers_truth():
     # the truth pair; measured 2.9e-4 / 1.3e-3 against the 1e-2 budget
     ctx = make_context(nx=32, nt=32, T=0.0625, delta0=0.0625, delta1=0.03125)
     x = ctx.domain.points
-    phi = np.cos(np.pi * x) + 0.5
+    phi = benchmark_source(x)
     g = np.cos(np.pi * x)
     pair = truth_pair(ctx, phi, g)
     spec = InverseProblemSpec(alpha_f=1e-10, alpha_g=1e-10, max_iters=1500,
@@ -295,7 +292,7 @@ def test_full_mode_projection_engages_and_history_descends():
     ctx = make_context(nx=16, nt=48, T=0.25, delta0=0.125, delta1=0.0625,
                        C0=1.0)
     x = ctx.domain.points
-    phi = np.cos(np.pi * x) + 0.5
+    phi = benchmark_source(x)
     g = np.cos(np.pi * x)
     pair = truth_pair(ctx, phi, g)
     spec = InverseProblemSpec(mode=FULL, alpha_f=1e-4, alpha_g=1e-4,
@@ -323,7 +320,7 @@ def test_sigma_validation_and_use():
     spec_bad = InverseProblemSpec(sigma=lambda t: t - 0.25)
     pair = truth_pair(CTX, phi, g)
     data = synthesize_data(pair, InverseProblemSpec(), CTX)
-    params = pack_params(spec_bad, phi, g, CTX)
+    params = pack_params(phi, g)
     with pytest.raises(ValueError, match="sigma"):
         objective_and_gradient(spec_bad, params, data, CTX)
     with pytest.raises(ValueError, match="rate budget"):

@@ -68,6 +68,15 @@ def test_delta1_cannot_exceed_bounds():
         make_time_window(0.2, 0.5, 0.3, 64)    # delta1 > T
 
 
+def test_window_search_rejects_nonfinite_horizons():
+    # checked before the search, which would otherwise round inf or nan
+    # grid positions into integers
+    with pytest.raises(ValueError, match="delta1"):
+        make_time_window(1.0, 0.5, float("inf"), 8)
+    with pytest.raises(ValueError, match="T \\+ delta0"):
+        make_time_window(1e308, 1e308, 1e308, 8)
+
+
 def test_index_of_rejects_off_grid_times():
     win = make_time_window(1.0, 0.5, 0.25, 60)
     assert win.index_of(1.0) == win.snapshot_index

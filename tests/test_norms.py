@@ -1,4 +1,4 @@
-"""Norm kinds against closed-form integrals and exact homogeneity."""
+"""Discrete norms against closed-form integrals and exact homogeneity."""
 import math
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from parastab.lab import make_context
 from parastab.mesh import SpatialDomain, field_from_function, make_time_window
-from parastab.norms import NORM_KINDS, discrete_norm
+from parastab.norms import h2_space, h2_trace, l2_space, l2_spacetime
 
 # closed form for q = cos(pi x) on (0,1):
 # integral q^2 = 1/2, q'^2 = pi^2/2, q''^2 = pi^4/2  ->  7.3579445307467415
@@ -15,14 +15,13 @@ H2_COS = math.sqrt((1.0 + math.pi**2 + math.pi**4) / 2.0)
 
 def test_l2_space_of_constant():
     dom = SpatialDomain(0.0, 1.0, 16)
-    assert discrete_norm(np.ones(17), "L2_space", domain=dom) == pytest.approx(1.0)
+    assert l2_space(np.ones(17), dom) == pytest.approx(1.0)
 
 
 def test_h2_space_matches_closed_form_and_refines():
     def err(nx):
         dom = SpatialDomain(0.0, 1.0, nx)
-        return abs(discrete_norm(np.cos(np.pi * dom.points), "H2_space",
-                                 domain=dom) - H2_COS)
+        return abs(h2_space(np.cos(np.pi * dom.points), dom) - H2_COS)
 
     errs = [err(nx) for nx in (48, 96, 192, 384)]
     assert errs[-1] < 1e-4
@@ -36,25 +35,24 @@ def test_l2_spacetime_of_separable_field():
     fld = field_from_function(ctx.domain, ctx.window,
                               lambda x, t: np.cos(np.pi * x) + 0.0 * t)
     # integral over (0,1)x(0,1.5) of cos^2 = 1.5/2
-    assert discrete_norm(fld, "L2_spacetime") == pytest.approx(
+    assert l2_spacetime(fld.values, fld.domain, fld.window) == pytest.approx(
         math.sqrt(0.75), rel=1e-6)
 
 
 def test_h2_trace_of_zero_and_constant():
     win = make_time_window(1.0, 0.5, 0.25, 36)
     n = win.window_weights.size
-    assert discrete_norm(np.zeros((2, n)), "H2_trace", window=win) == 0.0
+    assert h2_trace(np.zeros((2, n)), win) == 0.0
     # two constant rows over a window of length 0.5: sqrt(2 * 0.5) = 1
-    assert discrete_norm(np.ones((2, n)), "H2_trace",
-                         window=win) == pytest.approx(1.0)
+    assert h2_trace(np.ones((2, n)), win) == pytest.approx(1.0)
 
 
 def test_single_trace_row_accepted_as_1d():
     win = make_time_window(1.0, 0.5, 0.25, 36)
     n = win.window_weights.size
     row = np.sin(np.linspace(0.0, 1.0, n))
-    a = discrete_norm(row, "H2_trace", window=win)
-    b = discrete_norm(row[None, :], "H2_trace", window=win)
+    a = h2_trace(row, win)
+    b = h2_trace(row[None, :], win)
     assert a == b > 0.0
 
 
@@ -62,9 +60,8 @@ def test_absolute_homogeneity_bit_exact_for_power_of_two():
     dom = SpatialDomain(0.0, 1.0, 32)
     rng = np.random.default_rng(21)
     q = rng.standard_normal(33)
-    for kind in ("L2_space", "H2_space"):
-        assert discrete_norm(4.0 * q, kind, domain=dom) == \
-            4.0 * discrete_norm(q, kind, domain=dom)
+    for norm in (l2_space, h2_space):
+        assert norm(4.0 * q, dom) == 4.0 * norm(q, dom)
 
 
 def test_homogeneity_general_scalar_to_roundoff():
@@ -73,16 +70,15 @@ def test_homogeneity_general_scalar_to_roundoff():
     vals = rng.standard_normal((17, ctx.window.nt + 1))
     fld = field_from_function(ctx.domain, ctx.window, lambda x, t: vals)
     scaled = field_from_function(ctx.domain, ctx.window, lambda x, t: 3.7 * vals)
-    assert discrete_norm(scaled, "L2_spacetime") == pytest.approx(
-        3.7 * discrete_norm(fld, "L2_spacetime"), rel=1e-13)
+    assert l2_spacetime(scaled.values, ctx.domain, ctx.window) == \
+        pytest.approx(3.7 * l2_spacetime(fld.values, ctx.domain, ctx.window),
+                      rel=1e-13)
 
 
-def test_unknown_kind_and_missing_grids_rejected():
+def test_h2_norms_need_five_points_per_line():
     dom = SpatialDomain(0.0, 1.0, 16)
-    with pytest.raises(ValueError):
-        discrete_norm(np.ones(17), "L3_space", domain=dom)
-    with pytest.raises(ValueError):
-        discrete_norm(np.ones(17), "L2_space")
-    with pytest.raises(ValueError):
-        discrete_norm(np.ones(4), "H2_space", domain=dom)
-    assert len(NORM_KINDS) == 4
+    win = make_time_window(1.0, 0.5, 0.25, 36)
+    with pytest.raises(ValueError, match="at least 5"):
+        h2_space(np.ones(4), dom)
+    with pytest.raises(ValueError, match="at least 5"):
+        h2_trace(np.ones((2, 4)), win)
