@@ -6,9 +6,12 @@ runs the two estimate probes, decompose splits the time derivative and
 checks the interpolation bound, reconstruct runs one inversion, rate runs
 the noise sweep. Every run writes its CSV artifacts plus a manifest into
 the output directory; with a fixed config and seed the bytes are
-identical between runs. Exit codes: 0 success, 1 invalid usage or
-configuration, 2 when any emitted row is flagged as an estimate-violation
-candidate, so CI can tell the three apart.
+identical between runs. Python warnings a completed run raises (such as
+the residual diagnostic of a coarse grid) are listed in the manifest as
+warning.<k> lines and printed as one `warning:` line each on stderr; a
+refused run prints its one `error:` line only. Exit codes: 0 success, 1
+invalid usage or configuration, 2 when any emitted row is flagged as an
+estimate-violation candidate, so CI can tell the three apart.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -376,6 +380,7 @@ def _run_reconstruct(typed, outdir):
     summary = {"eps": eps, "alpha_f": spec.alpha_f, "alpha_g": spec.alpha_g,
                "final_objective": res.final_objective,
                "iterations": res.iterations, "converged": res.converged,
+               "grad_norm": res.grad_norm,
                "err_f": rel_error(res.phi_est, phi_true, wx),
                "err_g": rel_error(res.g_est, g_true, wx),
                "combined_norm_noisy": data.combined_norm}
@@ -437,11 +442,17 @@ def run_cli(argv=None) -> int:
         os.makedirs(outdir, exist_ok=True)
 
         started = time.perf_counter()
-        artifacts, summary, flagged = _HANDLERS[sub](typed, outdir)
+        # the active filters decide what is recorded; entering the block
+        # resets the once-per-location memory, so every run records alike
+        with warnings.catch_warnings(record=True) as caught:
+            artifacts, summary, flagged = _HANDLERS[sub](typed, outdir)
         elapsed = time.perf_counter() - started
 
+        notes = tuple(dict.fromkeys(
+            f"{w.category.__name__}: {' '.join(str(w.message).split())}"
+            for w in caught))
         report = RunReport(config=cfg, artifacts=tuple(artifacts),
-                           summary=summary)
+                           summary=summary, warnings=notes)
         write_manifest(os.path.join(outdir, MANIFEST_NAME), report)
 
         print(f"subcommand: {sub}")
@@ -453,6 +464,8 @@ def run_cli(argv=None) -> int:
             print(f"summary.{key}: {fmt(summary[key])}")
         # timings are stdout-only so artifact bytes stay reproducible
         print(f"elapsed_seconds: {elapsed:.3f}")
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         if flagged:
             print("estimate-violation candidates flagged")
             return 2

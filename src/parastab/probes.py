@@ -9,7 +9,9 @@ are still run and emitted as expected-failure rows, which is the point:
 without the cap the product is unbounded.
 
 Each member is solved at several mesh levels (level L refines the context
-by 2^L) so the summary can certify mesh stability.
+by 2^L) so the summary can certify mesh stability. A member too large for
+floating point, one whose data norm or combined norm is not finite, is
+refused with a ValueError rather than reported as a nan row.
 """
 from __future__ import annotations
 
@@ -60,6 +62,20 @@ def _join(flag: str, token: str) -> str:
     return token if not flag else flag + "+" + token
 
 
+def _require_finite(i: int, level: int, what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"family member {i} overflows at mesh level "
+                         f"{level}: its {what} is {value!r}")
+
+
+def _measured_norm(i: int, level: int, u, c) -> float:
+    """Combined norm of u's measurement, refused when it overflows."""
+    with np.errstate(all="ignore"):
+        combined = measure(u, c.domain, c.window).combined_norm
+    _require_finite(i, level, "combined norm", combined)
+    return combined
+
+
 def _contexts(ctx, levels: int):
     if levels < 1:
         raise ValueError("need at least one mesh level")
@@ -93,19 +109,21 @@ def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     for level, c in enumerate(_contexts(ctx, levels)):
         for i, (param, fn) in enumerate(family):
             f = field_from_function(c.domain, c.window, fn)
+            with np.errstate(all="ignore"):
+                f_norm = l2_spacetime(f.values, c.domain, c.window)
+            _require_finite(i, level, "L2(Q) norm", f_norm)
             need = check_source_condition(f, c.window.T)
             if not need <= c.C0 * (1.0 + 1e-12):
                 raise ValueError(f"family member {i} needs C0 >= {need!r}, "
                                  f"budget is {c.C0!r}")
             u = forward_solve(c.dop, f, None, c.window)
-            md = measure(u, c.domain, c.window)
-            f_norm = l2_spacetime(f.values, c.domain, c.window)
-            if md.combined_norm == 0.0:
+            combined = _measured_norm(i, level, u, c)
+            if combined == 0.0:
                 flag = FLAG_DEGENERATE if f_norm == 0.0 else FLAG_VIOLATION
                 value = math.nan if f_norm == 0.0 else math.inf
             else:
-                flag, value = "", f_norm / md.combined_norm
-            rows.append(ProbeRow(i, float(param), f_norm, md.combined_norm,
+                flag, value = "", f_norm / combined
+            rows.append(ProbeRow(i, float(param), f_norm, combined,
                                  value, level, flag))
     return _summarize("source", rows, levels)
 
@@ -123,13 +141,14 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     for level, c in enumerate(_contexts(ctx, levels)):
         for i, (param, fn) in enumerate(family):
             g = sample_spatial(c.domain, fn)
+            with np.errstate(all="ignore"):
+                g_norm = l2_space(g, c.domain)
+            _require_finite(i, level, "L2 norm", g_norm)
             flag = ""
             if c4_surrogate(g, c.domain.h) > c.M0:
                 flag = FLAG_EXPECTED_FAILURE
             u = forward_solve(c.dop, None, g, c.window)
-            md = measure(u, c.domain, c.window)
-            g_norm = l2_space(g, c.domain)
-            combined = md.combined_norm
+            combined = _measured_norm(i, level, u, c)
             if combined == 0.0:
                 # covers g = 0 and decay past the floating-point floor;
                 # either way the log carries no information

@@ -71,10 +71,11 @@ def write_probe_csv(path: str, rows) -> None:
 
 def write_rate_csv(path: str, rows) -> None:
     header = ["eps", "alpha", "err_f", "err_g", "combined_norm_clean",
-              "combined_norm_noisy", "iters", "converged"]
+              "combined_norm_noisy", "iters", "converged", "grad_norm"]
     _write_rows(path, header,
                 [(r.eps, r.alpha, r.err_f, r.err_g, r.combined_norm_clean,
-                  r.combined_norm_noisy, r.iters, r.converged) for r in rows])
+                  r.combined_norm_noisy, r.iters, r.converged, r.grad_norm)
+                 for r in rows])
 
 
 def write_reconstruction_csv(path: str, x, phi_true, g_true, phi_est,
@@ -91,10 +92,12 @@ def write_profile_csv(path: str, times, z_norms, chord) -> None:
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run leaves behind: identity, files and numbers."""
+    """What a run leaves behind: identity, files, numbers and the text of
+    the warnings it raised, in the order first raised."""
     config: dict
     artifacts: tuple
     summary: dict
+    warnings: tuple = ()
 
     @property
     def echo(self) -> str:
@@ -106,7 +109,8 @@ class RunReport:
 
 
 def write_manifest(path: str, report: RunReport) -> None:
-    """Record the run identity, its artifacts, and the summary numbers.
+    """Record the run identity, its artifacts, the summary numbers and
+    one warning.<k> line per warning raised.
 
     Nothing wall-clock enters it, so two identical runs emit identical
     bytes. The echoed config between the begin/end markers parses back to
@@ -119,5 +123,7 @@ def write_manifest(path: str, report: RunReport) -> None:
         lines.append(f"artifact={name}")
     for key in sorted(report.summary):
         lines.append(f"summary.{key}={fmt(report.summary[key])}")
+    for k, text in enumerate(report.warnings):
+        lines.append(f"warning.{k}={text}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -25,6 +25,10 @@ stored factors (dgttrs). The arithmetic is the one a per-level tridiagonal
 solve performs, so the iterates are bit-identical to it. A zero pivot is
 reported at the first level the march solves, and every level checks its
 iterate for non-finite values.
+
+The forward level loop, cn_march, also marches m columns at once: LAPACK
+applies the factors to each column with the arithmetic of a single
+right-hand side, so every column equals its own forward_solve bit for bit.
 """
 from __future__ import annotations
 
@@ -40,14 +44,16 @@ from .stencils import fd_first
 RESIDUAL_WARN_TOL = 5e-2
 
 
-def _cn_factors(lower, diag, upper, kappa, tag, first_level):
-    """LU factors of (I - kappa L) plus the bands of (I + kappa L)."""
+def _cn_factors(lower, diag, upper, kappa, tag, first_level, ndim=1):
+    """LU factors of (I - kappa L) plus the bands of (I + kappa L), shaped
+    for a state with ndim axes."""
     *lu, info = dgttrf(-kappa * lower[1:], 1.0 - kappa * diag,
                        -kappa * upper[:-1])
     if info > 0:
         raise RuntimeError(f"singular time-step system in {tag} solve at "
                            f"level {first_level}")
-    plus = column_bands(kappa * lower, 1.0 + kappa * diag, kappa * upper)
+    plus = column_bands(kappa * lower, 1.0 + kappa * diag, kappa * upper,
+                        ndim)
     return tuple(lu), plus
 
 
@@ -68,21 +74,41 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
     g = np.asarray(g, dtype=float)
     if g.shape != (nx + 1,):
         raise ValueError(f"initial value shape {g.shape}, expected {(nx + 1,)}")
-    kappa = 0.5 * window.k
     u = np.empty((nx + 1, window.nt + 1))
     u[:, 0] = g
-    fv = None
+    source_sum = None
     if f is not None:
         if f.values.shape != u.shape:
             raise ValueError("source field grid does not match the window")
         fv = f.values
-    lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward", 1)
-    for n in range(window.nt):
-        rhs = band_mv(plus, u[:, n])
-        if fv is not None:
-            rhs += kappa * (fv[:, n] + fv[:, n + 1])
-        u[:, n + 1] = solve_banded(lu, rhs, "forward", n + 1)
+
+        def source_sum(n):
+            return fv[:, n] + fv[:, n + 1]
+
+    def record(n, state):
+        u[:, n] = state
+
+    cn_march(dop, window, g, record, source_sum)
     return SpaceTimeField(u, dop.domain, window)
+
+
+def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
+             record, source_sum=None) -> None:
+    """The forward Crank-Nicolson level loop from u^0 = state.
+
+    state has shape (nx+1,), or (nx+1, m) to march m columns under one
+    factorization. record(n, u^n) receives every new level n = 1..nt;
+    source_sum(n), when given, returns f^n + f^{n+1} shaped like the state.
+    """
+    kappa = 0.5 * window.k
+    lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
+                           1, state.ndim)
+    for n in range(window.nt):
+        rhs = band_mv(plus, state)
+        if source_sum is not None:
+            rhs += kappa * source_sum(n)
+        state = solve_banded(lu, rhs, "forward", n + 1)
+        record(n + 1, state)
 
 
 def adjoint_solve(dop: DiscreteOperator,

@@ -239,7 +239,8 @@ def test_rate_run_emits_one_row_per_level(tmp_path):
     rows = read(os.path.join(out, "rate.csv")).decode().splitlines()
     assert rows[0].startswith("eps,alpha,err_f,err_g")
     assert len(rows) == 4
-    assert [r.split(",")[-1] for r in rows[1:]] == ["true"] * 3
+    converged = rows[0].split(",").index("converged")
+    assert [r.split(",")[converged] for r in rows[1:]] == ["true"] * 3
 
 
 def test_exit_one_on_usage_and_validation(tmp_path, capsys):
@@ -307,6 +308,41 @@ def test_overflowing_data_is_refused_in_one_line(tmp_path, sub, amplitude):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: initial value overflows")
+
+
+def test_overflowing_probe_family_is_refused_in_one_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", "stability-probe", "--kind",
+         "source", "--f", "eigenmode:1:1e160", "--nx", "16", "--nt", "8",
+         "--levels", "1", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: family member 0 overflows at mesh level 0: its L2(Q) norm "
+        "is inf"]
+
+
+def test_warnings_go_into_the_manifest(tmp_path, capsys):
+    # the coarse grid trips decompose's residual diagnostic
+    argv = ["decompose", "--nx", "8", "--nt", "8"]
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main([*argv, "--out", a]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert main([*argv, "--out", b]) == 0
+    assert capsys.readouterr().err.splitlines() == err
+    assert len(err) == 1
+    assert err[0].startswith("warning: UserWarning: field does not solve")
+    notes = [line for line in manifest_lines(a) if line.startswith("warning.")]
+    assert notes == ["warning.0=" + err[0][len("warning: "):]]
+    assert read(os.path.join(a, "manifest.txt")) == \
+        read(os.path.join(b, "manifest.txt"))
+    # a clean run writes no warning lines
+    clean = str(tmp_path / "clean")
+    assert main(["forward", *FAST, "--out", clean]) == 0
+    assert capsys.readouterr().err == ""
+    assert not any(line.startswith("warning")
+                   for line in manifest_lines(clean))
 
 
 def test_exit_two_flags_violation_and_still_reports(tmp_path):

@@ -128,3 +128,21 @@ def test_rows_are_frozen_and_levels_validated():
     with pytest.raises(ValueError):
         source_stability_probe(source_eigenmode_family(1), probe_context(),
                                levels=0)
+
+
+@pytest.mark.parametrize("amplitude,what", [(5e154, "L2\\(Q\\) norm"),
+                                            (3e154, "combined norm")])
+def test_overflowing_source_member_is_refused(amplitude, what):
+    # a spike whose square overflows the data norm, and a smaller one whose
+    # data norm is finite but whose measured H2 norms overflow
+    ctx = make_context(nx=16, nt=8)
+    spike = [(1.0, lambda x, t: np.where(x == 0.5, amplitude, 0.0) + 0.0 * t)]
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match=f"member 0 overflows .* {what}"):
+        source_stability_probe(spike, ctx, levels=1)
+
+
+def test_overflowing_initial_member_is_refused():
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="L2 norm"):
+        initial_stability_probe([(1.0, lambda x: 1e160 * np.cos(np.pi * x))],
+                                make_context(nx=16, nt=8), levels=1)
