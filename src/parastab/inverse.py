@@ -33,10 +33,10 @@ import scipy.linalg
 
 from .admissible import make_admissible_pair
 from .lab import LabContext
-from .measurement import MeasurementData, measure, measurement_data
+from .measurement import MeasurementData, measure, measurement_data, \
+    observed_march
 from .mesh import SpaceTimeField
-from .solver import adjoint_gradients, adjoint_solve, cn_march, \
-    forward_solve
+from .solver import adjoint_gradients, adjoint_solve, forward_solve
 from .stencils import fd_first
 
 SEPARABLE = "separable"
@@ -256,7 +256,8 @@ def observation_matrix(spec: InverseProblemSpec,
     weighted by sqrt(wx), then the trace of each observed endpoint over
     the window weighted by sqrt(ww), so ||G x - observed_vector(data)||^2
     is twice the data misfit of objective_and_gradient. All columns share
-    one march, and each equals forward_solve of its pair bit for bit.
+    one march, which stops at the last trace level, and each equals
+    forward_solve of its pair bit for bit.
     """
     if spec.mode != SEPARABLE:
         raise ValueError("the observation matrix needs the separable mode")
@@ -265,27 +266,17 @@ def observation_matrix(spec: InverseProblemSpec,
     n = domain.nx + 1
     eye, zero = np.eye(n), np.zeros((n, n))
     unit_source = np.hstack([eye, zero])
-    i_T, sl = window.snapshot_index, window.window_slice
-    gamma = np.array(domain.gamma_indices)
-    snapshot = np.empty((n, 2 * n))
-    trace = np.empty((gamma.size, window.window_weights.size, 2 * n))
-
-    def record(level, state):
-        if level == i_T:
-            snapshot[:] = state
-        if sl.start <= level < sl.stop:
-            trace[:, level - sl.start] = state[gamma]
 
     def source_sum(level):
         return (unit_source * sigma_vals[level]
                 + unit_source * sigma_vals[level + 1])
 
     state = np.hstack([zero, eye])
-    record(0, state)
-    cn_march(ctx.dop, window, state, record, source_sum)
+    snapshots, traces = observed_march(ctx.dop, window, state, source_sum)
     ww = window.window_weights
-    return np.vstack([np.sqrt(domain.quad_weights)[:, None] * snapshot,
-                      (np.sqrt(ww)[None, :, None] * trace).reshape(-1, 2 * n)])
+    return np.vstack([np.sqrt(domain.quad_weights)[:, None] * snapshots.T,
+                      (np.sqrt(ww)[None, :, None]
+                       * traces.transpose(1, 2, 0)).reshape(-1, 2 * n)])
 
 
 def observed_vector(data: MeasurementData, ctx: LabContext) -> np.ndarray:

@@ -4,7 +4,8 @@ The observation is the final-time snapshot u(., T) together with the
 boundary trace on the observed endpoints over the window
 (T - delta1, T + delta1). Its size is measured by the combined norm
 sqrt(h2_space(snapshot)^2 + h2_trace(trace)^2); measurement_data attaches
-these norms to any snapshot/trace pair, clean or noisy.
+these norms to any snapshot/trace pair, clean or noisy. observed_march
+records only the observed levels of a batched forward march.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from .mesh import SpaceTimeField, SpatialDomain, TimeWindow
 from .norms import h2_space, h2_trace
+from .operator import DiscreteOperator
+from .solver import cn_march
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,3 +44,36 @@ def measure(u: SpaceTimeField, domain: SpatialDomain, window: TimeWindow) -> Mea
     snapshot = u.values[:, window.snapshot_index].copy()
     trace = u.values[np.array(domain.gamma_indices), window.window_slice].copy()
     return measurement_data(snapshot, trace, domain, window)
+
+
+def observed_march(dop: DiscreteOperator, window: TimeWindow,
+                   state: np.ndarray, source_sum=None):
+    """Snapshots and lateral traces of the m columns of one forward march.
+
+    state holds u^0 of every column, shape (nx+1, m), and source_sum is as
+    in cn_march. The march stops at the end of the lateral window, the last
+    level measured. The results are indexed by column first: snapshots of
+    shape (m, nx+1) and traces of shape (m, observed endpoints, window
+    levels), so each column's pair is contiguous like the one measure
+    copies out of a full field.
+    """
+    domain = dop.domain
+    i_T, sl = window.snapshot_index, window.window_slice
+    gamma = np.array(domain.gamma_indices)
+    m = state.shape[1]
+    snapshots = np.empty((m, domain.nx + 1))
+    traces = np.empty((m, gamma.size, sl.stop - sl.start))
+
+    def record(n, u):
+        if n == i_T:
+            snapshots[:] = u.T
+        if sl.start <= n < sl.stop:
+            traces[:, :, n - sl.start] = u[gamma].T
+
+    if m == 0:
+        # nothing to march, and LAPACK's dgttrs corrupts memory when handed
+        # zero right-hand sides
+        return snapshots, traces
+    record(0, state)
+    cn_march(dop, window, state, record, source_sum, _last_level=sl.stop - 1)
+    return snapshots, traces

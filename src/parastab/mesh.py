@@ -203,12 +203,19 @@ class SpaceTimeField:
         object.__setattr__(self, "values", vals)
 
 
+def sample_space_time(domain: SpatialDomain, times: np.ndarray, fn) -> np.ndarray:
+    """Read-only samples of fn(x, t) on the spatial grid times the given
+    times; fn must broadcast over arrays and act pointwise, so a prefix of
+    the time grid yields a prefix of the full samples."""
+    raw = fn(domain.points[:, None], times[None, :])
+    return np.broadcast_to(np.asarray(raw, dtype=float),
+                           (domain.nx + 1, times.size))
+
+
 def field_from_function(domain: SpatialDomain, window: TimeWindow, fn) -> SpaceTimeField:
     """Sample fn(x, t) on the tensor grid; fn must broadcast over arrays."""
-    raw = fn(domain.points[:, None], window.times[None, :])
-    vals = np.broadcast_to(np.asarray(raw, dtype=float),
-                           (domain.nx + 1, window.nt + 1)).copy()
-    return SpaceTimeField(vals, domain, window)
+    return SpaceTimeField(sample_space_time(domain, window.times, fn).copy(),
+                          domain, window)
 
 
 def zero_field(domain: SpatialDomain, window: TimeWindow) -> SpaceTimeField:

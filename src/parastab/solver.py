@@ -93,17 +93,20 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
 
 
 def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
-             record, source_sum=None) -> None:
+             record, source_sum=None, *, _last_level=None) -> None:
     """The forward Crank-Nicolson level loop from u^0 = state.
 
     state has shape (nx+1,), or (nx+1, m) to march m columns under one
-    factorization. record(n, u^n) receives every new level n = 1..nt;
-    source_sum(n), when given, returns f^n + f^{n+1} shaped like the state.
+    factorization. record(n, u^n) receives every new level n = 1..last,
+    where last is nt unless _last_level stops the march earlier (callers
+    that only measure stop at the end of the lateral window); source_sum(n),
+    when given, returns f^n + f^{n+1} shaped like the state.
     """
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
                            1, state.ndim)
-    for n in range(window.nt):
+    last = window.nt if _last_level is None else _last_level
+    for n in range(last):
         rhs = band_mv(plus, state)
         if source_sum is not None:
             rhs += kappa * source_sum(n)

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parastab import solver
 from parastab.lab import make_context
 from parastab.probes import (FLAG_EXPECTED_FAILURE, FLAG_RESCALED,
                              initial_eigenmode_family, initial_stability_probe,
@@ -120,6 +122,15 @@ def test_zero_initial_value_is_degenerate():
     assert math.isnan(rep.rows[0].value)
 
 
+def test_empty_family_marches_nothing():
+    # zero members must not reach the batched march: dgttrs corrupts
+    # memory when given zero right-hand sides
+    for probe in (source_stability_probe, initial_stability_probe):
+        rep = probe([], make_context(nx=8, nt=8), levels=2)
+        assert rep.rows == ()
+        assert all(math.isnan(v) for v in rep.level_max)
+
+
 def test_rows_are_frozen_and_levels_validated():
     rep = source_stability_probe(source_eigenmode_family(1), probe_context(),
                                  levels=1)
@@ -130,19 +141,67 @@ def test_rows_are_frozen_and_levels_validated():
                                levels=0)
 
 
-@pytest.mark.parametrize("amplitude,what", [(5e154, "L2\\(Q\\) norm"),
-                                            (3e154, "combined norm")])
+_SPIKES = [(5e154, "L2\\(Q\\) norm"), (3e154, "combined norm")]
+
+
+def _spike(amplitude):
+    return (1.0, lambda x, t: np.where(x == 0.5, amplitude, 0.0) + 0.0 * t)
+
+
+@pytest.mark.parametrize("amplitude,what", _SPIKES)
 def test_overflowing_source_member_is_refused(amplitude, what):
     # a spike whose square overflows the data norm, and a smaller one whose
     # data norm is finite but whose measured H2 norms overflow
     ctx = make_context(nx=16, nt=8)
-    spike = [(1.0, lambda x, t: np.where(x == 0.5, amplitude, 0.0) + 0.0 * t)]
     with np.errstate(all="raise"), \
             pytest.raises(ValueError, match=f"member 0 overflows .* {what}"):
-        source_stability_probe(spike, ctx, levels=1)
+        source_stability_probe([_spike(amplitude)], ctx, levels=1)
+
+
+@pytest.mark.parametrize("amplitude,what", _SPIKES)
+def test_mixed_family_refuses_the_overflowing_member(amplitude, what):
+    # marched beside a clean member, the refusal names the spike, and the
+    # shared march itself raises no FloatingPointError
+    ctx = make_context(nx=16, nt=8)
+    family = source_eigenmode_family(1) + [_spike(amplitude)]
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match=f"member 1 overflows .* {what}"):
+        source_stability_probe(family, ctx, levels=1)
 
 
 def test_overflowing_initial_member_is_refused():
     with np.errstate(all="raise"), pytest.raises(ValueError, match="L2 norm"):
         initial_stability_probe([(1.0, lambda x: 1e160 * np.cos(np.pi * x))],
                                 make_context(nx=16, nt=8), levels=1)
+
+
+@pytest.mark.parametrize("probe,family", [
+    (source_stability_probe, source_eigenmode_family(3)),
+    (initial_stability_probe, initial_eigenmode_family(4))])
+def test_one_factorization_per_mesh_level(monkeypatch, probe, family):
+    calls = []
+    original = solver._cn_factors
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_cn_factors", counted)
+    rep = probe(family, make_context(nx=16, nt=32), levels=3)
+    assert len(rep.rows) == 3 * len(family)
+    assert len(calls) == 3
+
+
+def test_source_probe_memory_stays_lean():
+    # the batched march holds the family's source columns up to the end of
+    # the window (10.6 MB at the finest of the three default levels); the
+    # checks before it hold one sampled field at a time
+    family, ctx = source_eigenmode_family(6), make_context()
+    tracemalloc.start()
+    try:
+        source_stability_probe(family, ctx, levels=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+

@@ -10,8 +10,8 @@ from parastab.mesh import (SpaceTimeField, field_from_function, sample_spatial,
                            zero_field)
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
-from parastab.solver import (adjoint_gradients, adjoint_solve, forward_solve,
-                             time_derivative, time_shift)
+from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
+                             forward_solve, time_derivative, time_shift)
 
 GENERAL_OP = EllipticOperator(a=lambda x: 1.0 + 0.3 * np.sin(np.pi * x),
                               b=lambda x: 0.4 * np.cos(x),
@@ -108,6 +108,24 @@ def test_adjoint_payloads_are_optional():
     assert p.values.shape == (17, ctx.window.nt + 1)
     with pytest.raises(ValueError):
         adjoint_solve(ctx.dop, np.ones(5), None, None, ctx.window)
+
+
+def test_stopped_march_is_a_prefix_of_the_full_one():
+    ctx = make_context(nx=16, nt=36, op=GENERAL_OP)
+    f = field_from_function(ctx.domain, ctx.window,
+                            lambda x, t: np.cos(np.pi * x) * (1.0 + t))
+    g = sample_spatial(ctx.domain, lambda x: np.sin(3 * x) + x)
+    full = forward_solve(ctx.dop, f, g, ctx.window).values
+    last = ctx.window.window_slice.stop - 1
+    levels = []
+
+    def record(n, state):
+        levels.append(n)
+        assert np.array_equal(state, full[:, n])
+
+    cn_march(ctx.dop, ctx.window, g, record,
+             lambda n: f.values[:, n] + f.values[:, n + 1], _last_level=last)
+    assert levels == list(range(1, last + 1)) and last < ctx.window.nt
 
 
 def test_time_shift_copies_window_columns_bit_exactly():
