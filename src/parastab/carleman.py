@@ -61,6 +61,9 @@ def default_s_values(weights: CarlemanWeights, s0: float | None = None) -> tuple
     frame stays far from both round-off and the underflow clamp.
     """
     if s0 is None:
+        if not weights.M > 0.0:
+            raise ValueError(f"weight amplitude M is {weights.M!r}, so there "
+                             f"is no default s sweep; pass s values")
         s0 = DEFAULT_S0_SCALE / weights.M
     return (s0, 2.0 * s0, 4.0 * s0, 8.0 * s0)
 

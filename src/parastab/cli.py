@@ -28,8 +28,8 @@ from .admissible import make_admissible_pair
 from .carleman import constant_sweep, empirical_s_threshold, sweep_statistic
 from .decompose import (check_log_convexity_and_w_bound,
                         decompose_time_derivative)
-from .inverse import InverseProblemSpec, minimize, rate_experiment, \
-    rel_error, synthesize_data
+from .inverse import InverseProblemSpec, alpha_scale, minimize, \
+    rate_experiment, rel_error, synthesize_data
 from .lab import (DEFAULT_M0, benchmark_initial, benchmark_source,
                   make_context)
 from .measurement import measure
@@ -80,6 +80,7 @@ _TABLES = {
         ("lambda", "float", 1.0), ("s", "floats", ()),
         ("p", "int", 0), ("boundary", "str", "exp")],
     "stability-probe": _SHARED + [
+        # members 0 picks the kind's default: 6 source, 8 initial members
         ("kind", "str", "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
         ("f", "str", ""), ("M0", "float", 100.0)],
@@ -301,6 +302,8 @@ def _run_carleman_audit(typed, outdir):
 
 
 def _run_stability_probe(typed, outdir):
+    if typed["members"] < 0:
+        raise ValueError(f"members must be nonnegative, got {typed['members']}")
     ctx = _context(typed)
     kind = typed["kind"]
     if kind == "source":
@@ -318,6 +321,13 @@ def _run_stability_probe(typed, outdir):
         report = initial_stability_probe(family, ctx, levels=typed["levels"])
     else:
         raise ValueError(f"kind must be source or initial, got {kind!r}")
+    flagged = _flag_has_violation(report.rows)
+    # a level whose every row is excluded from the summary reads nan, which
+    # is no success to report; a flagged violation still exits 2
+    empty = [lvl for lvl, mx in enumerate(report.level_max) if math.isnan(mx)]
+    if empty and not flagged:
+        raise ValueError(f"mesh level {empty[0]} has no row to summarize: "
+                         f"every member is expected_failure or degenerate")
     write_probe_csv(os.path.join(outdir, "probe.csv"), report.rows)
     summary = {"kind": report.kind,
                "max_agreement_factor": report.max_agreement_factor}
@@ -325,7 +335,7 @@ def _run_stability_probe(typed, outdir):
                                        report.level_median)):
         summary[f"level_{lvl}_max"] = mx
         summary[f"level_{lvl}_median"] = md
-    return ["probe.csv"], summary, _flag_has_violation(report.rows)
+    return ["probe.csv"], summary, flagged
 
 
 def _run_decompose(typed, outdir):
@@ -354,7 +364,7 @@ def _run_decompose(typed, outdir):
 
 def _recon_spec(typed, eps: float | None = None) -> InverseProblemSpec:
     # one noise level scales alpha0 by eps^2; rate_experiment scales per level
-    scale = 1.0 if eps is None else eps ** 2
+    scale = 1.0 if eps is None else alpha_scale(eps)
     return InverseProblemSpec(alpha_f=typed["alpha0_f"] * scale,
                               alpha_g=typed["alpha0_g"] * scale,
                               max_iters=typed["max_iters"],
@@ -473,7 +483,7 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

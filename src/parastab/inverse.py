@@ -13,15 +13,15 @@ solve with the snapshot residual as terminal payload and the trace
 residual as boundary payload, then chain rule through the trapezoid
 weights (discretize-then-optimize).
 
-In the separable mode the data depend linearly on the 2(nx+1) unknowns
-(phi, g), so the objective is an exact quadratic. minimize solves it by
-Newton's method: each step is the SVD least-squares solution against the
-observation matrix (one batched forward march of the basis pairs) stacked
-on the Tikhonov rows, and the PDE gradient decides convergence. The normal
+The source is separable, f(x,t) = phi(x) sigma(t) with sigma known, so the
+data depend linearly on the 2(nx+1) unknowns (phi, g) and the objective is
+an exact quadratic. minimize solves it by Newton's method: each step is
+the SVD least-squares solution against the observation matrix (one batched
+forward march of the basis pairs) stacked on the Tikhonov rows, and the
+PDE gradient decides convergence. The normal
 equations are avoided because they square the condition number: 1.7e3
 becomes 3e6 at eps = 1e-3 in the README rate run, and at alpha = 0 they
-lose definiteness. The full mode, whose unknown is the whole source grid,
-keeps the projected L-BFGS.
+lose definiteness.
 """
 from __future__ import annotations
 
@@ -39,31 +39,16 @@ from .mesh import SpaceTimeField
 from .solver import adjoint_gradients, adjoint_solve, forward_solve
 from .stencils import fd_first
 
-SEPARABLE = "separable"
-FULL = "full"
-MODES = (SEPARABLE, FULL)
-
-_ARMIJO_C1 = 1e-4
-_MAX_BACKTRACKS = 40
-# A deep curvature memory keeps the two-loop recursion close to full BFGS
-# on the quadratic objective. Each pair holds two full-mode parameter
-# vectors of (nx+1)(nt+2) values, so 120 pairs cost about 240 forward
-# solutions of storage: 8 MB at nx=32, nt=128.
-_LBFGS_MEMORY = 120
-
 
 @dataclass(frozen=True)
 class InverseProblemSpec:
-    """Recovery mode and tuning knobs.
+    """Tuning knobs of the separable recovery.
 
-    separable: f(x,t) = phi(x) sigma(t) with sigma known (default 1), the
-    unknowns are (phi, g); any candidate is rate-admissible by construction
-    once sigma is. full: the unknown is the whole source grid plus g, and
-    the rate condition is enforced by projection after each step.
-    alpha_f/alpha_g double as the base weights alpha0 that rate_experiment
-    scales by eps^2.
+    The source is f(x,t) = phi(x) sigma(t) with sigma known (default 1) and
+    the unknowns are (phi, g); any candidate is rate-admissible by
+    construction once sigma is. alpha_f/alpha_g double as the base weights
+    alpha0 that rate_experiment scales by eps^2.
     """
-    mode: str = SEPARABLE
     alpha_f: float = 1.0
     alpha_g: float = 1.0
     max_iters: int = 200
@@ -73,8 +58,6 @@ class InverseProblemSpec:
     sigma: object = None   # callable t -> sigma(t); None means sigma = 1
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.alpha_f < 0.0 or self.alpha_g < 0.0:
             raise ValueError("regularization weights must be nonnegative")
         if self.noise_level < 0.0:
@@ -87,8 +70,7 @@ class InverseProblemSpec:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    phi_est: np.ndarray | None
-    f_est: np.ndarray | None
+    phi_est: np.ndarray
     g_est: np.ndarray
     misfit_history: tuple
     final_objective: float
@@ -104,7 +86,7 @@ def _sigma_values(spec: InverseProblemSpec, ctx: LabContext) -> np.ndarray:
     vals = np.asarray(spec.sigma(times), dtype=float) + np.zeros(times.size)
     sT = vals[ctx.window.snapshot_index]
     if sT == 0.0:
-        raise ValueError("sigma(T) must be nonzero in separable mode")
+        raise ValueError("sigma(T) must be nonzero")
     rate = np.max(np.abs(fd_first(vals, ctx.window.k)))
     if rate > ctx.C0 * abs(sT) * (1.0 + 1e-12):
         raise ValueError(f"sigma violates the rate budget: |sigma'| reaches "
@@ -112,41 +94,25 @@ def _sigma_values(spec: InverseProblemSpec, ctx: LabContext) -> np.ndarray:
     return vals
 
 
-def _param_dim(spec: InverseProblemSpec, ctx: LabContext) -> int:
-    n_space = ctx.domain.nx + 1
-    if spec.mode == SEPARABLE:
-        return 2 * n_space
-    return n_space * (ctx.window.nt + 1) + n_space
+def pack_params(phi, g) -> np.ndarray:
+    """Flatten (phi, g) into the optimization vector."""
+    return np.concatenate([np.asarray(phi, dtype=float),
+                           np.asarray(g, dtype=float)])
 
 
-def pack_params(source, g) -> np.ndarray:
-    """Flatten (phi, g) or (f grid, g) into the optimization vector."""
-    g = np.asarray(g, dtype=float)
-    src = np.asarray(source, dtype=float)
-    return np.concatenate([src.ravel(), g])
-
-
-def unpack_params(spec: InverseProblemSpec, params: np.ndarray,
-                  ctx: LabContext):
-    """Inverse of pack_params; returns (phi or f grid, g)."""
+def unpack_params(params: np.ndarray, ctx: LabContext):
+    """Inverse of pack_params; returns (phi, g)."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (_param_dim(spec, ctx),):
-        raise ValueError(f"parameter vector has shape {params.shape}, "
-                         f"expected {(_param_dim(spec, ctx),)}")
     n_space = ctx.domain.nx + 1
-    g = params[-n_space:]
-    if spec.mode == SEPARABLE:
-        return params[:n_space].copy(), g.copy()
-    shape = (n_space, ctx.window.nt + 1)
-    return params[:-n_space].reshape(shape).copy(), g.copy()
+    if params.shape != (2 * n_space,):
+        raise ValueError(f"parameter vector has shape {params.shape}, "
+                         f"expected {(2 * n_space,)}")
+    return params[:n_space].copy(), params[n_space:].copy()
 
 
-def _source_field(spec, source, sigma_vals, ctx) -> SpaceTimeField:
-    if spec.mode == SEPARABLE:
-        vals = source[:, None] * sigma_vals[None, :]
-    else:
-        vals = source
-    return SpaceTimeField(np.asarray(vals, dtype=float), ctx.domain, ctx.window)
+def _source_field(phi, sigma_vals, ctx) -> SpaceTimeField:
+    return SpaceTimeField(phi[:, None] * sigma_vals[None, :], ctx.domain,
+                          ctx.window)
 
 
 def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
@@ -154,15 +120,15 @@ def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
     """Value and exact Euclidean gradient of the Tikhonov objective.
 
     J = 0.5||u(.,T) - d_T||^2_{L2(Omega)} + 0.5||u|_Gamma - d_Gamma||^2
-        + 0.5 alpha_f ||phi or f||^2 + 0.5 alpha_g ||g||^2
+        + 0.5 alpha_f ||phi||^2 + 0.5 alpha_g ||g||^2
 
     The data gradient is one adjoint solve; entries are partial derivatives
     with respect to the raw parameter vector (trapezoid weights included),
     so central differences of J reproduce them directly.
     """
-    source, g = unpack_params(spec, params, ctx)
+    phi, g = unpack_params(params, ctx)
     sigma_vals = _sigma_values(spec, ctx)
-    f = _source_field(spec, source, sigma_vals, ctx)
+    f = _source_field(phi, sigma_vals, ctx)
     u = forward_solve(ctx.dop, f, g, ctx.window)
 
     window, domain = ctx.window, ctx.domain
@@ -174,77 +140,15 @@ def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
 
     J = 0.5 * float(np.sum(wx * r_T ** 2))
     J += 0.5 * float(np.sum(ww[None, :] * r_G ** 2))
-    if spec.mode == SEPARABLE:
-        J += 0.5 * spec.alpha_f * float(np.sum(wx * source ** 2))
-    else:
-        wt = window.quad_weights
-        J += 0.5 * spec.alpha_f * float(np.sum(wx[:, None] * wt[None, :]
-                                               * source ** 2))
+    J += 0.5 * spec.alpha_f * float(np.sum(wx * phi ** 2))
     J += 0.5 * spec.alpha_g * float(np.sum(wx * g ** 2))
 
     p = adjoint_solve(ctx.dop, r_T, None, r_G, window)
     phi_adj, g_riesz = adjoint_gradients(p)
-    if spec.mode == SEPARABLE:
-        wt = window.quad_weights
-        src_riesz = phi_adj.values @ (wt * sigma_vals) + spec.alpha_f * source
-        grad_src = wx * src_riesz
-    else:
-        wt = window.quad_weights
-        grad_src = (wx[:, None] * wt[None, :]
-                    * (phi_adj.values + spec.alpha_f * source))
+    wt = window.quad_weights
+    grad_phi = wx * (phi_adj.values @ (wt * sigma_vals) + spec.alpha_f * phi)
     grad_g = wx * (g_riesz + spec.alpha_g * g)
-    return J, np.concatenate([grad_src.ravel(), grad_g])
-
-
-def project_rate_budget(fv: np.ndarray, window, C0: float) -> np.ndarray:
-    """Clip per-step time increments of f onto |df| <= C0 k |f(.,T)|.
-
-    The snapshot column is the anchor and never moves. Feasible inputs are
-    returned unchanged (bit-exact identity), which makes the projection
-    idempotent. Clipping per-step increments bounds the centered discrete
-    rate by C0|f(.,T)| exactly; the one-sided end stencils can overshoot
-    by at most a factor 2, which the budget checks tolerate.
-    """
-    fv = np.asarray(fv, dtype=float)
-    i_T = window.snapshot_index
-    cap = C0 * window.k * np.abs(fv[:, i_T])
-    d = np.diff(fv, axis=1)
-    clipped = np.clip(d, -cap[:, None], cap[:, None])
-    if np.array_equal(d, clipped):
-        return fv.copy()
-    out = np.empty_like(fv)
-    out[:, i_T] = fv[:, i_T]
-    for n in range(i_T, fv.shape[1] - 1):
-        out[:, n + 1] = out[:, n] + clipped[:, n]
-    for n in range(i_T - 1, -1, -1):
-        out[:, n] = out[:, n + 1] - clipped[:, n]
-    return out
-
-
-def _project_params(spec, params, ctx):
-    if spec.mode != FULL:
-        return params
-    source, g = unpack_params(spec, params, ctx)
-    projected = project_rate_budget(source, ctx.window, ctx.C0)
-    return np.concatenate([projected.ravel(), g])
-
-
-def _two_loop(grad, mem_s, mem_y):
-    q = grad.copy()
-    alphas = []
-    for s, y in zip(reversed(mem_s), reversed(mem_y)):
-        rho = 1.0 / float(np.dot(y, s))
-        a = rho * float(np.dot(s, q))
-        alphas.append(a)
-        q -= a * y
-    if mem_s:
-        s, y = mem_s[-1], mem_y[-1]
-        q *= float(np.dot(s, y)) / float(np.dot(y, y))
-    for (s, y), a in zip(zip(mem_s, mem_y), reversed(alphas)):
-        rho = 1.0 / float(np.dot(y, s))
-        b = rho * float(np.dot(y, q))
-        q += (a - b) * s
-    return q
+    return J, np.concatenate([grad_phi, grad_g])
 
 
 def observation_matrix(spec: InverseProblemSpec,
@@ -259,8 +163,6 @@ def observation_matrix(spec: InverseProblemSpec,
     one march, which stops at the last trace level, and each equals
     forward_solve of its pair bit for bit.
     """
-    if spec.mode != SEPARABLE:
-        raise ValueError("the observation matrix needs the separable mode")
     sigma_vals = _sigma_values(spec, ctx)
     domain, window = ctx.domain, ctx.window
     n = domain.nx + 1
@@ -299,7 +201,7 @@ def _evaluate(spec, x, data, ctx, iteration):
 
 
 def _newton(spec, data, x, ctx, obs):
-    """Newton's method on the exact quadratic of the separable mode.
+    """Newton's method on the exact quadratic objective.
 
     Each step is the SVD least-squares solution of ||A dx + r||, where A
     stacks the observation matrix on diag(sqrt(alpha wx)) and r is the
@@ -326,80 +228,26 @@ def _newton(spec, data, x, ctx, obs):
     return x, history, J, grad
 
 
-def _lbfgs(spec, data, x, ctx):
-    """Limited-memory quasi-Newton descent with backtracking line search.
-
-    Iterates are projected onto the feasible set before evaluation (a no-op
-    in the separable mode), so the recorded objective history is feasible
-    and non-increasing. Returns (x, objective history, J, gradient).
-    """
-    x = _project_params(spec, x, ctx)
-    J, grad = _evaluate(spec, x, data, ctx, 0)
-    history = [J]
-    mem_s, mem_y = [], []
-    while (not float(np.linalg.norm(grad)) <= spec.grad_tol
-           and len(history) <= spec.max_iters):
-        d = -_two_loop(grad, mem_s, mem_y)
-        slope = float(np.dot(grad, d))
-        if slope >= 0.0:
-            # memory turned stale; fall back to steepest descent
-            mem_s, mem_y = [], []
-            d = -grad
-            slope = -float(np.dot(grad, grad))
-        step = 1.0 if mem_s else 1.0 / max(1.0, float(np.linalg.norm(grad)))
-
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _project_params(spec, x + step * d, ctx)
-            dx = trial - x
-            gain = float(np.dot(grad, dx))
-            J_t, grad_t = _evaluate(spec, trial, data, ctx, len(history))
-            if gain < 0.0 and J_t <= J + _ARMIJO_C1 * gain:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-
-        s_vec, y_vec = trial - x, grad_t - grad
-        sy = float(np.dot(s_vec, y_vec))
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            mem_s.append(s_vec)
-            mem_y.append(y_vec)
-            if len(mem_s) > _LBFGS_MEMORY:
-                mem_s.pop(0)
-                mem_y.pop(0)
-        x, J, grad = trial, J_t, grad_t
-        history.append(J)
-    return x, history, J, grad
-
-
 def minimize(spec: InverseProblemSpec, data: MeasurementData, init,
              ctx: LabContext, *, _obs=None) -> ReconstructionResult:
     """Minimize the Tikhonov objective from init.
 
-    init is (phi0, g0) in separable mode or (f0 grid, g0) in full mode.
-    Separable mode takes Newton steps on its exact quadratic (_obs is its
-    observation matrix when the caller already has it); full mode runs the
-    projected L-BFGS. Both stop when the Euclidean gradient norm falls to
-    grad_tol, after max_iters steps, or when they find no acceptable step;
-    converged reports the first. Deterministic: no randomness anywhere.
+    init is (phi0, g0). Newton steps on the exact quadratic (_obs is the
+    observation matrix when the caller already has it) stop when the
+    Euclidean gradient norm falls to grad_tol, after max_iters steps, or
+    when a step would raise the objective; converged reports the first.
+    Deterministic: no randomness anywhere.
     """
-    source0, g0 = init
-    x = pack_params(source0, g0)
+    phi0, g0 = init
+    x = pack_params(phi0, g0)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess contains non-finite values")
-    if spec.mode == SEPARABLE:
-        obs = observation_matrix(spec, ctx) if _obs is None else _obs
-        x, history, J, grad = _newton(spec, data, x, ctx, obs)
-    else:
-        x, history, J, grad = _lbfgs(spec, data, x, ctx)
+    obs = observation_matrix(spec, ctx) if _obs is None else _obs
+    x, history, J, grad = _newton(spec, data, x, ctx, obs)
     grad_norm = float(np.linalg.norm(grad))
 
-    source, g = unpack_params(spec, x, ctx)
-    phi_est = source if spec.mode == SEPARABLE else None
-    f_est = source if spec.mode == FULL else None
-    return ReconstructionResult(phi_est, f_est, g, tuple(history), J,
+    phi, g = unpack_params(x, ctx)
+    return ReconstructionResult(phi, g, tuple(history), J,
                                 grad_norm <= spec.grad_tol, len(history) - 1,
                                 grad_norm)
 
@@ -464,14 +312,23 @@ def rel_error(est: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
     return diff / base if base > 0.0 else diff
 
 
+def alpha_scale(eps: float) -> float:
+    """The factor eps^2 that noise level eps puts on the base weights
+    alpha0; a level whose square overflows is refused."""
+    try:
+        return eps ** 2
+    except OverflowError:
+        raise ValueError(f"noise level {eps!r} is too large: its square "
+                         f"overflows") from None
+
+
 def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
                     ctx: LabContext) -> RateResult:
     """Noise sweep: reconstruct at each level and fit the error rates.
 
-    truth is (phi_true, g_true) in separable mode or (f grid, g_true) in
-    full mode. Per level: seed = spec.seed XOR level index, alpha =
-    (alpha_f, alpha_g) * eps^2, data synthesized fresh, optimization from
-    zero; in separable mode every level reuses one observation matrix.
+    truth is (phi_true, g_true). Per level: seed = spec.seed XOR level
+    index, alpha = (alpha_f, alpha_g) * eps^2, data synthesized fresh,
+    optimization from zero; every level reuses one observation matrix.
     Non-converged levels keep their row but are excluded from the slope
     fit. The Lipschitz proxy is the log-log slope of err_f; the
     logarithmic proxy is the sequence err_g * |ln eps|.
@@ -483,37 +340,28 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
         raise ValueError("noise levels must be strictly decreasing")
     if any(e < 0.0 for e in noise_list):
         raise ValueError("noise levels must be nonnegative")
+    scales = [alpha_scale(e) for e in noise_list]
 
-    source_truth, g_truth = truth
-    source_truth = np.asarray(source_truth, dtype=float)
+    phi_truth, g_truth = truth
+    phi_truth = np.asarray(phi_truth, dtype=float)
     g_truth = np.asarray(g_truth, dtype=float)
-    sigma_vals = _sigma_values(spec, ctx)
-    f_truth = _source_field(spec, source_truth, sigma_vals, ctx)
+    f_truth = _source_field(phi_truth, _sigma_values(spec, ctx), ctx)
     pair = make_admissible_pair(ctx, f=f_truth, g=g_truth)
 
     wx = ctx.domain.quad_weights
-    if spec.mode == SEPARABLE:
-        src_weights = wx
-    else:
-        src_weights = wx[:, None] * ctx.window.quad_weights[None, :]
-
     n_space = ctx.domain.nx + 1
     u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
     clean_combined = measure(u, ctx.domain, ctx.window).combined_norm
-    obs = observation_matrix(spec, ctx) if spec.mode == SEPARABLE else None
+    obs = observation_matrix(spec, ctx)
     rows = []
-    for level, eps in enumerate(noise_list):
+    for level, (eps, scale) in enumerate(zip(noise_list, scales)):
         level_spec = replace(spec, noise_level=eps, seed=spec.seed ^ level,
-                             alpha_f=spec.alpha_f * eps ** 2,
-                             alpha_g=spec.alpha_g * eps ** 2)
+                             alpha_f=spec.alpha_f * scale,
+                             alpha_g=spec.alpha_g * scale)
         data = synthesize_data(pair, level_spec, ctx)
-        if spec.mode == SEPARABLE:
-            init = (np.zeros(n_space), np.zeros(n_space))
-        else:
-            init = (np.zeros((n_space, ctx.window.nt + 1)), np.zeros(n_space))
+        init = (np.zeros(n_space), np.zeros(n_space))
         res = minimize(level_spec, data, init, ctx, _obs=obs)
-        est = res.phi_est if spec.mode == SEPARABLE else res.f_est
-        err_f = rel_error(est, source_truth, src_weights)
+        err_f = rel_error(res.phi_est, phi_truth, wx)
         err_g = rel_error(res.g_est, g_truth, wx)
         rows.append(RateRow(eps, level_spec.alpha_f, err_f, err_g,
                             clean_combined, data.combined_norm,

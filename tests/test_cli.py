@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from parastab import cli
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
@@ -321,6 +322,75 @@ def test_overflowing_probe_family_is_refused_in_one_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: family member 0 overflows at mesh level 0: its L2(Q) norm "
         "is inf"]
+
+
+@pytest.mark.parametrize("kind,members", [("source", "-3"), ("initial", "-2")])
+def test_negative_member_count_is_refused_in_one_line(tmp_path, capsys, kind,
+                                                      members):
+    # a negative count used to slice the family to nothing and report nan
+    rc = main(["stability-probe", "--kind", kind, "--members", members,
+               "--nx", "16", "--nt", "8", "--levels", "1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: members must be nonnegative, got {members}"]
+    assert not os.path.exists(tmp_path / "o" / "manifest.txt")
+
+
+def test_member_count_zero_is_the_kind_default(tmp_path):
+    for kind, count in (("source", "6"), ("initial", "8")):
+        a, b = str(tmp_path / f"{kind}0"), str(tmp_path / f"{kind}{count}")
+        argv = ["stability-probe", "--kind", kind, "--nx", "16", "--nt", "8",
+                "--levels", "1"]
+        assert main([*argv, "--members", "0", "--out", a]) == 0
+        assert main([*argv, "--members", count, "--out", b]) == 0
+        assert read(os.path.join(a, "probe.csv")) == \
+            read(os.path.join(b, "probe.csv"))
+
+
+def test_probe_with_nothing_to_summarize_is_refused(tmp_path, capsys):
+    # M0 = 1 puts every initial member over the smoothness cap, so each
+    # level's summary would be nan
+    rc = main(["stability-probe", "--kind", "initial", "--M0", "1",
+               "--nx", "8", "--nt", "8", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: mesh level 0 has no row to summarize: every member is "
+        "expected_failure or degenerate"]
+    assert not os.path.exists(tmp_path / "o" / "probe.csv")
+
+
+def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,
+                                                    monkeypatch):
+    def exhausted(typed, outdir):
+        raise MemoryError("Unable to allocate 10.7 GiB for an array")
+    monkeypatch.setitem(cli._HANDLERS, "forward", exhausted)
+    rc = main(["forward", *FAST, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: Unable to allocate 10.7 GiB for an array"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--noise", "1e308"],
+    ["rate", "--noise", "1e308,1,0.1"],
+])
+def test_noise_level_whose_square_overflows_is_refused(tmp_path, capsys,
+                                                       argv):
+    rc = main([*argv, "--nx", "8", "--nt", "8", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise level 1e+308 is too large: its square overflows"]
+
+
+def test_default_sweep_without_weight_amplitude_is_refused(tmp_path, capsys):
+    # lambda so small that e^{2 lam psi} and e^{lam psi} round alike: M = 0
+    rc = main(["carleman-audit", "--lambda", "1e-300", "--nx", "8", "--nt",
+               "8", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: weight amplitude M is 0.0, so there is no default s sweep; "
+        "pass s values"]
 
 
 def test_warnings_go_into_the_manifest(tmp_path, capsys):

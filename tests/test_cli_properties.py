@@ -1,5 +1,6 @@
 """Property tests of the command line: the config echo parses back to the
-run's identity, and no argv ends in a traceback."""
+run's identity, no argv ends in a traceback, and no stability probe reports
+a nan level summary as success."""
 import contextlib
 import io
 import os
@@ -80,12 +81,22 @@ _JUNK = {
           "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1"],
     "p": ["0", "1", "2", "-1", "x"],
     "boundary": ["exp", "literal", "nope", ""],
+    "kind": ["source", "initial", "both", ""],
+    "members": [str(m) for m in range(-3, 10)],
+    "levels": ["1", "2"],
+    "normalized": ["true", "false", "maybe", ""],
+    "M0": _FLOATS,
+    "alpha0": _FLOATS, "alpha0_f": _FLOATS, "alpha0_g": _FLOATS,
+    "max_iters": ["0", "1", "3", "-1", "1.5", "x"],
+    "grad_tol": ["1e-10", "1e-3", "1", "0", "-1", "nan", "inf", "1e-300"],
+    "noise": ["0.01", "0", "-0.01", "nan", "inf", "1e308", "0.1,0.01,0.001",
+              "0.2,0.05,0", "0.1,0.01", "0.01,0.1,0.001", "x", ""],
 }
 
 
 @st.composite
 def _argv(draw):
-    sub = draw(st.sampled_from(["forward", "decompose", "carleman-audit"]))
+    sub = draw(st.sampled_from(sorted(_TABLES)))
     # tiny grids unless a junk draw replaces them
     flags = {"nx": "8", "nt": "8"}
     for key, _, _ in _TABLES[sub]:
@@ -108,3 +119,9 @@ def test_no_argv_ends_in_a_traceback(argv):
         rc = run_cli(argv + ["--out", os.path.join(tmp, "o")])
     assert rc in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if argv[0] == "stability-probe" and rc == 0:
+        # max_agreement_factor is nan by definition at one level
+        levels = [line for line in out.getvalue().splitlines()
+                  if line.startswith("summary.level_")]
+        assert levels and not any(line.endswith(": nan") for line in levels), \
+            (argv, out.getvalue())
