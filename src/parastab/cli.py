@@ -69,7 +69,6 @@ _RECON_COMMON = [
     ("alpha0", "float", 1.0),
     ("alpha0_f", "float", _INHERIT),
     ("alpha0_g", "float", _INHERIT),
-    ("max_iters", "int", 2000),
     ("grad_tol", "float", 1e-10),
 ]
 
@@ -367,7 +366,6 @@ def _recon_spec(typed, eps: float | None = None) -> InverseProblemSpec:
     scale = 1.0 if eps is None else alpha_scale(eps)
     return InverseProblemSpec(alpha_f=typed["alpha0_f"] * scale,
                               alpha_g=typed["alpha0_g"] * scale,
-                              max_iters=typed["max_iters"],
                               grad_tol=typed["grad_tol"],
                               noise_level=eps or 0.0, seed=typed["seed"])
 
@@ -381,8 +379,7 @@ def _run_reconstruct(typed, outdir):
                                 g=g_true)
     spec = _recon_spec(typed, eps)
     data = synthesize_data(pair, spec, ctx)
-    n = ctx.domain.nx + 1
-    res = minimize(spec, data, (np.zeros(n), np.zeros(n)), ctx)
+    res = minimize(spec, data, ctx)
     wx = ctx.domain.quad_weights
     write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"),
                              ctx.domain.points, phi_true, g_true,
@@ -403,6 +400,12 @@ def _run_rate(typed, outdir):
     g_true = spatial_profile(typed["g"], ctx.domain)
     result = rate_experiment(_recon_spec(typed), list(typed["noise"]),
                              (phi_true, g_true), ctx)
+    if not math.isfinite(result.source_slope):
+        # the fit takes converged levels with eps > 0 and err_f > 0 only
+        stalled = ",".join(fmt(r.eps) for r in result.rows if not r.converged)
+        raise ValueError(f"source slope is {result.source_slope!r}: " + (
+            f"the levels eps={stalled} did not converge" if stalled
+            else "fewer than two levels have eps > 0 and err_f > 0"))
     write_rate_csv(os.path.join(outdir, "rate.csv"), result.rows)
     summary = {"levels": len(result.rows),
                "source_slope": result.source_slope,

@@ -15,13 +15,13 @@ weights (discretize-then-optimize).
 
 The source is separable, f(x,t) = phi(x) sigma(t) with sigma known, so the
 data depend linearly on the 2(nx+1) unknowns (phi, g) and the objective is
-an exact quadratic. minimize solves it by Newton's method: each step is
-the SVD least-squares solution against the observation matrix (one batched
-forward march of the basis pairs) stacked on the Tikhonov rows, and the
-PDE gradient decides convergence. The normal
-equations are avoided because they square the condition number: 1.7e3
-becomes 3e6 at eps = 1e-3 in the README rate run, and at alpha = 0 they
-lose definiteness.
+an exact quadratic. minimize solves it once, as the SVD least-squares
+problem of the observation matrix (one batched forward march of the basis
+pairs) stacked on the Tikhonov rows, and then certifies the solution with
+one PDE objective and gradient evaluation. The normal equations are
+avoided because they square the condition number: 1.7e3 becomes 3e6 at
+eps = 1e-3 in the README rate run, and at alpha = 0 they lose
+definiteness.
 """
 from __future__ import annotations
 
@@ -47,11 +47,11 @@ class InverseProblemSpec:
     The source is f(x,t) = phi(x) sigma(t) with sigma known (default 1) and
     the unknowns are (phi, g); any candidate is rate-admissible by
     construction once sigma is. alpha_f/alpha_g double as the base weights
-    alpha0 that rate_experiment scales by eps^2.
+    alpha0 that rate_experiment scales by eps^2. grad_tol is the PDE
+    gradient norm below which minimize reports its solution converged.
     """
     alpha_f: float = 1.0
     alpha_g: float = 1.0
-    max_iters: int = 200
     grad_tol: float = 1e-8
     noise_level: float = 0.0
     seed: int = 0
@@ -62,8 +62,6 @@ class InverseProblemSpec:
             raise ValueError("regularization weights must be nonnegative")
         if self.noise_level < 0.0:
             raise ValueError("noise level must be nonnegative")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
 
@@ -72,10 +70,9 @@ class InverseProblemSpec:
 class ReconstructionResult:
     phi_est: np.ndarray
     g_est: np.ndarray
-    misfit_history: tuple
     final_objective: float
     converged: bool
-    iterations: int
+    iterations: int        # least-squares solves made: always 1
     grad_norm: float       # Euclidean norm of the final gradient
 
 
@@ -94,14 +91,8 @@ def _sigma_values(spec: InverseProblemSpec, ctx: LabContext) -> np.ndarray:
     return vals
 
 
-def pack_params(phi, g) -> np.ndarray:
-    """Flatten (phi, g) into the optimization vector."""
-    return np.concatenate([np.asarray(phi, dtype=float),
-                           np.asarray(g, dtype=float)])
-
-
 def unpack_params(params: np.ndarray, ctx: LabContext):
-    """Inverse of pack_params; returns (phi, g)."""
+    """Split the parameter vector [phi, g] into (phi, g)."""
     params = np.asarray(params, dtype=float)
     n_space = ctx.domain.nx + 1
     if params.shape != (2 * n_space,):
@@ -189,66 +180,33 @@ def observed_vector(data: MeasurementData, ctx: LabContext) -> np.ndarray:
                            (np.sqrt(ww)[None, :] * data.lateral_trace).ravel()])
 
 
-def _evaluate(spec, x, data, ctx, iteration):
-    J, grad = objective_and_gradient(spec, x, data, ctx)
-    if not math.isfinite(J):
-        if iteration == 0:
-            raise RuntimeError(f"non-finite objective at the initial guess: "
-                               f"J={J!r}")
-        raise RuntimeError(f"non-finite objective at iteration {iteration} "
-                           f"(max |param| = {float(np.max(np.abs(x)))!r})")
-    return J, grad
+def minimize(spec: InverseProblemSpec, data: MeasurementData,
+             ctx: LabContext, *, _obs=None) -> ReconstructionResult:
+    """Minimize the Tikhonov objective by one least-squares solve.
 
-
-def _newton(spec, data, x, ctx, obs):
-    """Newton's method on the exact quadratic objective.
-
-    Each step is the SVD least-squares solution of ||A dx + r||, where A
-    stacks the observation matrix on diag(sqrt(alpha wx)) and r is the
-    residual at x. The objective and gradient come from the PDE forward
-    and adjoint solves; a step is kept only if it does not raise J.
-    Returns (x, objective history, J, gradient).
+    The minimizer of ||A x - b||, where A stacks the observation matrix
+    (_obs when the caller already has it) on diag(sqrt(alpha wx)) and b is
+    the observed data over zeros, is certified by one PDE objective and
+    gradient evaluation: converged reports the Euclidean gradient norm at
+    most grad_tol, and a non-finite objective raises RuntimeError.
+    Deterministic: no randomness anywhere.
     """
+    obs = observation_matrix(spec, ctx) if _obs is None else _obs
     wx = ctx.domain.quad_weights
     tikhonov = np.sqrt(np.concatenate([spec.alpha_f * wx, spec.alpha_g * wx]))
     design = np.vstack([obs, np.diag(tikhonov)])
-    target = np.concatenate([observed_vector(data, ctx), np.zeros(x.size)])
-    J, grad = _evaluate(spec, x, data, ctx, 0)
-    history = [J]
-    while (not float(np.linalg.norm(grad)) <= spec.grad_tol
-           and len(history) <= spec.max_iters):
-        step = scipy.linalg.lstsq(design, target - design @ x,
-                                  lapack_driver="gelsd")[0]
-        trial = x + step
-        J_t, grad_t = _evaluate(spec, trial, data, ctx, len(history))
-        if J_t > J:
-            break
-        x, J, grad = trial, J_t, grad_t
-        history.append(J)
-    return x, history, J, grad
-
-
-def minimize(spec: InverseProblemSpec, data: MeasurementData, init,
-             ctx: LabContext, *, _obs=None) -> ReconstructionResult:
-    """Minimize the Tikhonov objective from init.
-
-    init is (phi0, g0). Newton steps on the exact quadratic (_obs is the
-    observation matrix when the caller already has it) stop when the
-    Euclidean gradient norm falls to grad_tol, after max_iters steps, or
-    when a step would raise the objective; converged reports the first.
-    Deterministic: no randomness anywhere.
-    """
-    phi0, g0 = init
-    x = pack_params(phi0, g0)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial guess contains non-finite values")
-    obs = observation_matrix(spec, ctx) if _obs is None else _obs
-    x, history, J, grad = _newton(spec, data, x, ctx, obs)
+    target = np.concatenate([observed_vector(data, ctx),
+                             np.zeros(tikhonov.size)])
+    # 0.0 + turns a -0.0 entry into 0.0, so a zero estimate prints as 0.0
+    x = 0.0 + scipy.linalg.lstsq(design, target, lapack_driver="gelsd")[0]
+    J, grad = objective_and_gradient(spec, x, data, ctx)
+    if not math.isfinite(J):
+        raise RuntimeError(f"non-finite objective at the least-squares "
+                           f"solution: J={J!r} (max |param| = "
+                           f"{float(np.max(np.abs(x)))!r})")
     grad_norm = float(np.linalg.norm(grad))
-
     phi, g = unpack_params(x, ctx)
-    return ReconstructionResult(phi, g, tuple(history), J,
-                                grad_norm <= spec.grad_tol, len(history) - 1,
+    return ReconstructionResult(phi, g, J, grad_norm <= spec.grad_tol, 1,
                                 grad_norm)
 
 
@@ -262,7 +220,13 @@ def synthesize_data(pair, spec: InverseProblemSpec,
     always the H2 readings of whatever arrays the data holds.
     """
     u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
-    md = measure(u, ctx.domain, ctx.window)
+    return _add_noise(measure(u, ctx.domain, ctx.window), spec, ctx)
+
+
+def _add_noise(md: MeasurementData, spec: InverseProblemSpec,
+               ctx: LabContext) -> MeasurementData:
+    """The clean measurement md with the seeded noise of spec added; md
+    itself at zero noise."""
     eps = spec.noise_level
     if eps == 0.0:
         return md
@@ -326,9 +290,10 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
                     ctx: LabContext) -> RateResult:
     """Noise sweep: reconstruct at each level and fit the error rates.
 
-    truth is (phi_true, g_true). Per level: seed = spec.seed XOR level
-    index, alpha = (alpha_f, alpha_g) * eps^2, data synthesized fresh,
-    optimization from zero; every level reuses one observation matrix.
+    truth is (phi_true, g_true). The truth pair is solved and measured
+    once; per level, seed = spec.seed XOR level index, alpha = (alpha_f,
+    alpha_g) * eps^2, the clean measurement gets that level's noise, and
+    minimize reuses the one observation matrix.
     Non-converged levels keep their row but are excluded from the slope
     fit. The Lipschitz proxy is the log-log slope of err_f; the
     logarithmic proxy is the sequence err_g * |ln eps|.
@@ -349,22 +314,20 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
     pair = make_admissible_pair(ctx, f=f_truth, g=g_truth)
 
     wx = ctx.domain.quad_weights
-    n_space = ctx.domain.nx + 1
     u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
-    clean_combined = measure(u, ctx.domain, ctx.window).combined_norm
+    clean = measure(u, ctx.domain, ctx.window)
     obs = observation_matrix(spec, ctx)
     rows = []
     for level, (eps, scale) in enumerate(zip(noise_list, scales)):
         level_spec = replace(spec, noise_level=eps, seed=spec.seed ^ level,
                              alpha_f=spec.alpha_f * scale,
                              alpha_g=spec.alpha_g * scale)
-        data = synthesize_data(pair, level_spec, ctx)
-        init = (np.zeros(n_space), np.zeros(n_space))
-        res = minimize(level_spec, data, init, ctx, _obs=obs)
+        data = _add_noise(clean, level_spec, ctx)
+        res = minimize(level_spec, data, ctx, _obs=obs)
         err_f = rel_error(res.phi_est, phi_truth, wx)
         err_g = rel_error(res.g_est, g_truth, wx)
         rows.append(RateRow(eps, level_spec.alpha_f, err_f, err_g,
-                            clean_combined, data.combined_norm,
+                            clean.combined_norm, data.combined_norm,
                             res.iterations, res.converged, res.grad_norm))
 
     fit = [(r.eps, r.err_f) for r in rows

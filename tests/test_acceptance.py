@@ -265,8 +265,8 @@ def test_criterion_09_rate_experiment():
     x = ctx.domain.points
     phi = benchmark_source(x)
     g = benchmark_initial(x)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=2000,
-                              grad_tol=1e-10, seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
+                              seed=7)
     result = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), ctx)
 
     converged = all(r.converged for r in result.rows)
@@ -285,8 +285,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     t0 = time.perf_counter()
     args = ["rate", "--nx", "16", "--nt", "32", "--T", "0.25",
             "--delta0", "0.25", "--delta1", "0.125",
-            "--noise", "0.1,0.05,0.025", "--max_iters", "300",
-            "--seed", "3"]
+            "--noise", "0.1,0.05,0.025", "--seed", "3"]
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     rc_a = main(args + ["--out", a])
     rc_b = main(args + ["--out", b])

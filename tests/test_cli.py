@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from parastab import cli
+from parastab import cli, probes
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
+from parastab.measurement import observed_march
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -20,7 +21,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 FAST = ["--nx", "16", "--nt", "32"]
 RATE_FAST = ["rate", "--nx", "16", "--nt", "32", "--T", "0.25",
              "--delta0", "0.25", "--delta1", "0.125",
-             "--noise", "0.1,0.05,0.025", "--max_iters", "300"]
+             "--noise", "0.1,0.05,0.025"]
 
 
 def read(path):
@@ -222,7 +223,7 @@ def test_reconstruct_run(tmp_path):
     out = str(tmp_path / "rc")
     rc = main(["reconstruct", "--nx", "16", "--nt", "32", "--T", "0.25",
                "--delta0", "0.25", "--delta1", "0.125", "--noise", "0.05",
-               "--max_iters", "300", "--out", out])
+               "--out", out])
     assert rc == 0
     rows = read(os.path.join(out, "reconstruction.csv")).decode().splitlines()
     assert rows[0] == "x,phi_true,g_true,phi_est,g_est"
@@ -255,6 +256,11 @@ def test_exit_one_on_usage_and_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "y")]) == 1
     assert main(["rate", "--noise", "0.1,0.2,0.3",
                  "--out", str(tmp_path / "z")]) == 1
+    # one least-squares solve has no iteration budget to set
+    assert main(["rate", "--max_iters", "300",
+                 "--out", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "usage error: unrecognized arguments: --max_iters 300"
 
 
 def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
@@ -358,6 +364,52 @@ def test_probe_with_nothing_to_summarize_is_refused(tmp_path, capsys):
         "error: mesh level 0 has no row to summarize: every member is "
         "expected_failure or degenerate"]
     assert not os.path.exists(tmp_path / "o" / "probe.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "source", "--M0", "-5"],
+    ["--kind", "initial", "--C0", "-1"],
+    ["--kind", "initial", "--M0", "-1"],
+])
+def test_negative_budgets_are_refused_before_any_march(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    marches = []
+
+    def counted(*args, **kwargs):
+        marches.append(args)
+        return observed_march(*args, **kwargs)
+    monkeypatch.setattr(probes, "observed_march", counted)
+    rc = main(["stability-probe", *argv, "--nx", "16", "--nt", "8",
+               "--levels", "1", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: C0 and M0 must be nonnegative, got ")
+    assert marches == []
+    assert not os.path.exists(tmp_path / "o" / "manifest.txt")
+
+
+def test_rate_with_a_nan_source_slope_is_refused(tmp_path, capsys):
+    # alpha0 = 1e308 leaves every level unconverged, so the slope fit has
+    # no point and would read nan
+    out = tmp_path / "o"
+    rc = main(["rate", "--nx", "8", "--nt", "8", "--alpha0", "1e308",
+               "--noise", "1,0.5,0.25", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: source slope is nan: the levels eps=1.0,0.5,0.25 did not "
+        "converge"]
+    assert not os.path.exists(out / "rate.csv")
+
+
+def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
+    out = str(tmp_path / "o")
+    rc = main(["reconstruct", "--nx", "8", "--nt", "8", "--alpha0", "1e308",
+               "--noise", "1", "--out", out])
+    assert rc == 0
+    lines = manifest_lines(out)
+    assert "summary.iterations=1" in lines
+    assert "summary.converged=false" in lines
 
 
 def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,

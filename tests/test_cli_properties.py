@@ -1,6 +1,6 @@
 """Property tests of the command line: the config echo parses back to the
-run's identity, no argv ends in a traceback, and no stability probe reports
-a nan level summary as success."""
+run's identity, no argv ends in a traceback, and neither a stability probe
+nor a rate run reports a nan summary as success."""
 import contextlib
 import io
 import os
@@ -87,7 +87,6 @@ _JUNK = {
     "normalized": ["true", "false", "maybe", ""],
     "M0": _FLOATS,
     "alpha0": _FLOATS, "alpha0_f": _FLOATS, "alpha0_g": _FLOATS,
-    "max_iters": ["0", "1", "3", "-1", "1.5", "x"],
     "grad_tol": ["1e-10", "1e-3", "1", "0", "-1", "nan", "inf", "1e-300"],
     "noise": ["0.01", "0", "-0.01", "nan", "inf", "1e308", "0.1,0.01,0.001",
               "0.2,0.05,0", "0.1,0.01", "0.01,0.1,0.001", "x", ""],
@@ -119,6 +118,9 @@ def test_no_argv_ends_in_a_traceback(argv):
         rc = run_cli(argv + ["--out", os.path.join(tmp, "o")])
     assert rc in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    if argv[0] == "rate" and rc == 0:
+        assert "summary.source_slope: nan" not in out.getvalue().splitlines(), \
+            (argv, out.getvalue())
     if argv[0] == "stability-probe" and rc == 0:
         # max_agreement_factor is nan by definition at one level
         levels = [line for line in out.getvalue().splitlines()

@@ -1,18 +1,21 @@
-"""Reconstruction pipeline: noisy data synthesis, adjoint gradients,
-descent, and the noise-sweep rate experiment."""
+"""Reconstruction pipeline: noisy data synthesis, adjoint gradients, the
+certified least-squares solve, and the noise-sweep rate experiment."""
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import scipy.linalg
+
+from parastab import inverse
 from parastab.admissible import make_admissible_pair
 from parastab.inverse import (InverseProblemSpec, minimize,
                               objective_and_gradient, observation_matrix,
-                              pack_params, rate_experiment, rel_error,
-                              synthesize_data, unpack_params)
+                              rate_experiment, rel_error, synthesize_data,
+                              unpack_params)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
-from parastab.measurement import measure
+from parastab.measurement import MeasurementData, measure
 from parastab.mesh import SpaceTimeField
 from parastab.solver import forward_solve
 
@@ -49,7 +52,7 @@ def test_spec_validation():
 
 def test_pack_unpack_roundtrip():
     phi, g = truth_arrays(CTX)
-    p = pack_params(phi, g)
+    p = np.concatenate([phi, g])
     phi2, g2 = unpack_params(p, CTX)
     assert np.array_equal(phi2, phi)
     assert np.array_equal(g2, g)
@@ -116,7 +119,7 @@ def test_objective_zero_at_truth():
     pair = truth_pair(CTX, phi, g)
     spec = InverseProblemSpec(alpha_f=0.0, alpha_g=0.0)
     data = synthesize_data(pair, spec, CTX)
-    J, grad = objective_and_gradient(spec, pack_params(phi, g),
+    J, grad = objective_and_gradient(spec, np.concatenate([phi, g]),
                                      data, CTX)
     assert J == 0.0
     assert np.all(grad == 0.0)
@@ -132,10 +135,10 @@ def test_zero_data_zero_params_is_global_minimum():
     assert J == 0.0
     assert np.all(grad == 0.0)
 
-    res = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX)
-    assert res.iterations == 0
+    res = minimize(spec, data, CTX)
+    assert res.iterations == 1
     assert res.converged
-    assert res.misfit_history == (0.0,)
+    assert res.final_objective == 0.0
     assert np.all(res.phi_est == 0.0)
     assert np.all(res.g_est == 0.0)
 
@@ -181,37 +184,31 @@ def test_gradient_matches_central_differences_coordinates():
 
 
 def test_self_consistency_recovers_truth():
-    # exact data, nearly vanishing regularization: descent should park on
+    # exact data, nearly vanishing regularization: the solve should land on
     # the truth pair; measured 3.3e-4 / 1.3e-3 against the 1e-2 budget
     ctx = make_context(nx=32, nt=32, T=0.0625, delta0=0.0625, delta1=0.03125)
     x = ctx.domain.points
     phi = benchmark_source(x)
     g = np.cos(np.pi * x)
     pair = truth_pair(ctx, phi, g)
-    spec = InverseProblemSpec(alpha_f=1e-10, alpha_g=1e-10, max_iters=1500,
-                              grad_tol=1e-13)
+    spec = InverseProblemSpec(alpha_f=1e-10, alpha_g=1e-10, grad_tol=1e-13)
     data = synthesize_data(pair, spec, ctx)
-    n = x.size
-    res = minimize(spec, data, (np.zeros(n), np.zeros(n)), ctx)
+    res = minimize(spec, data, ctx)
     wx = ctx.domain.quad_weights
     assert rel_l2(res.phi_est, phi, wx) <= 1e-2
     assert rel_l2(res.g_est, g, wx) <= 1e-2
-    hist = np.array(res.misfit_history)
-    assert np.all(np.diff(hist) <= 0.0)
 
 
 def test_minimize_is_deterministic_bitwise():
     phi, g = truth_arrays(CTX)
     pair = truth_pair(CTX, phi, g)
     spec = InverseProblemSpec(alpha_f=1e-3, alpha_g=1e-3, noise_level=1e-2,
-                              seed=3, max_iters=200, grad_tol=1e-10)
+                              seed=3, grad_tol=1e-10)
     data = synthesize_data(pair, spec, CTX)
-    n = CTX.domain.nx + 1
-    a = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX)
-    b = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX)
+    a = minimize(spec, data, CTX)
+    b = minimize(spec, data, CTX)
     assert np.array_equal(a.phi_est, b.phi_est)
     assert np.array_equal(a.g_est, b.g_est)
-    assert a.misfit_history == b.misfit_history
     assert a.final_objective == b.final_objective
     assert a.iterations == b.iterations
 
@@ -223,27 +220,15 @@ def test_alpha_ladder_never_grows_g():
     pair = truth_pair(CTX, phi, g)
     data = synthesize_data(pair, InverseProblemSpec(noise_level=1e-2, seed=3),
                            CTX)
-    n = CTX.domain.nx + 1
     wx = CTX.domain.quad_weights
     norms = []
     for alpha_g in (1e-4, 1e-2, 1.0):
         spec = InverseProblemSpec(alpha_f=1e-3, alpha_g=alpha_g,
-                                  max_iters=1500, grad_tol=1e-10)
-        res = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX)
+                                  grad_tol=1e-10)
+        res = minimize(spec, data, CTX)
         norms.append(math.sqrt(float(np.sum(wx * res.g_est ** 2))))
     assert norms[0] >= norms[1] >= norms[2]
     assert norms[2] < 0.1 * norms[0]
-
-
-def test_non_finite_init_rejected():
-    n = CTX.domain.nx + 1
-    pair = make_admissible_pair(CTX, f=None, g=np.zeros(n))
-    spec = InverseProblemSpec()
-    data = synthesize_data(pair, spec, CTX)
-    bad = np.zeros(n)
-    bad[0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        minimize(spec, data, (bad, np.zeros(n)), CTX)
 
 
 def test_sigma_validation_and_use():
@@ -251,7 +236,7 @@ def test_sigma_validation_and_use():
     spec_bad = InverseProblemSpec(sigma=lambda t: t - 0.25)
     pair = truth_pair(CTX, phi, g)
     data = synthesize_data(pair, InverseProblemSpec(), CTX)
-    params = pack_params(phi, g)
+    params = np.concatenate([phi, g])
     with pytest.raises(ValueError, match="sigma"):
         objective_and_gradient(spec_bad, params, data, CTX)
     with pytest.raises(ValueError, match="rate budget"):
@@ -266,8 +251,8 @@ def test_sigma_validation_and_use():
 def test_rate_experiment_exhibits_stability_split():
     # frozen pipeline output at seed 7: slope 0.823, product spread 2.15
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=2000,
-                              grad_tol=1e-10, seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
+                              seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     assert all(r.converged for r in rr.rows)
     assert 0.6 <= rr.source_slope <= 1.2
@@ -284,8 +269,8 @@ def test_rate_experiment_exhibits_stability_split():
 
 def test_rate_zero_noise_level_reduces_to_minimize():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=2000,
-                              grad_tol=1e-10, seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
+                              seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 0.0], (phi, g), CTX)
     row = rr.rows[2]
     assert row.eps == 0.0
@@ -295,8 +280,7 @@ def test_rate_zero_noise_level_reduces_to_minimize():
                          alpha_f=0.0, alpha_g=0.0)
     pair = truth_pair(CTX, phi, g)
     data = synthesize_data(pair, level_spec, CTX)
-    n = CTX.domain.nx + 1
-    res = minimize(level_spec, data, (np.zeros(n), np.zeros(n)), CTX)
+    res = minimize(level_spec, data, CTX)
     wx = CTX.domain.quad_weights
     assert row.err_f == rel_l2(res.phi_est, phi, wx)
     assert row.err_g == rel_l2(res.g_est, g, wx)
@@ -315,8 +299,8 @@ def test_rate_experiment_validates_noise_list():
 
 def test_rate_experiment_deterministic():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=400,
-                              grad_tol=1e-8, seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-8,
+                              seed=7)
     a = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     b = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     assert a.rows == b.rows
@@ -327,8 +311,8 @@ def readme_level(ctx, level, eps):
     """Spec and data of one level of the README rate run (seed 7)."""
     phi, g = truth_arrays(ctx)
     spec = InverseProblemSpec(alpha_f=10.0 * eps ** 2, alpha_g=eps ** 2,
-                              max_iters=2000, grad_tol=1e-10,
-                              noise_level=eps, seed=7 ^ level)
+                              grad_tol=1e-10, noise_level=eps,
+                              seed=7 ^ level)
     return spec, synthesize_data(truth_pair(ctx, phi, g), spec, ctx)
 
 
@@ -353,10 +337,10 @@ def test_direct_solve_matches_the_hessian_oracle_on_the_readme_problem(
     # parameters 5.0e-10 and err_f 6.3e-10 at eps=1e-3 (cond(H) 3.0e6)
     spec, data = readme_level(CTX, level, eps)
     n = CTX.domain.nx + 1
-    direct = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX)
+    direct = minimize(spec, data, CTX)
     x, J, grad = hessian_oracle(spec, data, CTX)
     assert direct.converged and np.linalg.norm(grad) <= spec.grad_tol
-    x_direct = pack_params(direct.phi_est, direct.g_est)
+    x_direct = np.concatenate([direct.phi_est, direct.g_est])
     assert (np.linalg.norm(x - x_direct)
             <= tol_params * np.linalg.norm(x_direct))
     phi, _ = truth_arrays(CTX)
@@ -369,36 +353,61 @@ def test_direct_solve_matches_the_hessian_oracle_on_the_readme_problem(
 
 def test_converged_is_the_gradient_check():
     spec, data = readme_level(CTX, 1, 1e-2)
-    n = CTX.domain.nx + 1
-    zero = (np.zeros(n), np.zeros(n))
-    res = minimize(spec, data, zero, CTX)
+    res = minimize(spec, data, CTX)
     assert res.converged == (res.grad_norm <= spec.grad_tol)
     assert res.converged and res.iterations == 1
-    # no step taken from a non-stationary start: not converged, and the
-    # reported norm is the start's own gradient
-    stuck = minimize(replace(spec, max_iters=0), data, zero, CTX)
-    _, grad0 = objective_and_gradient(spec, np.zeros(2 * n), data, CTX)
-    assert stuck.iterations == 0
-    assert stuck.grad_norm == float(np.linalg.norm(grad0)) > spec.grad_tol
-    assert not stuck.converged
+    # the reported norm is the PDE gradient at the returned solution
+    _, grad = objective_and_gradient(
+        spec, np.concatenate([res.phi_est, res.g_est]), data, CTX)
+    assert res.grad_norm == float(np.linalg.norm(grad))
 
 
 def test_rate_rows_report_the_final_gradient_norm():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, max_iters=2000,
-                              grad_tol=1e-10, seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
+                              seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     for row in rr.rows:
         assert row.converged and row.grad_norm <= spec.grad_tol
         assert row.iters == 1
 
 
-def test_a_step_that_raises_the_objective_is_refused():
-    # a sign-flipped observation matrix aims the step away from the data;
-    # the PDE objective catches it and the start is kept, unconverged
+def test_a_wrong_observation_matrix_fails_the_certificate():
+    # a sign-flipped observation matrix solves the wrong least-squares
+    # problem; the PDE gradient at its solution catches it
     spec, data = readme_level(CTX, 1, 1e-2)
-    n = CTX.domain.nx + 1
     flipped = -observation_matrix(spec, CTX)
-    res = minimize(spec, data, (np.zeros(n), np.zeros(n)), CTX, _obs=flipped)
-    assert res.iterations == 0 and not res.converged
-    assert np.all(res.phi_est == 0.0) and np.all(res.g_est == 0.0)
+    res = minimize(spec, data, CTX, _obs=flipped)
+    assert not res.converged and res.grad_norm > spec.grad_tol
+
+
+def test_minimize_is_one_solve_and_one_certificate(monkeypatch):
+    calls = {"lstsq": 0, "objective": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "lstsq",
+                        counted("lstsq", scipy.linalg.lstsq))
+    monkeypatch.setattr(inverse, "objective_and_gradient",
+                        counted("objective", inverse.objective_and_gradient))
+    spec, data = readme_level(CTX, 1, 1e-2)
+    res = minimize(spec, data, CTX)
+    assert calls == {"lstsq": 1, "objective": 1}
+    assert res.converged and res.iterations == 1
+
+
+def test_non_finite_objective_at_the_solution_is_refused():
+    # a snapshot of 1e200 is solved and marched in range, but its
+    # squares overflow the objective to inf
+    spec = InverseProblemSpec(alpha_f=1.0, alpha_g=1.0)
+    n = CTX.domain.nx + 1
+    clean = synthesize_data(truth_pair(CTX, *truth_arrays(CTX)), spec, CTX)
+    huge = MeasurementData(np.full(n, 1e200), clean.lateral_trace,
+                           math.inf, clean.h2_trace_norm, math.inf)
+    with np.errstate(over="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite objective"):
+        minimize(spec, huge, CTX)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from parastab.admissible import make_admissible_pair
 from parastab.inverse import (InverseProblemSpec, minimize,
                               objective_and_gradient, observation_matrix,
-                              observed_vector, pack_params, synthesize_data)
+                              observed_vector, synthesize_data)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
 from parastab.mesh import SpaceTimeField
 from parastab.operator import EllipticOperator
@@ -50,7 +50,7 @@ def test_separable_solve_is_the_least_squares_minimizer(a, b, c, alpha_f,
     sigma = (lambda t: 1.0 + t) if ramp else (lambda t: 1.0 + 0.0 * t)
     spec = InverseProblemSpec(alpha_f=alpha_f, alpha_g=alpha_g,
                               noise_level=0.05, seed=seed, sigma=sigma,
-                              max_iters=20, grad_tol=1e-10)
+                              grad_tol=1e-10)
     obs = observation_matrix(spec, ctx)
     eye = np.eye(n)
     for j in range(n):
@@ -67,10 +67,10 @@ def test_separable_solve_is_the_least_squares_minimizer(a, b, c, alpha_f,
     pair = make_admissible_pair(ctx, f=f, g=benchmark_initial(x))
     data = synthesize_data(pair, spec, ctx)
     assert observed_vector(data, ctx).shape == (obs.shape[0],)
-    res = minimize(spec, data, (np.zeros(n), np.zeros(n)), ctx)
+    res = minimize(spec, data, ctx)
     assert res.grad_norm <= spec.grad_tol and res.converged
 
-    best = pack_params(res.phi_est, res.g_est)
+    best = np.concatenate([res.phi_est, res.g_est])
     scale = max(1.0, float(np.linalg.norm(best)))
     rng = np.random.default_rng(seed)
     for _ in range(3):
