@@ -33,7 +33,7 @@ from .inverse import InverseProblemSpec, alpha_scale, minimize, \
 from .lab import (DEFAULT_M0, benchmark_initial, benchmark_source,
                   make_context)
 from .measurement import measure
-from .mesh import SpaceTimeField, field_from_function, zero_field
+from .mesh import SpaceTimeField, field_from_function
 from .probes import (initial_eigenmode_family, initial_stability_probe,
                      source_eigenmode_family, source_stability_probe)
 from .report import (MANIFEST_NAME, RunReport, fmt, write_field_csv,
@@ -283,10 +283,8 @@ def _run_carleman_audit(typed, outdir):
     # the audited field is the time derivative on the shifted frame; it
     # solves the equation with the shifted source's derivative as data
     v = time_derivative(time_shift(u))
-    if pair.f is None:
-        companion = zero_field(ctx.domain, v.window)
-    else:
-        companion = time_derivative(time_shift(pair.f))
+    companion = (None if pair.f is None
+                 else time_derivative(time_shift(pair.f)))
     wcfg = WeightConfig(lam=typed["lambda"], s_values=typed["s"],
                         p=typed["p"],
                         boundary_weighting=_BOUNDARY_MODES[typed["boundary"]])

@@ -2,16 +2,17 @@
 
 The spatial weight psi is an explicit affine function: positive, with
 nonvanishing slope, and with nonpositive outward slope at any unobserved
-endpoint. The time factor l(t) = t(t_end - t) vanishes at both ends of the
-frame, so rho = e^{lam psi}/l and theta = (e^{lam psi} - e^{2 lam sup psi})/l
-are unbounded there: endpoint columns are stored as NaN, so a quadrature
-that strays onto them reads NaN instead of a silently wrong number.
+endpoint. The weights live on one frame only: the translated measurement
+frame (0, 2 delta1), where the audited field lives. There the time factor
+l1(t) = delta1^2 - (t - delta1)^2 vanishes at both ends, so
+rho1 = e^{lam psi}/l1 and theta1 = (e^{lam psi} - e^{2 lam sup psi})/l1 are
+unbounded there: endpoint columns are stored as NaN, so a quadrature that
+strays onto them reads NaN instead of a silently wrong number.
 
-Shifted fields live on the translated measurement frame (0, 2 delta1). There
-l is computed in the symmetric form delta1^2 - (t - delta1)^2, algebraically
-identical to t(2 delta1 - t) but exact at the midpoint, which makes the
-equality cases theta = -M (where psi attains its sup) and theta = -c1 (at the
-midpoint, where psi attains its min) hold bit for bit, not just to round-off.
+l1 is computed in that symmetric form, algebraically identical to
+t(2 delta1 - t) but exact at the midpoint, which makes the equality cases
+theta1 = -M (where psi attains its sup) and theta1 = -c1 (at the midpoint,
+where psi attains its min) hold bit for bit, not just to round-off.
 """
 from __future__ import annotations
 
@@ -33,7 +34,12 @@ UNDERFLOW_EXPONENT = -700.0
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Sharpness lam, the s sweep, the exponent selector p, boundary mode."""
+    """Sharpness lam, the s sweep, the exponent selector p, boundary mode.
+
+    The one place s, p and the boundary mode are checked. An empty sweep
+    means the default octave of default_s_values; a given one must span at
+    least a factor 8.
+    """
 
     lam: float = 1.0
     s_values: tuple = ()
@@ -48,10 +54,12 @@ class WeightConfig:
         if self.boundary_weighting not in BOUNDARY_MODES:
             raise ValueError(f"boundary_weighting must be one of {BOUNDARY_MODES}")
         sv = tuple(float(s) for s in self.s_values)
-        if any(s <= 0 for s in sv):
-            raise ValueError("all s values must be positive")
+        if not all(0.0 < s < math.inf for s in sv):
+            raise ValueError("all s values must be positive and finite")
         if any(a >= b for a, b in zip(sv, sv[1:])):
             raise ValueError("s values must be strictly increasing")
+        if sv and (len(sv) < 2 or sv[-1] / sv[0] < 8.0 - 1e-12):
+            raise ValueError("sweep must span at least a factor 8 in s")
         object.__setattr__(self, "s_values", sv)
 
 
@@ -70,42 +78,32 @@ def build_psi(domain: SpatialDomain) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CarlemanWeights:
-    """Weight fields on the solve frame and on the shifted measurement frame.
+    """Weight fields on the shifted measurement frame (0, 2 delta1).
 
-    rho/theta columns at l = 0 hold NaN; only interior columns carry values.
+    rho1/theta1 columns at l1 = 0 hold NaN; only interior columns carry
+    values.
     """
 
     psi: np.ndarray
     psi_sup: float
-    l: np.ndarray
-    rho: np.ndarray
-    theta: np.ndarray
     l1_shift: np.ndarray
     rho1_shift: np.ndarray
     theta1_shift: np.ndarray
     M: float
     c1: float
     config: WeightConfig
-    window: TimeWindow
     shifted_window: TimeWindow
     domain: SpatialDomain
 
 
-def _singular_fields(exp_psi: np.ndarray, big: float, l: np.ndarray):
-    """rho, theta with NaN where l = 0 (the frame's time endpoints).
-
-    True division, not multiplication by 1/l: the division makes
-    theta(i_sup, mid) the exact negation of M for any delta1.
-    """
-    pos = l[None, :] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.where(pos, exp_psi[:, None] / l[None, :], np.nan)
-        theta = np.where(pos, (exp_psi - big)[:, None] / l[None, :], np.nan)
-    return rho, theta
-
-
 def eval_weights(config: WeightConfig, window: TimeWindow,
                  domain: SpatialDomain) -> CarlemanWeights:
+    """The weights on the shifted frame of window.
+
+    A lam whose amplitude e^{2 lam sup psi}, or the constant M built from
+    it, overflows is refused: every quadrature against such weights would
+    read nan.
+    """
     psi = build_psi(domain)
     if not np.all(psi > 0.0):
         raise ValueError("psi must be positive on the closed domain")
@@ -114,35 +112,39 @@ def eval_weights(config: WeightConfig, window: TimeWindow,
         raise ValueError("psi gradient vanishes on the grid")
 
     lam = config.lam
-    exp_psi = np.exp(lam * psi)
-    i_sup = int(np.argmax(psi))
-    i_min = int(np.argmin(psi))
-    psi_sup = float(psi[i_sup])
-    big = float(np.exp(2.0 * lam * psi)[i_sup])
-    e_sup = float(exp_psi[i_sup])
-    e_min = float(exp_psi[i_min])
-
-    t = window.times
-    l = t * (window.t_end - t)
-    rho, theta = _singular_fields(exp_psi, big, l)
-
     shifted = window.shifted()
-    d1 = window.delta1
+    d1 = shifted.delta1
     dd = d1 * d1
-    ts = shifted.times
+    i_sup = int(np.argmax(psi))
+    psi_sup = float(psi[i_sup])
+    with np.errstate(over="ignore"):
+        exp_psi = np.exp(lam * psi)
+        big = float(np.exp(2.0 * lam * psi)[i_sup])
+    e_sup = float(exp_psi[i_sup])
+    e_min = float(exp_psi[int(np.argmin(psi))])
+    M = (big - e_sup) / dd
+    if not (math.isfinite(big) and math.isfinite(M)):
+        raise ValueError(f"lambda={lam!r} overflows the weight amplitude "
+                         f"(e^(2 lam sup psi) = {big!r}, M = {M!r}); use a "
+                         f"smaller lambda")
+
     # symmetric form: exact at the midpoint, where the extremal cases live
-    off = ts - d1
+    off = shifted.times - d1
     l1 = dd - off * off
     l1[0] = 0.0
     l1[-1] = 0.0
-    rho1, theta1 = _singular_fields(exp_psi, big, l1)
+    # true division, not multiplication by 1/l1: it makes theta1(i_sup, mid)
+    # the exact negation of M for any delta1
+    pos = l1[None, :] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho1 = np.where(pos, exp_psi[:, None] / l1[None, :], np.nan)
+        theta1 = np.where(pos, (exp_psi - big)[:, None] / l1[None, :], np.nan)
 
-    M = (big - e_sup) / dd
     c1 = (big - e_min) / dd
-    return CarlemanWeights(psi=psi, psi_sup=psi_sup, l=l, rho=rho, theta=theta,
-                           l1_shift=l1, rho1_shift=rho1, theta1_shift=theta1,
-                           M=M, c1=c1, config=config, window=window,
-                           shifted_window=shifted, domain=domain)
+    return CarlemanWeights(psi=psi, psi_sup=psi_sup, l1_shift=l1,
+                           rho1_shift=rho1, theta1_shift=theta1, M=M, c1=c1,
+                           config=config, shifted_window=shifted,
+                           domain=domain)
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def check_weight_bounds(weights: CarlemanWeights) -> WeightBoundsReport:
     lam = weights.config.lam
     numer = np.exp(lam * weights.psi) - math.exp(2.0 * lam * weights.psi_sup)
     ts = weights.shifted_window.times[interior]
-    l_slope = 2.0 * (weights.window.delta1 - ts)
+    l_slope = 2.0 * (weights.shifted_window.delta1 - ts)
     ratio = (np.abs(numer)[:, None] * np.abs(l_slope)[None, :]
              * np.exp(-2.0 * lam * weights.psi)[:, None])
     return WeightBoundsReport(

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from parastab.carleman import (FLAG_DEGENERATE, FLAG_OK, FLAG_VIOLATION,
-                               SweepRow, carleman_sides, constant_sweep,
+                               SweepRow, constant_sweep,
                                default_s_values, empirical_s_threshold,
                                sweep_statistic)
 from parastab.lab import make_context
@@ -22,59 +22,70 @@ def eigen_setup():
     return ctx, u, v, w
 
 
+def _octave(s):
+    return WeightConfig(lam=1.0, s_values=(s, 8.0 * s))
+
+
 def test_zero_solution_gives_zero_sides(eigen_setup):
     ctx, _, v, w = eigen_setup
     z = zero_field(ctx.domain, v.window)
-    lhs, rhs = carleman_sides(z, z, w, s=1.0, p=0)
-    assert lhs == 0.0 and rhs == 0.0
+    for row in constant_sweep(z, z, w, _octave(1.0)):
+        assert row.lhs == 0.0 and row.rhs == 0.0
 
 
 def test_sides_positive_for_eigenmode(eigen_setup):
     ctx, _, v, w = eigen_setup
-    for s in default_s_values(w):
-        lhs, rhs = carleman_sides(v, zero_field(ctx.domain, v.window), w,
-                                  s=s, p=0, dop=ctx.dop)
-        assert np.isfinite(lhs) and lhs > 0.0
-        assert np.isfinite(rhs) and rhs > 0.0
+    rows = constant_sweep(v, None, w, WeightConfig(lam=1.0), dop=ctx.dop)
+    for row in rows:
+        assert np.isfinite(row.lhs) and row.lhs > 0.0
+        assert np.isfinite(row.rhs) and row.rhs > 0.0
+    # no source and an all-zero source are the same audit, bit for bit
+    fz = zero_field(ctx.domain, v.window)
+    assert constant_sweep(v, fz, w, WeightConfig(lam=1.0)) == rows
 
 
-def test_sides_work_on_the_solve_frame_too(eigen_setup):
+def test_sweep_refuses_the_solve_frame(eigen_setup):
+    # the weights live on the shifted frame only; u itself lives on the
+    # solve frame and is not what the inequality audits
     ctx, u, _, w = eigen_setup
-    lhs, rhs = carleman_sides(u, None, w, s=default_s_values(w)[0], p=0,
-                              dop=ctx.dop)
-    assert lhs > 0.0 and rhs > 0.0
+    with pytest.raises(ValueError, match="shifted measurement window"):
+        constant_sweep(u, None, w, WeightConfig(lam=1.0), dop=ctx.dop)
 
 
 def test_quadratic_scaling_is_exact(eigen_setup):
     ctx, _, v, w = eigen_setup
-    s = default_s_values(w)[1]
+    cfg = WeightConfig(s_values=default_s_values(w))
     fz = zero_field(ctx.domain, v.window)
-    lhs, rhs = carleman_sides(v, fz, w, s=s, p=0)
     doubled = SpaceTimeField(2.0 * v.values, v.domain, v.window)
-    lhs2, rhs2 = carleman_sides(doubled, fz, w, s=s, p=0)
-    assert lhs2 == 4.0 * lhs
-    assert rhs2 == 4.0 * rhs
-    assert lhs2 / rhs2 == lhs / rhs
+    for a, b in zip(constant_sweep(v, fz, w, cfg),
+                    constant_sweep(doubled, fz, w, cfg)):
+        assert b.lhs == 4.0 * a.lhs
+        assert b.rhs == 4.0 * a.rhs
+        assert b.ratio == a.ratio
 
 
 def test_p_one_variant_finite(eigen_setup):
     ctx, _, v, w = eigen_setup
-    lhs, rhs = carleman_sides(v, zero_field(ctx.domain, v.window), w,
-                              s=default_s_values(w)[0], p=1)
-    assert np.isfinite(lhs) and np.isfinite(rhs) and lhs > 0 and rhs > 0
+    cfg = WeightConfig(lam=1.0, s_values=default_s_values(w), p=1)
+    for row in constant_sweep(v, zero_field(ctx.domain, v.window), w, cfg):
+        assert row.p == 1
+        assert np.isfinite(row.lhs) and np.isfinite(row.rhs)
+        assert row.lhs > 0 and row.rhs > 0
 
 
 def test_literal_mode_truncates_but_stays_finite(eigen_setup):
     ctx, _, v, w = eigen_setup
     s = default_s_values(w)[0]
     fz = zero_field(ctx.domain, v.window)
-    lhs_e, rhs_e = carleman_sides(v, fz, w, s=s, p=0,
-                                  boundary_weighting="exp_weighted")
-    lhs_l, rhs_l = carleman_sides(v, fz, w, s=s, p=0,
-                                  boundary_weighting="literal_truncated")
-    assert lhs_l == lhs_e                      # only the boundary term differs
-    assert np.isfinite(rhs_l)
-    assert rhs_l > rhs_e                       # dropping e^{2s theta} enlarges
+    exp_rows = constant_sweep(v, fz, w, WeightConfig(
+        s_values=(s, 8.0 * s), boundary_weighting="exp_weighted"))
+    lit_rows = constant_sweep(v, fz, w, WeightConfig(
+        s_values=(s, 8.0 * s), boundary_weighting="literal_truncated"))
+    for e, l in zip(exp_rows, lit_rows):
+        assert l.lhs == e.lhs                  # only the boundary term differs
+        assert np.isfinite(l.rhs)
+        assert l.rhs > e.rhs                   # dropping e^{2s theta} enlarges
+        assert l.boundary_mode == "literal_truncated"
 
 
 def test_sweep_ratios_bounded_for_eigenmode(eigen_setup):
@@ -144,8 +155,9 @@ def test_non_solution_triggers_residual_warning():
     rng = np.random.default_rng(9)
     junk = SpaceTimeField(rng.standard_normal((25, shifted.nt + 1)),
                           ctx.domain, shifted)
-    with pytest.warns(UserWarning, match="does not satisfy"):
-        carleman_sides(junk, None, w, s=1.0, p=0, dop=ctx.dop)
+    with pytest.warns(UserWarning, match="does not satisfy") as caught:
+        constant_sweep(junk, None, w, _octave(1.0), dop=ctx.dop)
+    assert len(caught) == 1          # once per sweep, not once per s
 
 
 def test_solution_does_not_warn(eigen_setup):
@@ -153,8 +165,8 @@ def test_solution_does_not_warn(eigen_setup):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        carleman_sides(v, zero_field(ctx.domain, v.window), w,
-                       s=default_s_values(w)[0], p=0, dop=ctx.dop)
+        constant_sweep(v, zero_field(ctx.domain, v.window), w,
+                       WeightConfig(lam=1.0), dop=ctx.dop)
 
 
 def test_sweep_span_and_frame_validation(eigen_setup):
@@ -163,13 +175,31 @@ def test_sweep_span_and_frame_validation(eigen_setup):
     with pytest.raises(ValueError, match="factor 8"):
         constant_sweep(v, fz, w, WeightConfig(s_values=(1.0, 2.0, 4.0)))
     other = make_context(nx=24, nt=60)
-    stranger = zero_field(other.domain, other.window)
+    stranger = zero_field(other.domain, other.window.shifted())
     with pytest.raises(ValueError, match="frame"):
-        carleman_sides(stranger, None, w, s=1.0, p=0)
-    with pytest.raises(ValueError):
-        carleman_sides(v, None, w, s=-1.0, p=0)
-    with pytest.raises(ValueError):
-        carleman_sides(v, None, w, s=1.0, p=2)
+        constant_sweep(stranger, None, w, _octave(1.0))
+    with pytest.raises(ValueError, match="source grid"):
+        constant_sweep(v, zero_field(other.domain, v.window), w, _octave(1.0))
+
+
+def test_non_finite_row_is_refused_naming_s(eigen_setup):
+    # (s rho)^3 overflows where e^{2 s theta} underflows: inf * 0 = nan
+    ctx, _, v, w = eigen_setup
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # and no numpy warning on the way
+        with pytest.raises(ValueError, match=r"^s=1e\+100 gives a non-finite"):
+            constant_sweep(v, None, w,
+                           WeightConfig(s_values=(1e100, 1e101, 1e103)))
+
+
+def test_rows_report_the_lambda_of_the_weights(eigen_setup):
+    # the weights were built at lam = 1; a sweep config with another lam
+    # must not relabel the rows
+    ctx, _, v, w = eigen_setup
+    rows = constant_sweep(v, None, w, WeightConfig(lam=2.0))
+    assert [r.lam for r in rows] == [1.0] * 4
+    assert rows == constant_sweep(v, None, w, WeightConfig(lam=1.0))
 
 
 def test_exp_factor_range(eigen_setup):

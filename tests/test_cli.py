@@ -445,6 +445,32 @@ def test_default_sweep_without_weight_amplitude_is_refused(tmp_path, capsys):
         "pass s values"]
 
 
+@pytest.mark.parametrize("s", [(), ("--s", "1,2,8")])
+def test_overflowing_weight_amplitude_is_refused(tmp_path, capsys, s):
+    # e^{2 lam sup psi} = e^800 is inf: M = inf would make s0 = 0
+    rc = main(["carleman-audit", *FAST, "--lambda", "200", *s,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: lambda=200.0 overflows the weight "
+                             "amplitude")
+
+
+@pytest.mark.parametrize("s, message", [
+    ("1e100,1e101,1e103", "error: s=1e+101 gives a non-finite row"),
+    ("1e308,1e309", "error: all s values must be positive and finite"),
+], ids=["overflowing-row", "infinite-s"])
+def test_non_finite_sweep_rows_are_refused(tmp_path, capsys, s, message):
+    out = tmp_path / "o"
+    rc = main(["carleman-audit", *FAST, "--s", s, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1          # no numpy RuntimeWarning lines either
+    assert err[0].startswith(message)
+    assert not os.path.exists(out / "sweep.csv")
+
+
 def test_warnings_go_into_the_manifest(tmp_path, capsys):
     # the coarse grid trips decompose's residual diagnostic
     argv = ["decompose", "--nx", "8", "--nt", "8"]

@@ -1,8 +1,9 @@
 """Property tests of the command line: the config echo parses back to the
-run's identity, no argv ends in a traceback, and neither a stability probe
-nor a rate run reports a nan summary as success."""
+run's identity, no argv ends in a traceback, and neither a stability probe,
+a rate run nor a Carleman audit reports a nan result as success."""
 import contextlib
 import io
+import math
 import os
 import tempfile
 import warnings
@@ -76,9 +77,10 @@ _DESCRIPTORS = ["zero", "one", "benchmark", "eigenmode:1", "eigenmode:3:2",
 _JUNK = {
     "nx": _INTS, "nt": _STEPS, "seed": _INTS + ["123456789"],
     "T": _FLOATS, "delta0": _FLOATS, "delta1": _FLOATS, "C0": _FLOATS,
-    "lambda": _FLOATS, "f": _DESCRIPTORS, "g": _DESCRIPTORS,
+    "lambda": _FLOATS + ["200"], "f": _DESCRIPTORS, "g": _DESCRIPTORS,
     "s": ["", "nan,1,8", "0.1,0.2,0.4,0.8", "1,2", "-1,8", "8,1",
-          "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1"],
+          "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1",
+          "1e100,1e101,1e103"],
     "p": ["0", "1", "2", "-1", "x"],
     "boundary": ["exp", "literal", "nope", ""],
     "kind": ["source", "initial", "both", ""],
@@ -116,6 +118,11 @@ def test_no_argv_ends_in_a_traceback(argv):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("ignore")
         rc = run_cli(argv + ["--out", os.path.join(tmp, "o")])
+        rows = []
+        if argv[0] == "carleman-audit" and rc in (0, 2):
+            sweep = os.path.join(tmp, "o", "sweep.csv")
+            with open(sweep, encoding="utf-8") as fh:
+                rows = [row.split(",") for row in fh.read().splitlines()[1:]]
     assert rc in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     if argv[0] == "rate" and rc == 0:
@@ -127,3 +134,6 @@ def test_no_argv_ends_in_a_traceback(argv):
                   if line.startswith("summary.level_")]
         assert levels and not any(line.endswith(": nan") for line in levels), \
             (argv, out.getvalue())
+    # a clean row (empty flag, the last column) has a finite quotient
+    assert not any(row[-1] == "" and not math.isfinite(float(row[4]))
+                   for row in rows), (argv, rows)

@@ -35,25 +35,47 @@ def test_weight_config_validation():
         WeightConfig(s_values=(1.0, 1.0))
     with pytest.raises(ValueError):
         WeightConfig(s_values=(2.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        WeightConfig(s_values=(1e308, float("inf")))
+    with pytest.raises(ValueError, match="factor 8"):
+        WeightConfig(s_values=(1.0, 2.0, 4.0))
+    with pytest.raises(ValueError, match="factor 8"):
+        WeightConfig(s_values=(1.0,))
+    assert WeightConfig(s_values=(1, 8)).s_values == (1.0, 8.0)
+
+
+def test_overflowing_weight_amplitude_is_refused():
+    # lam = 200 on psi in [1, 2]: e^{2 lam sup psi} = e^800 overflows
+    ctx = make_context(nx=16, nt=32)
+    with pytest.raises(ValueError, match="^lambda=200.0 overflows"):
+        eval_weights(WeightConfig(lam=200.0), ctx.window, ctx.domain)
+    # finite amplitude, but M = (e^{2 lam sup psi} - e^{lam sup psi}) /
+    # delta1^2 overflows on a narrow window
+    narrow = make_time_window(1.0, 0.5, 1.0 / 512, 768)
+    dom = SpatialDomain(0.0, 1.0, 16)
+    with pytest.raises(ValueError, match=r"M = inf"):
+        eval_weights(WeightConfig(lam=177.0), narrow, dom)
 
 
 def test_time_factor_arithmetic():
-    # l(t) = t (t_end - t): at T=1, delta0=0.5, t=0.75 this is 0.5625
+    # l1(t) = delta1^2 - (t - delta1)^2 on (0, 2 delta1): at the midpoint
+    # t = delta1 = 0.25 it is exactly delta1^2 = 0.0625
     ctx = make_context(nx=16, nt=36)
     w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
-    i = ctx.window.index_of(0.75)
-    assert w.l[i] == pytest.approx(0.5625)
-    assert w.l[0] == 0.0 and w.l[-1] == 0.0
-    assert np.all(w.l[1:-1] > 0.0)
+    mid = w.shifted_window.snapshot_index
+    d1 = w.shifted_window.delta1
+    assert d1 == ctx.window.delta1
+    assert w.l1_shift[mid] == d1 * d1 == 0.0625
     assert np.all(w.l1_shift[1:-1] > 0.0)
     assert w.l1_shift[0] == 0.0 and w.l1_shift[-1] == 0.0
 
 
 def test_rho_example_value():
+    # psi(0) = 1 at lam = 1: rho1 there at the midpoint is e / delta1^2
     ctx = make_context(nx=16, nt=36)
     w = eval_weights(WeightConfig(lam=1.0), ctx.window, ctx.domain)
-    i = ctx.window.index_of(0.75)
-    assert w.rho[0, i] == pytest.approx(math.e / 0.5625, rel=1e-12)
+    mid = w.shifted_window.snapshot_index
+    assert w.rho1_shift[0, mid] == math.e / ctx.window.delta1**2
 
 
 def test_m_formula_at_wide_window():
@@ -76,11 +98,6 @@ def test_constants_ordering_and_positivity():
 def test_theta_negative_and_nan_at_endpoints():
     ctx = make_context(nx=16, nt=36)
     w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
-    assert np.all(np.isnan(w.theta[:, 0])) and np.all(np.isnan(w.theta[:, -1]))
-    assert np.all(np.isnan(w.rho[:, 0])) and np.all(np.isnan(w.rho[:, -1]))
-    assert np.all(w.theta[:, 1:-1] < 0.0)
-    assert np.all(w.rho[:, 1:-1] > 0.0)
-    # the shifted frame's endpoint columns are just as unbounded
     for field in (w.rho1_shift, w.theta1_shift):
         assert np.all(np.isnan(field[:, 0])) and np.all(np.isnan(field[:, -1]))
     assert np.all(w.theta1_shift[:, 1:-1] < 0.0)
