@@ -9,9 +9,11 @@ the output directory; with a fixed config and seed the bytes are
 identical between runs. Python warnings a completed run raises (such as
 the residual diagnostic of a coarse grid) are listed in the manifest as
 warning.<k> lines and printed as one `warning:` line each on stderr; a
-refused run prints its one `error:` line only. Exit codes: 0 success, 1
-invalid usage or configuration, 2 when any emitted row is flagged as an
-estimate-violation candidate, so CI can tell the three apart.
+refused run prints its one `error:` line only; a config whose largest
+array would pass the work budget MAX_ARRAY_ENTRIES is refused before
+anything is allocated. Exit codes: 0 success, 1 invalid usage or
+configuration, 2 when any emitted row is flagged as an estimate-violation
+candidate, so CI can tell the three apart.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .inverse import InverseProblemSpec, alpha_scale, minimize, \
 from .lab import (DEFAULT_M0, benchmark_initial, benchmark_source,
                   make_context)
 from .measurement import measure
-from .mesh import SpaceTimeField, field_from_function
+from .mesh import SpaceTimeField, field_from_function, make_time_window
 from .probes import (initial_eigenmode_family, initial_stability_probe,
                      source_eigenmode_family, source_stability_probe)
 from .report import (MANIFEST_NAME, RunReport, fmt, write_field_csv,
@@ -51,6 +53,14 @@ OUT_ENV_VAR = "PARASTAB_OUT"
 _BOUNDARY_MODES = {"exp": EXP_WEIGHTED, "literal": LITERAL_TRUNCATED}
 
 _INHERIT = object()   # alpha0_f / alpha0_g fall back to alpha0
+
+# family size of a stability probe run with --members 0
+_DEFAULT_MEMBERS = {"source": 6, "initial": 8}
+
+# Entries of the largest float64 array a run may allocate (512 MiB). The
+# README grids, the 256/2048 benchmark grid (527k entries) and the probe
+# grids of the benchmark stay far below it.
+MAX_ARRAY_ENTRIES = 2 ** 26
 
 # (key, kind, default) per subcommand; kinds: int, float, floats, str, bool
 _SHARED = [
@@ -79,7 +89,7 @@ _TABLES = {
         ("lambda", "float", 1.0), ("s", "floats", ()),
         ("p", "int", 0), ("boundary", "str", "exp")],
     "stability-probe": _SHARED + [
-        # members 0 picks the kind's default: 6 source, 8 initial members
+        # members 0 picks the kind's default in _DEFAULT_MEMBERS
         ("kind", "str", "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
         ("f", "str", ""), ("M0", "float", 100.0)],
@@ -250,6 +260,38 @@ def source_descriptor(desc: str, ctx) -> SpaceTimeField | None:
     return field_from_function(ctx.domain, ctx.window, member)
 
 
+def check_work_budget(sub: str, typed: dict) -> None:
+    """Refuse a config whose largest float64 array would hold more than
+    MAX_ARRAY_ENTRIES entries, before anything is allocated or marched.
+
+    The candidates are the (nx+1, nt+1) field and, for the source probe,
+    the (nx+1, last+1, m) samples of its family up to the end of the
+    lateral window. A probe is sized at its finest level; there the field
+    also bounds the work of the initial probe, which marches every member
+    through it without holding it. Sizes that are invalid for other
+    reasons are left to the checks that name them.
+    """
+    window = make_time_window(typed["T"], typed["delta0"], typed["delta1"],
+                              typed["nt"])
+    # level L refines both axes by 2^L; past 2^64 every grid is refused
+    factor = 1
+    if sub == "stability-probe":
+        factor = 2 ** min(max(typed["levels"] - 1, 0), 64)
+    rows = factor * max(typed["nx"], 0) + 1
+    shapes = {"field": (rows, factor * window.nt + 1)}
+    if sub == "stability-probe" and typed["kind"] == "source":
+        members = (1 if typed["f"]
+                   else typed["members"] or _DEFAULT_MEMBERS["source"])
+        last = factor * (window.window_slice.stop - 1)
+        shapes["source probe samples"] = (rows, last + 1, members)
+    name, shape = max(shapes.items(), key=lambda item: math.prod(item[1]))
+    entries = math.prod(shape)
+    if entries > MAX_ARRAY_ENTRIES:
+        raise ValueError(f"the {name} of shape {shape} would hold {entries} "
+                         f"float64 entries ({8 * entries / 2 ** 30:.3g} GiB), "
+                         f"above the work budget of {MAX_ARRAY_ENTRIES}")
+
+
 def _flag_has_violation(rows) -> bool:
     return any("violation" in r.flag for r in rows)
 
@@ -310,11 +352,13 @@ def _run_stability_probe(typed, outdir):
                 raise ValueError("custom source family needs a nonzero f")
             family = ((1.0, member),)
         else:
-            family = source_eigenmode_family(typed["members"] or 6)
+            family = source_eigenmode_family(
+                typed["members"] or _DEFAULT_MEMBERS["source"])
         report = source_stability_probe(family, ctx, levels=typed["levels"])
     elif kind == "initial":
-        family = initial_eigenmode_family(typed["members"] or 8,
-                                          normalized=typed["normalized"])
+        family = initial_eigenmode_family(
+            typed["members"] or _DEFAULT_MEMBERS["initial"],
+            normalized=typed["normalized"])
         report = initial_stability_probe(family, ctx, levels=typed["levels"])
     else:
         raise ValueError(f"kind must be source or initial, got {kind!r}")
@@ -448,6 +492,7 @@ def run_cli(argv=None) -> int:
                               f"(one of {', '.join(_TABLES)})")
         flag_values = vars(ns)
         cfg, typed = resolve_config(sub, flag_values, flag_values["config"])
+        check_work_budget(sub, typed)
         outdir = flag_values["out"] or os.environ.get(OUT_ENV_VAR,
                                                       DEFAULT_OUT)
         os.makedirs(outdir, exist_ok=True)

@@ -4,10 +4,15 @@ Every number is written as its shortest round-trip decimal (Python repr),
 and nothing time- or host-dependent goes into a file, so a fixed config
 and seed produce byte-identical artifacts. Wall-clock timings belong to
 stdout, never to the report files.
+
+All-float tables (the forward field, the decompose profile, the
+reconstruction) are streamed to the open file one row at a time, each row
+converted to Python floats and joined in repr; the whole file is never
+held as one string. Rows that mix floats with integers, booleans or labels
+(sweep, probe and rate tables) go cell by cell through fmt.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +29,8 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
+        # repr spells the specials nan, inf and -inf already
+        return repr(float(value))
     return str(value)
 
 
@@ -41,6 +42,25 @@ def _write_rows(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_float_table(path: str, header, table: np.ndarray) -> None:
+    """Header line, then one line per row of a 2-D float array.
+
+    Each row becomes Python floats only while it is written, so memory
+    stays at one row of text whatever the table size; the bytes equal
+    _write_rows of the same rows, since fmt of a float is its repr.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _float_columns(*columns) -> np.ndarray:
+    """Columns side by side, cut to the shortest one as zip would."""
+    n = min(len(c) for c in columns)
+    return np.column_stack([np.asarray(c, dtype=float)[:n] for c in columns])
+
+
 def write_field_csv(path: str, field_values: np.ndarray, domain,
                     window) -> None:
     """Solution matrix: rows are time indices, columns space indices.
@@ -50,7 +70,7 @@ def write_field_csv(path: str, field_values: np.ndarray, domain,
     header = [f"h={fmt(domain.h)}", f"k={fmt(window.k)}",
               f"T={fmt(window.T)}", f"delta0={fmt(window.delta0)}",
               f"delta1={fmt(window.delta1)}"]
-    _write_rows(path, header, field_values.T)
+    _write_float_table(path, header, field_values.T)
 
 
 def write_sweep_csv(path: str, rows) -> None:
@@ -81,13 +101,15 @@ def write_rate_csv(path: str, rows) -> None:
 def write_reconstruction_csv(path: str, x, phi_true, g_true, phi_est,
                              g_est) -> None:
     header = ["x", "phi_true", "g_true", "phi_est", "g_est"]
-    _write_rows(path, header, zip(x, phi_true, g_true, phi_est, g_est))
+    _write_float_table(path, header,
+                       _float_columns(x, phi_true, g_true, phi_est, g_est))
 
 
 def write_profile_csv(path: str, times, z_norms, chord) -> None:
-    """Per-time table behind the interpolation check."""
+    """Per-time table behind the interpolation check; a drift operator
+    leaves the norms and chord empty, so its table is the header alone."""
     header = ["t", "z_norm", "chord"]
-    _write_rows(path, header, zip(times, z_norms, chord))
+    _write_float_table(path, header, _float_columns(times, z_norms, chord))
 
 
 @dataclass(frozen=True)

@@ -423,6 +423,50 @@ def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,
         "error: Unable to allocate 10.7 GiB for an array"]
 
 
+def test_probe_past_the_work_budget_is_refused_before_any_allocation(
+        tmp_path, capsys, monkeypatch):
+    def no_context(*args, **kwargs):
+        raise AssertionError("a context was built")
+    monkeypatch.setattr(cli, "make_context", no_context)
+    out = tmp_path / "o"
+    # the defaults at 8 levels: the source samples alone take 10.1 GiB
+    rc = main(["stability-probe", "--levels", "8", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the source probe samples of shape (8193, 27521, 6) would "
+        "hold 1352877318 float64 entries (10.1 GiB), above the work budget "
+        "of 67108864"]
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("sub, argv", [
+    # nt 1024 is bumped to 1026, one level past what 2^16 rows allow
+    ("forward", ["--nx", "65535", "--nt", "1024"]),
+    ("stability-probe", ["--kind", "initial", "--levels", "8"]),
+    ("stability-probe", ["--levels", "1000000"]),
+    ("rate", ["--nt", "10000000"]),
+])
+def test_grids_past_the_work_budget_are_refused(sub, argv):
+    _, typed = resolve_config(sub, {k[2:]: v for k, v in
+                                    zip(argv[::2], argv[1::2])}, None)
+    with pytest.raises(ValueError, match="above the work budget"):
+        cli.check_work_budget(sub, typed)
+
+
+@pytest.mark.parametrize("sub, argv", [
+    ("forward", ["--nx", "256", "--nt", "2048"]),
+    ("carleman-audit", ["--nx", "256", "--nt", "2048"]),
+    ("forward", ["--nx", "65535", "--nt", "1020"]),
+    ("stability-probe", ["--kind", "source", "--levels", "3"]),
+    ("stability-probe", ["--kind", "initial", "--levels", "3"]),
+    ("rate", []),
+])
+def test_readme_and_benchmark_grids_fit_the_work_budget(sub, argv):
+    _, typed = resolve_config(sub, {k[2:]: v for k, v in
+                                    zip(argv[::2], argv[1::2])}, None)
+    cli.check_work_budget(sub, typed)
+
+
 @pytest.mark.parametrize("argv", [
     ["reconstruct", "--noise", "1e308"],
     ["rate", "--noise", "1e308,1,0.1"],

@@ -1,6 +1,7 @@
 """Property tests of the command line: the config echo parses back to the
-run's identity, no argv ends in a traceback, and neither a stability probe,
-a rate run nor a Carleman audit reports a nan result as success."""
+run's identity, no argv ends in a traceback, a grid past the work budget
+is refused, and neither a stability probe, a rate run nor a Carleman
+audit reports a nan result as success."""
 import contextlib
 import io
 import math
@@ -74,8 +75,10 @@ _DESCRIPTORS = ["zero", "one", "benchmark", "eigenmode:1", "eigenmode:3:2",
                 "eigenmode:1:1e160", "eigenmode:2:1e308", "eigenmode:1:nan",
                 "eigenmode:1:inf", "eigenmode:x", "eigenmode:1:2:3",
                 "late-onset", "wavelet", ""]
+# grids past the work budget, refused before anything is allocated
+_OVERSIZED = {"nx": "100000000", "levels": "40"}
 _JUNK = {
-    "nx": _INTS, "nt": _STEPS, "seed": _INTS + ["123456789"],
+    "nx": _INTS + [_OVERSIZED["nx"]], "nt": _STEPS, "seed": _INTS + ["123456789"],
     "T": _FLOATS, "delta0": _FLOATS, "delta1": _FLOATS, "C0": _FLOATS,
     "lambda": _FLOATS + ["200"], "f": _DESCRIPTORS, "g": _DESCRIPTORS,
     "s": ["", "nan,1,8", "0.1,0.2,0.4,0.8", "1,2", "-1,8", "8,1",
@@ -85,7 +88,7 @@ _JUNK = {
     "boundary": ["exp", "literal", "nope", ""],
     "kind": ["source", "initial", "both", ""],
     "members": [str(m) for m in range(-3, 10)],
-    "levels": ["1", "2"],
+    "levels": ["1", "2", _OVERSIZED["levels"]],
     "normalized": ["true", "false", "maybe", ""],
     "M0": _FLOATS,
     "alpha0": _FLOATS, "alpha0_f": _FLOATS, "alpha0_g": _FLOATS,
@@ -124,6 +127,9 @@ def test_no_argv_ends_in_a_traceback(argv):
             with open(sweep, encoding="utf-8") as fh:
                 rows = [row.split(",") for row in fh.read().splitlines()[1:]]
     assert rc in (0, 1, 2), argv
+    if any(f"--{key}" in argv and argv[argv.index(f"--{key}") + 1] == value
+           for key, value in _OVERSIZED.items()):
+        assert rc == 1, (argv, out.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     if argv[0] == "rate" and rc == 0:
         assert "summary.source_slope: nan" not in out.getvalue().splitlines(), \
