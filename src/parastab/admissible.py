@@ -22,15 +22,15 @@ from .solver import time_derivative
 ZERO_REL_TOL = 1e-12
 
 
-def check_source_condition(f: SpaceTimeField, T: float, *, tol: float = ZERO_REL_TOL) -> float:
-    """Smallest C0 with |f_t| <= C0 |f(., T)| on the grid.
+def check_source_condition(f: SpaceTimeField) -> float:
+    """Smallest C0 with |f_t| <= C0 |f(., T)| on the grid, T = f.window.T.
 
     Returns math.inf when no finite budget works: some x has f(x, T) = 0
     while f_t is not identically zero along that line. Zero is detected
     relative to the overall scale of f, so sampled functions that vanish
     at T up to round-off are treated as vanishing.
     """
-    i_T = f.window.index_of(T)
+    i_T = f.window.snapshot_index
     ft = time_derivative(f).values
     denom = np.abs(f.values[:, i_T])
     ft_sup = np.max(np.abs(ft), axis=1)
@@ -39,7 +39,7 @@ def check_source_condition(f: SpaceTimeField, T: float, *, tol: float = ZERO_REL
     if scale == 0.0:
         # f is identically zero; any budget works.
         return 0.0
-    floor = tol * scale
+    floor = ZERO_REL_TOL * scale
     # the one-sided end stencils leave round-off crumbs on constant lines,
     # so rates below the floor count as zero just like snapshot values do
     ft_sup = np.where(ft_sup > floor, ft_sup, 0.0)
@@ -68,36 +68,37 @@ def c4_surrogate(g: np.ndarray, h: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class AdmissiblePair:
-    """A data pair (f, g) together with its certified budget and seminorm."""
+    """A data pair (f, g) admitted by the gate, with the norms it measured;
+    an absent part is the zero part and reads 0.0."""
     f: SpaceTimeField | None
     g: np.ndarray | None
-    C0: float
+    f_norm: float          # ||f||_{L2(Q)}
+    g_norm: float          # ||g||_{L2(Omega)}
     c4_surrogate: float
 
 
 def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
-                         g: np.ndarray | None = None,
-                         C0: float | None = None) -> AdmissiblePair:
-    """Validate the rate condition against the budget and record the pair.
+                         g: np.ndarray | None = None) -> AdmissiblePair:
+    """Admit (f, g) under the context budget ctx.C0, or refuse it.
 
-    The inequality |f_t| <= C0 |f(., T)| is checked on the grid; a pair
-    whose measured minimal budget exceeds C0 is rejected, and so is data
-    too large for floating point (a non-finite L2 norm of f or g, or C^4
-    surrogate of g), before any of it overflows downstream.
+    This is the one place the rate budget is decided. The inequality
+    |f_t| <= C0 |f(., T)| is checked on the grid; a source whose measured
+    minimal budget exceeds C0 is rejected, and so is data too large for
+    floating point (a non-finite L2 norm of f or g, or C^4 surrogate of g),
+    before any of it overflows downstream.
     """
-    budget = ctx.C0 if C0 is None else float(C0)
-    if budget < 0.0:
+    if ctx.C0 < 0.0:
         raise ValueError("rate budget C0 must be nonnegative")
+    f_norm = g_norm = seminorm = 0.0
     if f is not None:
         with np.errstate(all="ignore"):
             f_norm = l2_spacetime(f.values, f.domain, f.window)
         if not math.isfinite(f_norm):
             raise ValueError(f"source overflows: its L2(Q) norm is {f_norm!r}")
-        need = check_source_condition(f, ctx.window.T)
-        if not need <= budget * (1.0 + 1e-12):
+        need = check_source_condition(f)
+        if not need <= ctx.C0 * (1.0 + 1e-12):
             raise ValueError(
-                f"source violates the rate budget: needs C0 >= {need!r}, got {budget!r}")
-    seminorm = 0.0
+                f"source violates the rate budget: needs C0 >= {need!r}, got {ctx.C0!r}")
     if g is not None:
         g = np.asarray(g, dtype=float)
         if g.shape != (ctx.domain.nx + 1,):
@@ -108,4 +109,4 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
         if not (math.isfinite(g_norm) and math.isfinite(seminorm)):
             raise ValueError(f"initial value overflows: its L2 norm is "
                              f"{g_norm!r} and its C^4 surrogate {seminorm!r}")
-    return AdmissiblePair(f, g, budget, seminorm)
+    return AdmissiblePair(f, g, f_norm, g_norm, seminorm)

@@ -32,8 +32,9 @@ from .decompose import (check_log_convexity_and_w_bound,
                         decompose_time_derivative)
 from .inverse import InverseProblemSpec, alpha_scale, minimize, \
     rate_experiment, rel_error, synthesize_data
-from .lab import (DEFAULT_M0, benchmark_initial, benchmark_source,
-                  make_context)
+from .lab import (DEFAULT_C0, DEFAULT_DELTA0, DEFAULT_DELTA1, DEFAULT_M0,
+                  DEFAULT_NT, DEFAULT_NX, DEFAULT_T, benchmark_initial,
+                  benchmark_source, make_context)
 from .measurement import measure
 from .mesh import SpaceTimeField, field_from_function, make_time_window
 from .probes import (initial_eigenmode_family, initial_stability_probe,
@@ -45,7 +46,7 @@ from .report import (MANIFEST_NAME, RunReport, fmt, write_field_csv,
 from .config import parse_config_file
 from .solver import forward_solve, time_derivative, time_shift
 from .weights import EXP_WEIGHTED, LITERAL_TRUNCATED, WeightConfig, \
-    eval_weights
+    check_weight_bounds, eval_weights
 
 DEFAULT_OUT = "parastab_out"
 OUT_ENV_VAR = "PARASTAB_OUT"
@@ -64,12 +65,12 @@ MAX_ARRAY_ENTRIES = 2 ** 26
 
 # (key, kind, default) per subcommand; kinds: int, float, floats, str, bool
 _SHARED = [
-    ("nx", "int", 64),
-    ("nt", "int", 256),
-    ("T", "float", 1.0),
-    ("delta0", "float", 0.5),
-    ("delta1", "float", 0.25),
-    ("C0", "float", 2.0),
+    ("nx", "int", DEFAULT_NX),
+    ("nt", "int", DEFAULT_NT),
+    ("T", "float", DEFAULT_T),
+    ("delta0", "float", DEFAULT_DELTA0),
+    ("delta1", "float", DEFAULT_DELTA1),
+    ("C0", "float", DEFAULT_C0),
     ("seed", "int", 0),
 ]
 
@@ -92,7 +93,7 @@ _TABLES = {
         # members 0 picks the kind's default in _DEFAULT_MEMBERS
         ("kind", "str", "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
-        ("f", "str", ""), ("M0", "float", 100.0)],
+        ("f", "str", ""), ("M0", "float", DEFAULT_M0)],
     "decompose": _SHARED + [("f", "str", "zero"), ("g", "str", "eigenmode:1")],
     "reconstruct": _SHARED + _RECON_COMMON + [("noise", "float", 0.01)],
     "rate": _SHARED + _RECON_COMMON + [
@@ -337,6 +338,10 @@ def _run_carleman_audit(typed, outdir):
                "max_over_median": sweep_statistic(rows),
                "s1_threshold": empirical_s_threshold(rows),
                "M": weights.M}
+    # the pointwise weight inequalities are reported, not gated on
+    bounds = check_weight_bounds(weights)
+    summary.update({f"weight_{key}": value
+                    for key, value in vars(bounds).items()})
     return ["sweep.csv"], summary, _flag_has_violation(rows)
 
 
@@ -391,7 +396,6 @@ def _run_decompose(typed, outdir):
                       report.norms, report.chord)
     summary = {"residual_evolution": dec.residuals.evolution,
                "residual_terminal": dec.residuals.terminal,
-               "residual_splitting": dec.residuals.splitting,
                "checked": report.checked,
                "degenerate": report.degenerate,
                "max_violation": report.max_violation,

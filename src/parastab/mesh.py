@@ -6,6 +6,7 @@ lateral-window edges T - delta1, T + delta1 must be grid points, and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,10 @@ GAMMA_RIGHT = "right"
 _SNAP_TOL = 1e-9
 # Search ceiling of make_time_window, as a multiple of the requested nt.
 _NT_SEARCH_FACTOR = 16
+# Candidate step counts make_time_window tests in its first and its largest
+# blocks; the largest keeps each temporary array near 1.5 MB.
+_NT_BLOCK_FIRST = 8
+_NT_BLOCK_MAX = 2 ** 16
 
 
 def _grid_index(value: float, step: float, limit: int) -> int | None:
@@ -34,7 +39,7 @@ def _check_horizon(T: float, delta0: float, delta1: float) -> None:
     """0 < delta1 <= min(delta0, T), all finite, and so is T + delta0."""
     for name, v in (("T", T), ("delta0", delta0), ("delta1", delta1),
                     ("T + delta0", T + delta0)):
-        if not (np.isfinite(v) and v > 0):
+        if not (math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be positive and finite, got {v}")
     if delta1 > min(delta0, T) * (1.0 + 1e-12):
         raise ValueError(
@@ -174,12 +179,26 @@ def make_time_window(T: float, delta0: float, delta1: float, nt: int) -> TimeWin
     """Smallest step count >= nt that puts T-delta1, T, T+delta1 on the grid."""
     _check_horizon(T, delta0, delta1)
     start = max(int(nt), 2)
+    stop = start * _NT_SEARCH_FACTOR + 1
     t_end = T + delta0
     targets = (T - delta1, T, T + delta1)
-    for cand in range(start, start * _NT_SEARCH_FACTOR + 1):
-        k = t_end / cand
-        if all(_grid_index(t, k, cand) is not None for t in targets):
-            return TimeWindow(T=T, delta0=delta0, delta1=delta1, nt=cand)
+    t = np.array(targets)[:, None]
+    # the test of _grid_index on a block of candidates at once (exact
+    # float counts, rint rounds half to even like round); the blocks grow,
+    # so a window that aligns within a few steps costs one small block and
+    # one that never aligns is searched 2^16 counts at a time
+    lo, size = start, _NT_BLOCK_FIRST
+    while lo < stop:
+        cand = np.arange(lo, min(lo + size, stop), dtype=float)
+        m = t / (t_end / cand)
+        idx = np.rint(m)
+        aligned = ((np.abs(m - idx) <= _SNAP_TOL * np.maximum(1.0, np.abs(m)))
+                   & (idx >= 0.0) & (idx <= cand)).all(axis=0)
+        first = int(aligned.argmax())
+        if aligned[first]:
+            return TimeWindow(T=T, delta0=delta0, delta1=delta1,
+                              nt=lo + first)
+        lo, size = lo + size, min(4 * size, _NT_BLOCK_MAX)
     raise ValueError(
         f"no step count in [{start}, {start * _NT_SEARCH_FACTOR}] aligns the "
         f"measurement times {targets} with the grid on (0, {t_end})")

@@ -9,16 +9,17 @@ are still run and emitted as expected-failure rows, which is the point:
 without the cap the product is unbounded.
 
 Each member is solved at several mesh levels (level L refines the context
-by 2^L) so the summary can certify mesh stability. At each level the
-per-member checks run first, in member order and one sampled field at a
-time; then the whole family goes through one Crank-Nicolson march with one
-column per member, under one factorization, and the march stops at the end
-of the lateral window because nothing later is measured. Every column
-equals its member's own forward solve bit for bit, so the rows do too.
+by 2^L) so the summary can certify mesh stability. At each level every
+member first passes the admissibility gate, which measures its data norm,
+in member order and one sampled field at a time; then the whole family
+goes through one Crank-Nicolson march with one column per member, under
+one factorization, and the march stops at the end of the lateral window
+because nothing later is measured. Every column equals its member's own
+forward solve bit for bit, so the rows do too.
 
-A member too large for floating point, one whose data norm or combined
-norm is not finite, is refused with a ValueError rather than reported as a
-nan row.
+A member the gate refuses, or whose combined norm is not finite, is
+refused with a ValueError naming the member and the mesh level rather
+than reported as a nan row.
 """
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import c4_surrogate, check_source_condition
+from .admissible import make_admissible_pair
 from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION
 from .mesh import field_from_function, sample_space_time, sample_spatial
 from .measurement import measurement_data, observed_march
-from .norms import l2_space, l2_spacetime
-# unused here, but perfbench/tracer.py wraps both under these module names
+# unused here, but perfbench/tracer.py wraps these under these module names
+from .admissible import c4_surrogate, check_source_condition  # noqa: F401
 from .measurement import measure  # noqa: F401
 from .solver import forward_solve  # noqa: F401
 
@@ -113,25 +114,21 @@ def _summarize(kind: str, rows, levels: int) -> ProbeReport:
     return ProbeReport(kind, tuple(rows), tuple(maxes), tuple(medians), factor)
 
 
-def _checked_source_norm(i: int, level: int, c, fn) -> float:
-    """L2(Q) norm of member i, refused when it overflows or when the member
-    breaks the rate budget."""
-    f = field_from_function(c.domain, c.window, fn)
-    with np.errstate(all="ignore"):
-        f_norm = l2_spacetime(f.values, c.domain, c.window)
-    _require_finite(i, level, "L2(Q) norm", f_norm)
-    need = check_source_condition(f, c.window.T)
-    if not need <= c.C0 * (1.0 + 1e-12):
-        raise ValueError(f"family member {i} needs C0 >= {need!r}, "
-                         f"budget is {c.C0!r}")
-    return f_norm
+def _admit(i: int, level: int, c, **data):
+    """The gate's pair for member i, its refusal prefixed with the member
+    and the mesh level."""
+    try:
+        return make_admissible_pair(c, **data)
+    except ValueError as exc:
+        raise ValueError(f"family member {i} at mesh level {level}: "
+                         f"{exc}") from None
 
 
 def _source_combined_norms(c, level: int, family) -> list:
     """Combined norms of a source family (g = 0) marched as one.
 
-    The members are sampled again rather than kept from the checks, which
-    hold one field at a time, and only at the times the march reads: up
+    The members are sampled again rather than kept from the gate, which
+    holds one field at a time, and only at the times the march reads: up
     to the end of the window.
     """
     times = c.window.times[:c.window.window_slice.stop]
@@ -150,13 +147,14 @@ def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     """Ratio R per member of a source family (g = 0) across mesh levels.
 
     family: sequence of (param, fn) with fn(x, t) vectorized and
-    pointwise. Every member must pass the rate condition within the context
-    budget C0; violating the precondition is a caller error, not a flagged
-    row.
+    pointwise. Every member must pass the admissibility gate under the
+    context budget C0; violating the precondition is a caller error, not a
+    flagged row.
     """
     rows = []
     for level, c in enumerate(_contexts(ctx, levels)):
-        f_norms = [_checked_source_norm(i, level, c, fn)
+        f_norms = [_admit(i, level, c, f=field_from_function(
+                       c.domain, c.window, fn)).f_norm
                    for i, (_, fn) in enumerate(family)]
         combined_norms = _source_combined_norms(c, level, family)
         for i, (param, _) in enumerate(family):
@@ -184,17 +182,12 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     for level, c in enumerate(_contexts(ctx, levels)):
         state = np.empty((c.domain.nx + 1, len(family)))
         g_norms, flags = [], []
-        for i, (param, fn) in enumerate(family):
-            g = sample_spatial(c.domain, fn)
-            with np.errstate(all="ignore"):
-                g_norm = l2_space(g, c.domain)
-            _require_finite(i, level, "L2 norm", g_norm)
-            flag = ""
-            if c4_surrogate(g, c.domain.h) > c.M0:
-                flag = FLAG_EXPECTED_FAILURE
-            state[:, i] = g
-            g_norms.append(g_norm)
-            flags.append(flag)
+        for i, (_, fn) in enumerate(family):
+            pair = _admit(i, level, c, g=sample_spatial(c.domain, fn))
+            state[:, i] = pair.g
+            g_norms.append(pair.g_norm)
+            flags.append(FLAG_EXPECTED_FAILURE
+                         if pair.c4_surrogate > c.M0 else "")
         combined_norms = _combined_norms(c, level, state)
         for i, (param, _) in enumerate(family):
             g_norm, flag, combined = g_norms[i], flags[i], combined_norms[i]

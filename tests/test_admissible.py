@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from parastab.admissible import (AdmissiblePair, c4_surrogate,
                                  check_source_condition, make_admissible_pair)
 from parastab.lab import make_context
 from parastab.mesh import field_from_function
+from parastab.norms import l2_space, l2_spacetime
 
 
 def test_time_independent_source_needs_no_budget():
     ctx = make_context(nx=32, nt=64)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: 2.0 + np.cos(np.pi * x) + 0.0 * t)
-    assert check_source_condition(f, ctx.window.T) == 0.0
+    assert check_source_condition(f) == 0.0
 
 
 def test_exponential_source_budget_matches_endpoint_value():
@@ -22,7 +24,7 @@ def test_exponential_source_budget_matches_endpoint_value():
     ctx = make_context(nx=32, nt=256, T=1.0, delta0=0.5, delta1=0.25)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: np.exp(t) * (2.0 + np.cos(np.pi * x)))
-    c0 = check_source_condition(f, ctx.window.T)
+    c0 = check_source_condition(f)
     assert abs(c0 - math.exp(0.5)) / math.exp(0.5) < 1e-3
 
 
@@ -30,20 +32,20 @@ def test_source_vanishing_at_snapshot_is_infeasible():
     ctx = make_context(nx=32, nt=64)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: t - ctx.window.T + 0.0 * x)
-    assert math.isinf(check_source_condition(f, ctx.window.T))
+    assert math.isinf(check_source_condition(f))
 
 
 def test_spatially_varying_infeasible_source():
     ctx = make_context(nx=32, nt=64)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: x * (1.0 - x) * (t - ctx.window.T))
-    assert math.isinf(check_source_condition(f, ctx.window.T))
+    assert math.isinf(check_source_condition(f))
 
 
 def test_zero_source_is_free():
     ctx = make_context(nx=16, nt=32)
     f = field_from_function(ctx.domain, ctx.window, lambda x, t: 0.0 * x * t)
-    assert check_source_condition(f, ctx.window.T) == 0.0
+    assert check_source_condition(f) == 0.0
 
 
 def test_c4_surrogate_constant_and_linear():
@@ -71,13 +73,14 @@ def test_c4_surrogate_rejects_short_and_2d_input():
 
 
 def test_admissible_pair_records_budget_and_seminorm():
-    ctx = make_context(nx=32, nt=64)
+    ctx = make_context(nx=32, nt=64, C0=1.5)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: np.cos(np.pi * x) + 0.0 * t)
     g = np.cos(np.pi * ctx.domain.points)
-    pair = make_admissible_pair(ctx, f=f, g=g, C0=1.5)
+    pair = make_admissible_pair(ctx, f=f, g=g)
     assert isinstance(pair, AdmissiblePair)
-    assert pair.C0 == 1.5
+    assert pair.f_norm == l2_spacetime(f.values, ctx.domain, ctx.window)
+    assert pair.g_norm == l2_space(g, ctx.domain)
     assert 80.0 < pair.c4_surrogate <= np.pi ** 4 + 1e-9
 
 
@@ -88,8 +91,8 @@ def test_admissible_pair_rejects_fast_sources():
     # needs C0 about e^0.5, budget is 1
     with pytest.raises(ValueError, match="rate budget"):
         make_admissible_pair(ctx, f=f)
-    pair = make_admissible_pair(ctx, f=f, C0=2.0)
-    assert pair.C0 == 2.0
+    pair = make_admissible_pair(replace(ctx, C0=2.0), f=f)
+    assert pair.f is f
 
 
 def test_admissible_pair_validates_shapes_and_budget_sign():
@@ -97,7 +100,7 @@ def test_admissible_pair_validates_shapes_and_budget_sign():
     with pytest.raises(ValueError):
         make_admissible_pair(ctx, g=np.ones(7))
     with pytest.raises(ValueError):
-        make_admissible_pair(ctx, C0=-1.0)
+        make_admissible_pair(replace(ctx, C0=-1.0))
 
 
 def test_overflowing_source_is_refused_at_the_gate():

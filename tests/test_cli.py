@@ -326,8 +326,8 @@ def test_overflowing_probe_family_is_refused_in_one_line(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: family member 0 overflows at mesh level 0: its L2(Q) norm "
-        "is inf"]
+        "error: family member 0 at mesh level 0: source overflows: its "
+        "L2(Q) norm is inf"]
 
 
 @pytest.mark.parametrize("kind,members", [("source", "-3"), ("initial", "-2")])

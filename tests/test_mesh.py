@@ -1,7 +1,10 @@
 """Grid construction: alignment of the measurement times is the hard part."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parastab import mesh
 from parastab.mesh import (SpatialDomain, TimeWindow, field_from_function,
                            make_time_window, sample_spatial, zero_field)
 
@@ -102,3 +105,36 @@ def test_field_rejects_nonfinite():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         field_from_function(dom, win, lambda x, t: bad)
+
+
+def _reference_nt(T, delta0, delta1, nt):
+    """The one-by-one search: first count >= nt whose grid holds all three
+    measurement times, or None within the search ceiling."""
+    start = max(int(nt), 2)
+    t_end = T + delta0
+    for cand in range(start, start * mesh._NT_SEARCH_FACTOR + 1):
+        k = t_end / cand
+        if all(mesh._grid_index(t, k, cand) is not None
+               for t in (T - delta1, T, T + delta1)):
+            return cand
+    return None
+
+
+# decimal horizons align often, arbitrary floats almost never
+_HORIZON = st.one_of(st.floats(0.01, 10.0),
+                     st.integers(1, 400).map(lambda n: n / 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(T=_HORIZON, delta0=_HORIZON, share=st.one_of(
+    st.floats(0.01, 1.0), st.integers(1, 8).map(lambda n: n / 8)),
+    nt=st.integers(-3, 300))
+def test_blocked_window_search_matches_the_scalar_search(T, delta0, share,
+                                                         nt):
+    delta1 = share * min(T, delta0)
+    expected = _reference_nt(T, delta0, delta1, nt)
+    if expected is None:
+        with pytest.raises(ValueError, match="no step count"):
+            make_time_window(T, delta0, delta1, nt)
+    else:
+        assert make_time_window(T, delta0, delta1, nt).nt == expected

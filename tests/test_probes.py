@@ -154,7 +154,7 @@ def test_overflowing_source_member_is_refused(amplitude, what):
     # data norm is finite but whose measured H2 norms overflow
     ctx = make_context(nx=16, nt=8)
     with np.errstate(all="raise"), \
-            pytest.raises(ValueError, match=f"member 0 overflows .* {what}"):
+            pytest.raises(ValueError, match=f"member 0 .*overflows.* {what}"):
         source_stability_probe([_spike(amplitude)], ctx, levels=1)
 
 
@@ -165,7 +165,7 @@ def test_mixed_family_refuses_the_overflowing_member(amplitude, what):
     ctx = make_context(nx=16, nt=8)
     family = source_eigenmode_family(1) + [_spike(amplitude)]
     with np.errstate(all="raise"), \
-            pytest.raises(ValueError, match=f"member 1 overflows .* {what}"):
+            pytest.raises(ValueError, match=f"member 1 .*overflows.* {what}"):
         source_stability_probe(family, ctx, levels=1)
 
 
