@@ -30,8 +30,9 @@ from .admissible import make_admissible_pair
 from .carleman import constant_sweep, empirical_s_threshold, sweep_statistic
 from .decompose import (check_log_convexity_and_w_bound,
                         decompose_time_derivative)
-from .inverse import InverseProblemSpec, alpha_scale, minimize, \
-    rate_experiment, rel_error, synthesize_data
+from .inverse import InverseProblemSpec, rate_experiment, recover
+# unused here, but perfbench/tracer.py wraps these under these module names
+from .inverse import minimize, synthesize_data  # noqa: F401
 from .lab import (DEFAULT_C0, DEFAULT_DELTA0, DEFAULT_DELTA1, DEFAULT_M0,
                   DEFAULT_NT, DEFAULT_NX, DEFAULT_T, benchmark_initial,
                   benchmark_source, make_context)
@@ -407,36 +408,28 @@ def _run_decompose(typed, outdir):
     return ["decompose.csv"], summary, False
 
 
-def _recon_spec(typed, eps: float | None = None) -> InverseProblemSpec:
-    # one noise level scales alpha0 by eps^2; rate_experiment scales per level
-    scale = 1.0 if eps is None else alpha_scale(eps)
-    return InverseProblemSpec(alpha_f=typed["alpha0_f"] * scale,
-                              alpha_g=typed["alpha0_g"] * scale,
-                              grad_tol=typed["grad_tol"],
-                              noise_level=eps or 0.0, seed=typed["seed"])
+def _recon_spec(typed) -> InverseProblemSpec:
+    # the base weights alpha0; recover scales them by eps^2 per level
+    return InverseProblemSpec(alpha_f=typed["alpha0_f"],
+                              alpha_g=typed["alpha0_g"],
+                              grad_tol=typed["grad_tol"], seed=typed["seed"])
 
 
 def _run_reconstruct(typed, outdir):
     ctx = _context(typed)
-    eps = typed["noise"]
     phi_true = source_profile(typed["f"], ctx.domain)
     g_true = spatial_profile(typed["g"], ctx.domain)
-    pair = make_admissible_pair(ctx, f=source_descriptor(typed["f"], ctx),
-                                g=g_true)
-    spec = _recon_spec(typed, eps)
-    data = synthesize_data(pair, spec, ctx)
-    res = minimize(spec, data, ctx)
-    wx = ctx.domain.quad_weights
+    spec, res, row = recover(_recon_spec(typed), [typed["noise"]],
+                             (phi_true, g_true), ctx)[0]
     write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"),
                              ctx.domain.points, phi_true, g_true,
                              res.phi_est, res.g_est)
-    summary = {"eps": eps, "alpha_f": spec.alpha_f, "alpha_g": spec.alpha_g,
-               "final_objective": res.final_objective,
+    summary = {"eps": row.eps, "alpha_f": spec.alpha_f,
+               "alpha_g": spec.alpha_g, "final_objective": res.final_objective,
                "iterations": res.iterations, "converged": res.converged,
-               "grad_norm": res.grad_norm,
-               "err_f": rel_error(res.phi_est, phi_true, wx),
-               "err_g": rel_error(res.g_est, g_true, wx),
-               "combined_norm_noisy": data.combined_norm}
+               "grad_norm": res.grad_norm, "err_f": row.err_f,
+               "err_g": row.err_g,
+               "combined_norm_noisy": row.combined_norm_noisy}
     return ["reconstruction.csv"], summary, False
 
 

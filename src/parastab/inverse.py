@@ -13,17 +13,18 @@ solve with the snapshot residual as terminal payload and the trace
 residual as boundary payload, then chain rule through the trapezoid
 weights (discretize-then-optimize).
 
-The source is separable, f(x,t) = phi(x) sigma(t) with sigma known, so the
-data depend linearly on the 2(nx+1) unknowns (phi, g) and the objective is
-an exact quadratic. sigma is judged by the admissibility gate, as the
-field 1 (x) sigma; the ratio |f_t| / |f(., T)| does not depend on phi, so
-the unknowns need no constraint of their own. minimize solves it once, as
-the SVD least-squares problem of the observation matrix (one batched
-forward march of the basis pairs) stacked on the Tikhonov rows, and then
+The source is time-constant, f(x,t) = phi(x): its f_t vanishes, so every
+phi meets the rate budget and the unknowns need no constraint of their
+own. The data depend linearly on the 2(nx+1) unknowns (phi, g), and the
+objective is an exact quadratic. minimize solves it once, as the SVD
+least-squares problem of the observation matrix (one batched forward
+march of the basis pairs) stacked on the Tikhonov rows, and then
 certifies the solution with one PDE objective and gradient evaluation.
 The normal equations are avoided because they square the condition
 number: 1.7e3 becomes 3e6 at eps = 1e-3 in the README rate run, and at
-alpha = 0 they lose definiteness.
+alpha = 0 they lose definiteness. recover, the one driver of the
+reconstruct and rate runs, solves and measures the truth pair once for
+all its noise levels.
 """
 from __future__ import annotations
 
@@ -43,20 +44,18 @@ from .solver import adjoint_gradients, adjoint_solve, forward_solve
 
 @dataclass(frozen=True)
 class InverseProblemSpec:
-    """Tuning knobs of the separable recovery.
+    """Tuning knobs of the recovery of (phi, g), the time-constant source
+    f(x,t) = phi(x) and the initial value.
 
-    The source is f(x,t) = phi(x) sigma(t) with sigma known (default 1) and
-    the unknowns are (phi, g); any candidate is rate-admissible once the
-    gate admits 1 (x) sigma. alpha_f/alpha_g double as the base weights
-    alpha0 that rate_experiment scales by eps^2. grad_tol is the PDE
-    gradient norm below which minimize reports its solution converged.
+    alpha_f/alpha_g double as the base weights alpha0 that recover scales
+    by eps^2 at noise level eps. grad_tol is the PDE gradient norm below
+    which minimize reports its solution converged.
     """
     alpha_f: float = 1.0
     alpha_g: float = 1.0
     grad_tol: float = 1e-8
     noise_level: float = 0.0
     seed: int = 0
-    sigma: object = None   # callable t -> sigma(t); None means sigma = 1
 
     def __post_init__(self):
         if self.alpha_f < 0.0 or self.alpha_g < 0.0:
@@ -77,21 +76,6 @@ class ReconstructionResult:
     grad_norm: float       # Euclidean norm of the final gradient
 
 
-def _sigma_values(spec: InverseProblemSpec, ctx: LabContext) -> np.ndarray:
-    times = ctx.window.times
-    if spec.sigma is None:
-        return np.ones(times.size)
-    vals = np.asarray(spec.sigma(times), dtype=float) + np.zeros(times.size)
-    if vals[ctx.window.snapshot_index] == 0.0:
-        raise ValueError("sigma(T) must be nonzero")
-    try:
-        make_admissible_pair(ctx, f=_source_field(np.ones(ctx.domain.nx + 1),
-                                                  vals, ctx))
-    except ValueError as exc:
-        raise ValueError(f"sigma: {exc}") from None
-    return vals
-
-
 def unpack_params(params: np.ndarray, ctx: LabContext):
     """Split the parameter vector [phi, g] into (phi, g)."""
     params = np.asarray(params, dtype=float)
@@ -102,9 +86,10 @@ def unpack_params(params: np.ndarray, ctx: LabContext):
     return params[:n_space].copy(), params[n_space:].copy()
 
 
-def _source_field(phi, sigma_vals, ctx) -> SpaceTimeField:
-    return SpaceTimeField(phi[:, None] * sigma_vals[None, :], ctx.domain,
-                          ctx.window)
+def _source_field(phi, ctx) -> SpaceTimeField:
+    # a product, not phi + 0.0, so a -0.0 entry of phi stays -0.0
+    return SpaceTimeField(phi[:, None] * np.ones(ctx.window.nt + 1),
+                          ctx.domain, ctx.window)
 
 
 def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
@@ -119,8 +104,7 @@ def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
     so central differences of J reproduce them directly.
     """
     phi, g = unpack_params(params, ctx)
-    sigma_vals = _sigma_values(spec, ctx)
-    f = _source_field(phi, sigma_vals, ctx)
+    f = _source_field(phi, ctx)
     u = forward_solve(ctx.dop, f, g, ctx.window)
 
     window, domain = ctx.window, ctx.domain
@@ -137,36 +121,29 @@ def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
 
     p = adjoint_solve(ctx.dop, r_T, None, r_G, window)
     phi_adj, g_riesz = adjoint_gradients(p)
-    wt = window.quad_weights
-    grad_phi = wx * (phi_adj.values @ (wt * sigma_vals) + spec.alpha_f * phi)
+    grad_phi = wx * (phi_adj.values @ window.quad_weights + spec.alpha_f * phi)
     grad_g = wx * (g_riesz + spec.alpha_g * g)
     return J, np.concatenate([grad_phi, grad_g])
 
 
-def observation_matrix(spec: InverseProblemSpec,
-                       ctx: LabContext) -> np.ndarray:
-    """Weighted observations of the separable basis pairs, one per column.
+def observation_matrix(ctx: LabContext) -> np.ndarray:
+    """Weighted observations of the basis pairs, one per column.
 
-    Column j < nx+1 observes the source e_j sigma(t) with g = 0, column
-    nx+1+j the initial value e_j with f = 0. The rows are the snapshot
-    weighted by sqrt(wx), then the trace of each observed endpoint over
-    the window weighted by sqrt(ww), so ||G x - observed_vector(data)||^2
-    is twice the data misfit of objective_and_gradient. All columns share
-    one march, which stops at the last trace level, and each equals
-    forward_solve of its pair bit for bit.
+    Column j < nx+1 observes the source e_j with g = 0, column nx+1+j the
+    initial value e_j with f = 0. The rows are the snapshot weighted by
+    sqrt(wx), then the trace of each observed endpoint over the window
+    weighted by sqrt(ww), so ||G x - observed_vector(data)||^2 is twice the
+    data misfit of objective_and_gradient. All columns share one march,
+    which stops at the last trace level, and each equals forward_solve of
+    its pair bit for bit.
     """
-    sigma_vals = _sigma_values(spec, ctx)
     domain, window = ctx.domain, ctx.window
     n = domain.nx + 1
     eye, zero = np.eye(n), np.zeros((n, n))
-    unit_source = np.hstack([eye, zero])
-
-    def source_sum(level):
-        return (unit_source * sigma_vals[level]
-                + unit_source * sigma_vals[level + 1])
-
-    state = np.hstack([zero, eye])
-    snapshots, traces = observed_march(ctx.dop, window, state, source_sum)
+    # f^n + f^{n+1} of the unit sources, the same at every level
+    source_sum = np.hstack([2.0 * eye, zero])
+    snapshots, traces = observed_march(ctx.dop, window, np.hstack([zero, eye]),
+                                       lambda level: source_sum)
     ww = window.window_weights
     return np.vstack([np.sqrt(domain.quad_weights)[:, None] * snapshots.T,
                       (np.sqrt(ww)[None, :, None]
@@ -192,7 +169,7 @@ def minimize(spec: InverseProblemSpec, data: MeasurementData,
     most grad_tol, and a non-finite objective raises RuntimeError.
     Deterministic: no randomness anywhere.
     """
-    obs = observation_matrix(spec, ctx) if _obs is None else _obs
+    obs = observation_matrix(ctx) if _obs is None else _obs
     wx = ctx.domain.quad_weights
     tikhonov = np.sqrt(np.concatenate([spec.alpha_f * wx, spec.alpha_g * wx]))
     design = np.vstack([obs, np.diag(tikhonov)])
@@ -277,27 +254,55 @@ def rel_error(est: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
     return diff / base if base > 0.0 else diff
 
 
-def alpha_scale(eps: float) -> float:
-    """The factor eps^2 that noise level eps puts on the base weights
-    alpha0; a level whose square overflows is refused."""
-    try:
-        return eps ** 2
-    except OverflowError:
-        raise ValueError(f"noise level {eps!r} is too large: its square "
-                         f"overflows") from None
+def recover(spec: InverseProblemSpec, noise_list, truth,
+            ctx: LabContext) -> list:
+    """Recover (phi, g) = truth from its data at each noise level.
+
+    Level i has noise eps_i, seed spec.seed XOR i and weights (alpha_f,
+    alpha_g) * eps_i^2; a level whose square overflows is refused. Every
+    level is checked before the truth pair passes the gate and is solved
+    and measured once; each level adds its noise to that measurement and
+    calls minimize with the one observation matrix. Returns (level spec,
+    ReconstructionResult, RateRow) per level.
+    """
+    specs = []
+    for level, eps in enumerate(map(float, noise_list)):
+        try:
+            scale = eps ** 2
+        except OverflowError:
+            raise ValueError(f"noise level {eps!r} is too large: its square "
+                             f"overflows") from None
+        specs.append(replace(spec, noise_level=eps, seed=spec.seed ^ level,
+                             alpha_f=spec.alpha_f * scale,
+                             alpha_g=spec.alpha_g * scale))
+    phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
+    pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
+                                g=g_truth)
+    clean = measure(forward_solve(ctx.dop, pair.f, pair.g, ctx.window),
+                    ctx.domain, ctx.window)
+    obs = observation_matrix(ctx)
+    wx = ctx.domain.quad_weights
+    levels = []
+    for level_spec in specs:
+        data = _add_noise(clean, level_spec, ctx)
+        res = minimize(level_spec, data, ctx, _obs=obs)
+        levels.append((level_spec, res, RateRow(
+            level_spec.noise_level, level_spec.alpha_f,
+            rel_error(res.phi_est, phi_truth, wx),
+            rel_error(res.g_est, g_truth, wx), clean.combined_norm,
+            data.combined_norm, res.iterations, res.converged,
+            res.grad_norm)))
+    return levels
 
 
 def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
                     ctx: LabContext) -> RateResult:
-    """Noise sweep: reconstruct at each level and fit the error rates.
+    """Noise sweep: recover at each level and fit the error rates.
 
-    truth is (phi_true, g_true). The truth pair is solved and measured
-    once; per level, seed = spec.seed XOR level index, alpha = (alpha_f,
-    alpha_g) * eps^2, the clean measurement gets that level's noise, and
-    minimize reuses the one observation matrix.
-    Non-converged levels keep their row but are excluded from the slope
-    fit. The Lipschitz proxy is the log-log slope of err_f; the
-    logarithmic proxy is the sequence err_g * |ln eps|.
+    The levels must number at least 3 and decrease strictly. Non-converged
+    levels keep their row but are excluded from the slope fit. The
+    Lipschitz proxy is the log-log slope of err_f; the logarithmic proxy
+    is the sequence err_g * |ln eps|.
     """
     noise_list = [float(e) for e in noise_list]
     if len(noise_list) < 3:
@@ -306,30 +311,8 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
         raise ValueError("noise levels must be strictly decreasing")
     if any(e < 0.0 for e in noise_list):
         raise ValueError("noise levels must be nonnegative")
-    scales = [alpha_scale(e) for e in noise_list]
-
-    phi_truth, g_truth = truth
-    phi_truth = np.asarray(phi_truth, dtype=float)
-    g_truth = np.asarray(g_truth, dtype=float)
-    f_truth = _source_field(phi_truth, _sigma_values(spec, ctx), ctx)
-    pair = make_admissible_pair(ctx, f=f_truth, g=g_truth)
-
-    wx = ctx.domain.quad_weights
-    u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
-    clean = measure(u, ctx.domain, ctx.window)
-    obs = observation_matrix(spec, ctx)
-    rows = []
-    for level, (eps, scale) in enumerate(zip(noise_list, scales)):
-        level_spec = replace(spec, noise_level=eps, seed=spec.seed ^ level,
-                             alpha_f=spec.alpha_f * scale,
-                             alpha_g=spec.alpha_g * scale)
-        data = _add_noise(clean, level_spec, ctx)
-        res = minimize(level_spec, data, ctx, _obs=obs)
-        err_f = rel_error(res.phi_est, phi_truth, wx)
-        err_g = rel_error(res.g_est, g_truth, wx)
-        rows.append(RateRow(eps, level_spec.alpha_f, err_f, err_g,
-                            clean.combined_norm, data.combined_norm,
-                            res.iterations, res.converged, res.grad_norm))
+    rows = tuple(row for _, _, row in recover(spec, noise_list, truth,
+                                              ctx))
 
     fit = [(r.eps, r.err_f) for r in rows
            if r.converged and r.eps > 0.0 and r.err_f > 0.0]
@@ -339,4 +322,4 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
         ly = np.log([v for _, v in fit])
         slope = float(np.polyfit(lx, ly, 1)[0])
     products = tuple(r.err_g * abs(math.log(r.eps)) for r in rows if r.eps > 0.0)
-    return RateResult(tuple(rows), slope, products)
+    return RateResult(rows, slope, products)

@@ -7,6 +7,7 @@ lateral-window edges T - delta1, T + delta1 must be grid points, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,15 @@ def _check_horizon(T: float, delta0: float, delta1: float) -> None:
         raise ValueError(
             f"need 0 < delta1 <= min(delta0, T), got delta1={delta1} "
             f"with T={T}, delta0={delta0}")
+
+
+def _check_step(t_end: float, nt: int) -> None:
+    """Refuse a time step k = t_end / nt whose square underflows: second
+    difference quotients divide by k*k."""
+    k = t_end / nt
+    if k * k < sys.float_info.min:
+        raise ValueError(f"time step {t_end!r} / {nt} = {k!r} is too small: "
+                         f"its square underflows the smallest normal float")
 
 
 def _trapezoid_weights(n_points: int, step: float) -> np.ndarray:
@@ -118,6 +128,7 @@ class TimeWindow:
         _check_horizon(self.T, self.delta0, self.delta1)
         if self.nt < 2:
             raise ValueError(f"nt must be at least 2, got {self.nt}")
+        _check_step(self.t_end, self.nt)
         for t in (self.T - self.delta1, self.T, self.T + self.delta1):
             if _grid_index(t, self.k, self.nt) is None:
                 raise ValueError(
@@ -181,6 +192,7 @@ def make_time_window(T: float, delta0: float, delta1: float, nt: int) -> TimeWin
     start = max(int(nt), 2)
     stop = start * _NT_SEARCH_FACTOR + 1
     t_end = T + delta0
+    _check_step(t_end, start)
     targets = (T - delta1, T, T + delta1)
     t = np.array(targets)[:, None]
     # the test of _grid_index on a block of candidates at once (exact

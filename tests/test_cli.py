@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from parastab import cli, probes
+from parastab import cli, inverse, probes
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
@@ -19,6 +21,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 # small grids keep each full CLI run in the tens of milliseconds
 FAST = ["--nx", "16", "--nt", "32"]
+# the grid, weights and seed of the README reconstruct and rate commands
+README_INVERSE = ["--nx", "32", "--nt", "128", "--T", "0.25", "--delta0",
+                  "0.25", "--delta1", "0.125", "--alpha0_f", "10",
+                  "--alpha0_g", "1", "--seed", "7"]
 RATE_FAST = ["rate", "--nx", "16", "--nt", "32", "--T", "0.25",
              "--delta0", "0.25", "--delta1", "0.125",
              "--noise", "0.1,0.05,0.025"]
@@ -410,6 +416,95 @@ def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
     lines = manifest_lines(out)
     assert "summary.iterations=1" in lines
     assert "summary.converged=false" in lines
+
+
+@pytest.mark.parametrize("argv, marches, solves", [
+    (["reconstruct", "--noise", "0.01"], (2, 1), 1),
+    (["rate", "--noise", "0.1,0.01,0.001"], (4, 3), 3),
+])
+def test_readme_inverse_jobs_solve_the_truth_once(tmp_path, monkeypatch,
+                                                  argv, marches, solves):
+    # forward marches: the truth once, then one certificate per level;
+    # a driver that solved the truth or built the observation matrix
+    # again per level would add to these counts
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, inverse):
+        for name in ("forward_solve", "adjoint_solve", "observed_march",
+                     "make_admissible_pair"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    monkeypatch.setattr(scipy.linalg, "lstsq",
+                        counted("lstsq", scipy.linalg.lstsq))
+    assert main([*argv, *README_INVERSE, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"forward_solve": marches[0], "adjoint_solve": marches[1],
+                     "lstsq": solves, "observed_march": 1,
+                     "make_admissible_pair": 1}
+
+
+def test_reconstruct_is_level_zero_of_rate(tmp_path):
+    rec, rate = str(tmp_path / "rec"), str(tmp_path / "rate")
+    assert main(["reconstruct", *README_INVERSE, "--noise", "0.01",
+                 "--out", rec]) == 0
+    assert main(["rate", *README_INVERSE, "--noise", "0.01,0.005,0.001",
+                 "--out", rate]) == 0
+    summary = dict(line[len("summary."):].split("=", 1)
+                   for line in manifest_lines(rec)
+                   if line.startswith("summary."))
+    header, first = read(os.path.join(rate, "rate.csv")).decode() \
+        .splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    for key in ("err_f", "err_g", "grad_norm", "combined_norm_noisy"):
+        assert summary[key] == row[key], key
+    assert (summary["eps"], summary["alpha_f"]) == (row["eps"], row["alpha"])
+
+
+@pytest.mark.parametrize("horizon", ["1e-200", "1e-320", "5e-324"])
+def test_a_time_step_whose_square_underflows_is_refused_in_one_line(
+        tmp_path, horizon):
+    # a child process, because pytest would capture numpy's warnings
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", "forward", "--nx", "8",
+         "--nt", "8", "--T", horizon, "--delta0", horizon, "--delta1",
+         horizon, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: time step ")
+    assert lines[0].endswith("its square underflows the smallest normal "
+                             "float")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", sorted(cli._TABLES))
+def test_every_subcommand_refuses_an_underflowing_step_at_entry(
+        tmp_path, capsys, sub):
+    # a step of 2e-154 / 8, whose square is subnormal
+    out = tmp_path / "o"
+    rc = main([sub, "--nx", "8", "--nt", "8", "--T", "1e-154", "--delta0",
+               "1e-154", "--delta1", "1e-154", "--out", str(out)])
+    assert rc == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith("its square underflows the smallest normal float")
+    assert not out.exists()
+
+
+def test_a_tiny_time_step_with_a_normal_square_still_runs(tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["forward", "--nx", "8", "--nt", "8", "--T", "1e-100",
+                 "--delta0", "1e-100", "--delta1", "1e-100",
+                 "--out", out]) == 0
+    assert "summary.combined_norm=7.498440871020308" in manifest_lines(out)
 
 
 def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,

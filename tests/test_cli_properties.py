@@ -75,11 +75,17 @@ _DESCRIPTORS = ["zero", "one", "benchmark", "eigenmode:1", "eigenmode:3:2",
                 "eigenmode:1:1e160", "eigenmode:2:1e308", "eigenmode:1:nan",
                 "eigenmode:1:inf", "eigenmode:x", "eigenmode:1:2:3",
                 "late-onset", "wavelet", ""]
+# a horizon shared by T, delta0 and delta1 bounds the time step: 1e-100
+# still runs, and from 1e-154 on the square of the step underflows, which
+# is refused at entry
+_TINY = {"1e-100": False, "1e-154": True, "1e-200": True, "1e-320": True,
+         "5e-324": True}
+_HORIZONS = _FLOATS + list(_TINY)
 # grids past the work budget, refused before anything is allocated
 _OVERSIZED = {"nx": "100000000", "levels": "40"}
 _JUNK = {
     "nx": _INTS + [_OVERSIZED["nx"]], "nt": _STEPS, "seed": _INTS + ["123456789"],
-    "T": _FLOATS, "delta0": _FLOATS, "delta1": _FLOATS, "C0": _FLOATS,
+    "T": _HORIZONS, "delta0": _HORIZONS, "delta1": _HORIZONS, "C0": _FLOATS,
     "lambda": _FLOATS + ["200"], "f": _DESCRIPTORS, "g": _DESCRIPTORS,
     "s": ["", "nan,1,8", "0.1,0.2,0.4,0.8", "1,2", "-1,8", "8,1",
           "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1",
@@ -103,6 +109,10 @@ def _argv(draw):
     sub = draw(st.sampled_from(sorted(_TABLES)))
     # tiny grids unless a junk draw replaces them
     flags = {"nx": "8", "nt": "8"}
+    if draw(st.integers(0, 3)) == 0:
+        # one value for all three, so a tiny horizon is also a tiny step
+        flags.update(dict.fromkeys(("T", "delta0", "delta1"),
+                                   draw(st.sampled_from(sorted(_TINY)))))
     for key, _, _ in _TABLES[sub]:
         if draw(st.integers(0, 2)) == 0:
             flags[key] = draw(st.sampled_from(_JUNK[key]))
@@ -131,6 +141,10 @@ def test_no_argv_ends_in_a_traceback(argv):
            for key, value in _OVERSIZED.items()):
         assert rc == 1, (argv, out.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    horizons = {argv[argv.index(f"--{key}") + 1] if f"--{key}" in argv
+                else None for key in ("T", "delta0", "delta1")}
+    if len(horizons) == 1 and _TINY.get(horizons.pop()):
+        assert rc == 1, (argv, out.getvalue())
     if argv[0] == "rate" and rc == 0:
         assert "summary.source_slope: nan" not in out.getvalue().splitlines(), \
             (argv, out.getvalue())

@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from parastab.decompose import (check_log_convexity_and_w_bound,
+from parastab.decompose import (_column_norms,
+                                check_log_convexity_and_w_bound,
                                 decompose_time_derivative)
 from parastab.lab import make_context
 from parastab.mesh import SpaceTimeField, field_from_function
+from parastab.norms import l2_space
 from parastab.operator import EllipticOperator
 from parastab.solver import forward_solve
 
@@ -199,3 +201,19 @@ def test_nonzero_sourced_part_with_vanishing_snapshot_fails_bound():
     rep = check_log_convexity_and_w_bound(w, w, None, ctx.window, C0=1.0)
     assert math.isinf(rep.w_ratio_sup)
     assert not rep.w_bound_ok
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_norms_match_the_snapshot_norm_bitwise(seed):
+    # magnitudes spread over 1e+-200, so overflowing and underflowing
+    # squares must agree too
+    rng = np.random.default_rng(seed)
+    ctx = make_context(nx=int(rng.integers(8, 80)), nt=int(rng.integers(8, 200)))
+    shape = (ctx.domain.nx + 1, ctx.window.nt + 1)
+    values = rng.standard_normal(shape) \
+        * 10.0 ** rng.uniform(-200.0, 200.0, size=(1, shape[1]))
+    field = SpaceTimeField(values, ctx.domain, ctx.window)
+    stop = int(rng.integers(1, shape[1] + 1))
+    with np.errstate(over="ignore"):
+        expected = [l2_space(values[:, j], ctx.domain) for j in range(stop)]
+        assert np.array_equal(_column_norms(field, stop), expected)

@@ -12,8 +12,8 @@ from parastab import inverse
 from parastab.admissible import make_admissible_pair
 from parastab.inverse import (InverseProblemSpec, minimize,
                               objective_and_gradient, observation_matrix,
-                              rate_experiment, rel_error, synthesize_data,
-                              unpack_params)
+                              rate_experiment, recover, rel_error,
+                              synthesize_data, unpack_params)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
 from parastab.measurement import MeasurementData, measure
 from parastab.mesh import SpaceTimeField
@@ -231,23 +231,6 @@ def test_alpha_ladder_never_grows_g():
     assert norms[2] < 0.1 * norms[0]
 
 
-def test_sigma_validation_and_use():
-    phi, g = truth_arrays(CTX)
-    spec_bad = InverseProblemSpec(sigma=lambda t: t - 0.25)
-    pair = truth_pair(CTX, phi, g)
-    data = synthesize_data(pair, InverseProblemSpec(), CTX)
-    params = np.concatenate([phi, g])
-    with pytest.raises(ValueError, match="sigma"):
-        objective_and_gradient(spec_bad, params, data, CTX)
-    with pytest.raises(ValueError, match="rate budget"):
-        spec_fast = InverseProblemSpec(sigma=lambda t: np.cos(40.0 * t))
-        objective_and_gradient(spec_fast, params, data, CTX)
-    # an admissible ramp evaluates fine
-    spec_ok = InverseProblemSpec(sigma=lambda t: 1.0 + t)
-    J, grad = objective_and_gradient(spec_ok, params, data, CTX)
-    assert math.isfinite(J) and np.all(np.isfinite(grad))
-
-
 def test_rate_experiment_exhibits_stability_split():
     # frozen pipeline output at seed 7: slope 0.823, product spread 2.15
     phi, g = truth_arrays(CTX)
@@ -286,6 +269,38 @@ def test_rate_zero_noise_level_reduces_to_minimize():
     assert row.err_g == rel_l2(res.g_est, g, wx)
     # products and slope only use the noisy levels
     assert len(rr.log_products) == 2
+
+
+def test_one_level_recover_replays_synthesize_and_minimize_bitwise():
+    phi, g = truth_arrays(CTX)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
+                              seed=7)
+    ((level_spec, result, row),) = recover(spec, [1e-2], (phi, g), CTX)
+    assert level_spec == replace(spec, noise_level=1e-2,
+                                 alpha_f=10.0 * 1e-2 ** 2,
+                                 alpha_g=1e-2 ** 2)
+    data = synthesize_data(truth_pair(CTX, phi, g), level_spec, CTX)
+    res = minimize(level_spec, data, CTX)
+    assert np.array_equal(result.phi_est, res.phi_est)
+    assert np.array_equal(result.g_est, res.g_est)
+    assert result.final_objective == res.final_objective
+    wx = CTX.domain.quad_weights
+    assert row.err_f == rel_error(res.phi_est, phi, wx)
+    assert row.err_g == rel_error(res.g_est, g, wx)
+    assert row.combined_norm_noisy == data.combined_norm
+
+
+@pytest.mark.parametrize("noise, message", [
+    ([0.1, -1.0], "noise level must be nonnegative"),
+    ([1e308], "square overflows"),
+])
+def test_recover_checks_every_level_before_the_gate(noise, message):
+    # the truth overflows the gate, so only an earlier check can answer
+    phi, g = truth_arrays(CTX)
+    with pytest.raises(ValueError, match=message):
+        recover(InverseProblemSpec(), noise, (1e160 * phi, g), CTX)
+    with pytest.raises(ValueError, match="overflows: its L2"):
+        recover(InverseProblemSpec(), [0.1], (1e160 * phi, g), CTX)
 
 
 def test_rate_experiment_validates_noise_list():
@@ -376,7 +391,7 @@ def test_a_wrong_observation_matrix_fails_the_certificate():
     # a sign-flipped observation matrix solves the wrong least-squares
     # problem; the PDE gradient at its solution catches it
     spec, data = readme_level(CTX, 1, 1e-2)
-    flipped = -observation_matrix(spec, CTX)
+    flipped = -observation_matrix(CTX)
     res = minimize(spec, data, CTX, _obs=flipped)
     assert not res.converged and res.grad_norm > spec.grad_tol
 

@@ -26,8 +26,8 @@ def _context(a, b, c, delta1):
                         op=EllipticOperator(a=a, b=b, c=c))
 
 
-def _observed_column(ctx, phi, g, sigma):
-    f = SpaceTimeField(phi[:, None] * sigma(ctx.window.times)[None, :],
+def _observed_column(ctx, phi, g):
+    f = SpaceTimeField(np.repeat(phi[:, None], ctx.window.nt + 1, axis=1),
                        ctx.domain, ctx.window)
     u = forward_solve(ctx.dop, f, g, ctx.window).values
     ww = np.sqrt(ctx.window.window_weights)
@@ -39,30 +39,27 @@ def _observed_column(ctx, phi, g, sigma):
 
 @settings(max_examples=40, deadline=None)
 @given(a=_WEIGHT, b=_WEIGHT, c=_WEIGHT, alpha_f=_WEIGHT, alpha_g=_WEIGHT,
-       seed=st.integers(0, 2**32 - 1), ramp=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
        delta1=st.sampled_from([0.125, 0.25]))
 def test_separable_solve_is_the_least_squares_minimizer(a, b, c, alpha_f,
-                                                        alpha_g, seed, ramp,
+                                                        alpha_g, seed,
                                                         delta1):
     # delta1 = T opens the trace window at the initial level
     ctx = _context(a, b, c, delta1)
     n = ctx.domain.nx + 1
-    sigma = (lambda t: 1.0 + t) if ramp else (lambda t: 1.0 + 0.0 * t)
     spec = InverseProblemSpec(alpha_f=alpha_f, alpha_g=alpha_g,
-                              noise_level=0.05, seed=seed, sigma=sigma,
-                              grad_tol=1e-10)
-    obs = observation_matrix(spec, ctx)
+                              noise_level=0.05, seed=seed, grad_tol=1e-10)
+    obs = observation_matrix(ctx)
     eye = np.eye(n)
     for j in range(n):
         assert np.array_equal(obs[:, j],
-                              _observed_column(ctx, eye[j], None, sigma))
+                              _observed_column(ctx, eye[j], None))
         assert np.array_equal(obs[:, n + j],
-                              _observed_column(ctx, np.zeros(n), eye[j],
-                                               sigma))
+                              _observed_column(ctx, np.zeros(n), eye[j]))
 
     x = ctx.domain.points
-    f = SpaceTimeField(benchmark_source(x)[:, None]
-                       * sigma(ctx.window.times)[None, :],
+    f = SpaceTimeField(np.repeat(benchmark_source(x)[:, None],
+                                 ctx.window.nt + 1, axis=1),
                        ctx.domain, ctx.window)
     pair = make_admissible_pair(ctx, f=f, g=benchmark_initial(x))
     data = synthesize_data(pair, spec, ctx)

@@ -80,6 +80,16 @@ def test_window_search_rejects_nonfinite_horizons():
         make_time_window(1e308, 1e308, 1e308, 8)
 
 
+@pytest.mark.parametrize("horizon", [1e-154, 1e-200, 1e-320, 5e-324])
+def test_a_step_whose_square_underflows_is_refused(horizon):
+    # refused before the search, whose float ops would warn on these
+    with np.errstate(all="raise"), \
+            pytest.raises(ValueError, match="square underflows"):
+        make_time_window(horizon, horizon, horizon, 2)
+    with pytest.raises(ValueError, match="square underflows"):
+        TimeWindow(T=horizon, delta0=horizon, delta1=horizon, nt=2)
+
+
 def test_index_of_rejects_off_grid_times():
     win = make_time_window(1.0, 0.5, 0.25, 60)
     assert win.index_of(1.0) == win.snapshot_index
