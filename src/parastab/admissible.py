@@ -87,8 +87,6 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
     floating point (a non-finite L2 norm of f or g, or C^4 surrogate of g),
     before any of it overflows downstream.
     """
-    if ctx.C0 < 0.0:
-        raise ValueError("rate budget C0 must be nonnegative")
     f_norm = g_norm = seminorm = 0.0
     if f is not None:
         with np.errstate(all="ignore"):

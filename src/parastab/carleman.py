@@ -54,20 +54,19 @@ class SweepRow:
 DEFAULT_S0_SCALE = 32.0
 
 
-def default_s_values(weights: CarlemanWeights, s0: float | None = None) -> tuple:
-    """The sweep {s0, 2 s0, 4 s0, 8 s0}.
+def default_s_values(weights: CarlemanWeights) -> tuple:
+    """The sweep {s0, 2 s0, 4 s0, 8 s0} with s0 = 32/M.
 
-    Default s0 = 32/M. Below roughly 24/M the audit quotient still decays
-    fast with s (max/median over the octave sweep exceeds 2); at 32/M the
-    sweep sits at the bottom of a shallow flat basin, mesh-stable across a
-    refinement, while the strongest exponent 2 s theta <= -64 on the shifted
-    frame stays far from both round-off and the underflow clamp.
+    Below roughly 24/M the audit quotient still decays fast with s
+    (max/median over the octave sweep exceeds 2); at 32/M the sweep sits at
+    the bottom of a shallow flat basin, mesh-stable across a refinement,
+    while the strongest exponent 2 s theta <= -64 on the shifted frame
+    stays far from both round-off and the underflow clamp.
     """
-    if s0 is None:
-        if not weights.M > 0.0:
-            raise ValueError(f"weight amplitude M is {weights.M!r}, so there "
-                             f"is no default s sweep; pass s values")
-        s0 = DEFAULT_S0_SCALE / weights.M
+    if not weights.M > 0.0:
+        raise ValueError(f"weight amplitude M is {weights.M!r}, so there "
+                         f"is no default s sweep; pass s values")
+    s0 = DEFAULT_S0_SCALE / weights.M
     return (s0, 2.0 * s0, 4.0 * s0, 8.0 * s0)
 
 

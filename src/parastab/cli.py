@@ -11,9 +11,10 @@ the residual diagnostic of a coarse grid) are listed in the manifest as
 warning.<k> lines and printed as one `warning:` line each on stderr; a
 refused run prints its one `error:` line only; a config whose largest
 array would pass the work budget MAX_ARRAY_ENTRIES is refused before
-anything is allocated. Exit codes: 0 success, 1 invalid usage or
-configuration, 2 when any emitted row is flagged as an estimate-violation
-candidate, so CI can tell the three apart.
+anything is allocated, and a run whose arithmetic overflows, divides by
+zero or makes a nan is refused with numpy's message. Exit codes: 0
+success, 1 invalid usage or configuration, 2 when any emitted row is
+flagged as an estimate-violation candidate, so CI can tell them apart.
 """
 from __future__ import annotations
 
@@ -496,8 +497,10 @@ def run_cli(argv=None) -> int:
 
         started = time.perf_counter()
         # the active filters decide what is recorded; entering the block
-        # resets the once-per-location memory, so every run records alike
-        with warnings.catch_warnings(record=True) as caught:
+        # resets the once-per-location memory, so every run records alike;
+        # a float fault the handler leaves unsilenced refuses the run
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(over="raise", invalid="raise", divide="raise"):
             artifacts, summary, flagged = _HANDLERS[sub](typed, outdir)
         elapsed = time.perf_counter() - started
 
@@ -526,7 +529,8 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

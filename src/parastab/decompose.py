@@ -65,10 +65,12 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
                       stacklevel=2)
 
     vartheta = time_derivative(u)
-    if f is None:
+    ft = None if f is None else time_derivative(f)
+    if ft is None or not np.any(ft.values):
         w = SpaceTimeField(np.zeros_like(u.values), domain, window)
     else:
-        w = forward_solve(dop, time_derivative(f), None, window)
+        w = forward_solve(dop, ft, None, window)
+    del ft  # freed before z and its stencils, so the peak does not grow
     z = SpaceTimeField(vartheta.values - w.values, domain, window)
 
     # columns whose centered stencil touches the frame ends are excluded:

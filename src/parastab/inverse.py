@@ -299,18 +299,16 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
                     ctx: LabContext) -> RateResult:
     """Noise sweep: recover at each level and fit the error rates.
 
-    The levels must number at least 3 and decrease strictly. Non-converged
-    levels keep their row but are excluded from the slope fit. The
-    Lipschitz proxy is the log-log slope of err_f; the logarithmic proxy
-    is the sequence err_g * |ln eps|.
+    The levels must number at least 3 and decrease strictly (recover
+    refuses a negative one). Non-converged levels keep their row but are
+    excluded from the slope fit. The Lipschitz proxy is the log-log slope
+    of err_f; the logarithmic proxy is the sequence err_g * |ln eps|.
     """
     noise_list = [float(e) for e in noise_list]
     if len(noise_list) < 3:
         raise ValueError("need at least 3 noise levels")
     if any(b >= a for a, b in zip(noise_list, noise_list[1:])):
         raise ValueError("noise levels must be strictly decreasing")
-    if any(e < 0.0 for e in noise_list):
-        raise ValueError("noise levels must be nonnegative")
     rows = tuple(row for _, _, row in recover(spec, noise_list, truth,
                                               ctx))
 

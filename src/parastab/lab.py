@@ -45,6 +45,11 @@ class LabContext:
     C0: float = DEFAULT_C0
     M0: float = DEFAULT_M0
 
+    def __post_init__(self):
+        if not (self.C0 >= 0.0 and self.M0 >= 0.0):
+            raise ValueError(f"C0 and M0 must be nonnegative, got "
+                             f"C0={self.C0!r}, M0={self.M0!r}")
+
     def refined(self, factor: int = 2) -> "LabContext":
         """Same problem on a grid refined by an integer factor."""
         domain = SpatialDomain(self.domain.x_left, self.domain.x_right,
@@ -61,9 +66,6 @@ def make_context(nx: int = DEFAULT_NX, nt: int = DEFAULT_NT, T: float = DEFAULT_
                  gamma=("left", "right"), C0: float = DEFAULT_C0,
                  M0: float = DEFAULT_M0) -> LabContext:
     """Build a context on (0,1); nt is bumped until the snapshot times align."""
-    if not (C0 >= 0.0 and M0 >= 0.0):
-        raise ValueError(f"C0 and M0 must be nonnegative, got C0={C0!r}, "
-                         f"M0={M0!r}")
     domain = SpatialDomain(0.0, 1.0, nx, gamma=gamma)
     window = make_time_window(T, delta0, delta1, nt)
     op = op if op is not None else EllipticOperator()

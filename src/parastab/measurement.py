@@ -4,8 +4,9 @@ The observation is the final-time snapshot u(., T) together with the
 boundary trace on the observed endpoints over the window
 (T - delta1, T + delta1). Its size is measured by the combined norm
 sqrt(h2_space(snapshot)^2 + h2_trace(trace)^2); measurement_data attaches
-these norms to any snapshot/trace pair, clean or noisy. observed_march
-records only the observed levels of a batched forward march.
+these norms to any snapshot/trace pair, clean or noisy, and refuses data
+too large for them. observed_march records only the observed levels of a
+batched forward march.
 """
 from __future__ import annotations
 
@@ -31,10 +32,16 @@ class MeasurementData:
 
 def measurement_data(snapshot: np.ndarray, trace: np.ndarray,
                      domain: SpatialDomain, window: TimeWindow) -> MeasurementData:
-    """Bundle a snapshot and a lateral trace with their H2 norms."""
-    h2s = h2_space(snapshot, domain)
-    h2t = h2_trace(trace, window)
-    return MeasurementData(snapshot, trace, h2s, h2t, math.hypot(h2s, h2t))
+    """Bundle a snapshot and a lateral trace with their H2 norms, refusing
+    data whose combined norm is not finite."""
+    with np.errstate(all="ignore"):
+        h2s = h2_space(snapshot, domain)
+        h2t = h2_trace(trace, window)
+    combined = math.hypot(h2s, h2t)
+    if not math.isfinite(combined):
+        raise ValueError(f"measurement overflows: its combined norm is "
+                         f"{combined!r}")
+    return MeasurementData(snapshot, trace, h2s, h2t, combined)
 
 
 def measure(u: SpaceTimeField, domain: SpatialDomain, window: TimeWindow) -> MeasurementData:

@@ -75,8 +75,6 @@ class DiscreteOperator:
     """
 
     domain: SpatialDomain
-    a: np.ndarray
-    b: np.ndarray
     c: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
@@ -151,7 +149,7 @@ def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOp
     adj_diag = diag.copy()
 
     self_adjoint = bool(np.all(b == 0.0))
-    return DiscreteOperator(domain=domain, a=a, b=b, c=c,
+    return DiscreteOperator(domain=domain, c=c,
                             lower=lower, diag=diag, upper=upper,
                             adj_lower=adj_lower, adj_diag=adj_diag,
                             adj_upper=adj_upper, self_adjoint=self_adjoint)

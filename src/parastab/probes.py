@@ -17,9 +17,9 @@ one factorization, and the march stops at the end of the lateral window
 because nothing later is measured. Every column equals its member's own
 forward solve bit for bit, so the rows do too.
 
-A member the gate refuses, or whose combined norm is not finite, is
-refused with a ValueError naming the member and the mesh level rather
-than reported as a nan row.
+A member the gate refuses, or whose measurement overflows, is refused
+with a ValueError naming the member and the mesh level rather than
+reported as a nan row.
 """
 from __future__ import annotations
 
@@ -72,24 +72,23 @@ def _join(flag: str, token: str) -> str:
     return token if not flag else flag + "+" + token
 
 
-def _require_finite(i: int, level: int, what: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"family member {i} overflows at mesh level "
-                         f"{level}: its {what} is {value!r}")
+def _member(i: int, level: int, fn, *args, **kwargs):
+    """fn(*args, **kwargs) for member i, its refusal prefixed with the
+    member and the mesh level."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"family member {i} at mesh level {level}: "
+                         f"{exc}") from None
 
 
 def _combined_norms(c, level: int, state, source_sum=None) -> list:
     """Combined norm of each column of one shared march (observed_march),
     refused in member order when it overflows."""
     snapshots, traces = observed_march(c.dop, c.window, state, source_sum)
-    norms = []
-    for i, (snapshot, trace) in enumerate(zip(snapshots, traces)):
-        with np.errstate(all="ignore"):
-            combined = measurement_data(snapshot, trace, c.domain,
-                                        c.window).combined_norm
-        _require_finite(i, level, "combined norm", combined)
-        norms.append(combined)
-    return norms
+    return [_member(i, level, measurement_data, snapshot, trace, c.domain,
+                    c.window).combined_norm
+            for i, (snapshot, trace) in enumerate(zip(snapshots, traces))]
 
 
 def _contexts(ctx, levels: int):
@@ -112,16 +111,6 @@ def _summarize(kind: str, rows, levels: int) -> ProbeReport:
     if pairs:
         factor = max(max(a, b) / min(a, b) for a, b in pairs)
     return ProbeReport(kind, tuple(rows), tuple(maxes), tuple(medians), factor)
-
-
-def _admit(i: int, level: int, c, **data):
-    """The gate's pair for member i, its refusal prefixed with the member
-    and the mesh level."""
-    try:
-        return make_admissible_pair(c, **data)
-    except ValueError as exc:
-        raise ValueError(f"family member {i} at mesh level {level}: "
-                         f"{exc}") from None
 
 
 def _source_combined_norms(c, level: int, family) -> list:
@@ -153,8 +142,9 @@ def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     """
     rows = []
     for level, c in enumerate(_contexts(ctx, levels)):
-        f_norms = [_admit(i, level, c, f=field_from_function(
-                       c.domain, c.window, fn)).f_norm
+        f_norms = [_member(i, level, make_admissible_pair, c,
+                           f=field_from_function(c.domain, c.window,
+                                                 fn)).f_norm
                    for i, (_, fn) in enumerate(family)]
         combined_norms = _source_combined_norms(c, level, family)
         for i, (param, _) in enumerate(family):
@@ -183,7 +173,8 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
         state = np.empty((c.domain.nx + 1, len(family)))
         g_norms, flags = [], []
         for i, (_, fn) in enumerate(family):
-            pair = _admit(i, level, c, g=sample_spatial(c.domain, fn))
+            pair = _member(i, level, make_admissible_pair, c,
+                           g=sample_spatial(c.domain, fn))
             state[:, i] = pair.g
             g_norms.append(pair.g_norm)
             flags.append(FLAG_EXPECTED_FAILURE

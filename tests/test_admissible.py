@@ -99,7 +99,8 @@ def test_admissible_pair_validates_shapes_and_budget_sign():
     ctx = make_context(nx=32, nt=64)
     with pytest.raises(ValueError):
         make_admissible_pair(ctx, g=np.ones(7))
-    with pytest.raises(ValueError):
+    # the context itself refuses a negative budget, so no gate sees one
+    with pytest.raises(ValueError, match="^C0 and M0 must be nonnegative"):
         make_admissible_pair(replace(ctx, C0=-1.0))
 
 

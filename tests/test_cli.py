@@ -336,6 +336,47 @@ def test_overflowing_probe_family_is_refused_in_one_line(tmp_path):
         "L2(Q) norm is inf"]
 
 
+_TINY_WINDOW = ["--T", "1e-5", "--delta0", "1e-5", "--delta1", "5e-06"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the data pass the gate, but their H2 norms overflow
+    (["reconstruct", "--nx", "33", "--nt", "16", *_TINY_WINDOW, "--g",
+      "eigenmode:3:1e150"],
+     "error: measurement overflows: its combined norm is inf"),
+    (["forward", "--nx", "16", "--nt", "16", *_TINY_WINDOW, "--g",
+      "eigenmode:3:1e152"],
+     "error: measurement overflows: its combined norm is inf"),
+    # numpy's own fault signal: an overflowing z norm, a non-degenerate run
+    (["decompose", "--nx", "64", "--nt", "256", "--g", "eigenmode:8:1e152"],
+     "error: overflow encountered in "),
+    (["decompose", "--nx", "8", "--nt", "8", "--g", "eigenmode:3:1e154"],
+     "error: overflow encountered in "),
+], ids=["reconstruct", "forward", "decompose-64", "decompose-8"])
+def test_overflowing_arithmetic_is_refused_in_one_line(tmp_path, argv,
+                                                       message):
+    # each exited 0 with an inf or nan summary and raw RuntimeWarning lines
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", *argv, "--out",
+         str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(message)
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
+def test_negative_rate_noise_is_refused_in_the_reconstruct_wording(
+        tmp_path, capsys):
+    rc = main(["rate", *FAST, "--noise", "0.1,0.01,-1",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: noise level must be nonnegative"]
+
+
 @pytest.mark.parametrize("kind,members", [("source", "-3"), ("initial", "-2")])
 def test_negative_member_count_is_refused_in_one_line(tmp_path, capsys, kind,
                                                       members):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from parastab import decompose
 from parastab.decompose import (_column_norms,
                                 check_log_convexity_and_w_bound,
                                 decompose_time_derivative)
@@ -168,6 +169,27 @@ def test_time_independent_source_gives_zero_ratio():
     rep = check_log_convexity_and_w_bound(d.source_free, d.sourced, f,
                                           ctx.window, C0=1.0)
     assert rep.w_ratio_sup == 0.0 and rep.w_bound_ok
+
+
+@pytest.mark.parametrize("onset, marches", [(None, 0), (0.5, 1)])
+def test_sourced_part_is_marched_only_when_f_t_is_nonzero(monkeypatch,
+                                                          onset, marches):
+    # a time-constant source has f_t exactly zero, so w is zero unmarched
+    ctx = make_context(nx=24, nt=48)
+    f = field_from_function(
+        ctx.domain, ctx.window, lambda x, t: np.cos(np.pi * x) + (
+            0.0 * t if onset is None else np.maximum(t - onset, 0.0)))
+    u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward_solve(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "forward_solve", counted)
+    d = decompose_time_derivative(u, f, ctx)
+    assert len(calls) == marches
+    assert np.any(d.sourced.values) == bool(marches)
 
 
 def test_degenerate_terminal_norm_reported():

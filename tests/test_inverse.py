@@ -310,6 +310,9 @@ def test_rate_experiment_validates_noise_list():
         rate_experiment(spec, [1e-1, 1e-2], (phi, g), CTX)
     with pytest.raises(ValueError, match="decreasing"):
         rate_experiment(spec, [1e-2, 1e-1, 1e-3], (phi, g), CTX)
+    # the sign is the spec's to refuse, in the wording of one level
+    with pytest.raises(ValueError, match="^noise level must be nonnegative$"):
+        rate_experiment(spec, [1e-1, 1e-2, -1.0], (phi, g), CTX)
 
 
 def test_rate_experiment_deterministic():

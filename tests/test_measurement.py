@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parastab.lab import make_context
-from parastab.measurement import measure
+from parastab.measurement import measure, measurement_data
 from parastab.mesh import SpaceTimeField, field_from_function
 from parastab.solver import forward_solve
 
@@ -85,3 +85,26 @@ def test_shape_mismatch_rejected():
     u = field_from_function(other.domain, other.window, lambda x, t: x + t)
     with pytest.raises(ValueError):
         measure(u, ctx.domain, ctx.window)
+
+
+@pytest.mark.parametrize("where", ["snapshot", "trace"])
+def test_overflowing_measurement_is_refused(where):
+    # every value is finite, but the second differences of a 1e300 spike
+    # overflow the H2 norm; raising numpy errors shows none escapes either
+    ctx = make_context(nx=16, nt=32)
+    vals = np.zeros((ctx.domain.nx + 1, ctx.window.nt + 1))
+    if where == "snapshot":
+        vals[8, ctx.window.snapshot_index] = 1e300
+    else:
+        vals[0, ctx.window.window_slice] = 1e300 * np.cos(
+            np.arange(ctx.window.window_slice.stop
+                      - ctx.window.window_slice.start))
+    u = SpaceTimeField(vals, ctx.domain, ctx.window)
+    with np.errstate(all="raise"), pytest.raises(
+            ValueError, match="^measurement overflows: its combined norm is "
+                              "inf$"):
+        measure(u, ctx.domain, ctx.window)
+    snapshot = vals[:, ctx.window.snapshot_index]
+    trace = vals[np.array(ctx.domain.gamma_indices), ctx.window.window_slice]
+    with pytest.raises(ValueError, match="^measurement overflows"):
+        measurement_data(snapshot, trace, ctx.domain, ctx.window)
