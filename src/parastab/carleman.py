@@ -160,7 +160,7 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
                              f"quadrature over- or underflows at this s")
         rows.append(SweepRow(s=float(s), p=p, lhs=lhs, rhs=rhs, ratio=ratio,
                              boundary_mode=config.boundary_weighting,
-                             lam=weights.config.lam,
+                             lam=weights.lam,
                              delta1=float(window.delta1), flag=flag))
     return rows
 

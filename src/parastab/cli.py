@@ -9,12 +9,13 @@ the output directory; with a fixed config and seed the bytes are
 identical between runs. Python warnings a completed run raises (such as
 the residual diagnostic of a coarse grid) are listed in the manifest as
 warning.<k> lines and printed as one `warning:` line each on stderr; a
-refused run prints its one `error:` line only; a config whose largest
-array would pass the work budget MAX_ARRAY_ENTRIES is refused before
-anything is allocated, and a run whose arithmetic overflows, divides by
-zero or makes a nan is refused with numpy's message. Exit codes: 0
-success, 1 invalid usage or configuration, 2 when any emitted row is
-flagged as an estimate-violation candidate, so CI can tell them apart.
+refused run prints its one `error:` line only and creates no output
+directory; a config whose largest array would pass the work budget
+MAX_ARRAY_ENTRIES is refused before anything is allocated, and a run
+whose arithmetic overflows, divides by zero or makes a nan is refused
+with numpy's message. Exit codes: 0 success, 1 invalid usage or
+configuration, 2 when any emitted row is flagged as an
+estimate-violation candidate, so CI can tell them apart.
 """
 from __future__ import annotations
 
@@ -55,8 +56,6 @@ OUT_ENV_VAR = "PARASTAB_OUT"
 
 _BOUNDARY_MODES = {"exp": EXP_WEIGHTED, "literal": LITERAL_TRUNCATED}
 
-_INHERIT = object()   # alpha0_f / alpha0_g fall back to alpha0
-
 # family size of a stability probe run with --members 0
 _DEFAULT_MEMBERS = {"source": 6, "initial": 8}
 
@@ -73,16 +72,16 @@ _SHARED = [
     ("delta0", "float", DEFAULT_DELTA0),
     ("delta1", "float", DEFAULT_DELTA1),
     ("C0", "float", DEFAULT_C0),
-    ("seed", "int", 0),
 ]
 
+# the base weights alpha0_f/alpha0_g are InverseProblemSpec's alpha_f/alpha_g
 _RECON_COMMON = [
     ("f", "str", "benchmark"),
     ("g", "str", "benchmark"),
-    ("alpha0", "float", 1.0),
-    ("alpha0_f", "float", _INHERIT),
-    ("alpha0_g", "float", _INHERIT),
-    ("grad_tol", "float", 1e-10),
+    ("alpha0_f", "float", InverseProblemSpec.alpha_f),
+    ("alpha0_g", "float", InverseProblemSpec.alpha_g),
+    ("grad_tol", "float", InverseProblemSpec.grad_tol),
+    ("seed", "int", InverseProblemSpec.seed),
 ]
 
 _TABLES = {
@@ -92,6 +91,8 @@ _TABLES = {
         ("lambda", "float", 1.0), ("s", "floats", ()),
         ("p", "int", 0), ("boundary", "str", "exp")],
     "stability-probe": _SHARED + [
+        # inert; kept while perfbench passes --seed (ROADMAP item 1, part B)
+        ("seed", "int", 0),
         # members 0 picks the kind's default in _DEFAULT_MEMBERS
         ("kind", "str", "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
@@ -172,9 +173,6 @@ def resolve_config(sub: str, flag_values: dict, config_path: str | None):
             typed[key] = default
         else:
             typed[key] = _parse_value(key, kind, raw)
-    for key in ("alpha0_f", "alpha0_g"):
-        if typed.get(key) is _INHERIT:
-            typed[key] = typed["alpha0"]
 
     cfg = {"subcommand": sub}
     for key, kind, _ in table:
@@ -263,6 +261,14 @@ def source_descriptor(desc: str, ctx) -> SpaceTimeField | None:
     return field_from_function(ctx.domain, ctx.window, member)
 
 
+def _family_size(typed: dict) -> int:
+    """Members of a stability-probe family: one for a custom --f source,
+    else --members, where 0 picks the kind's default."""
+    if typed["kind"] == "source" and typed["f"]:
+        return 1
+    return typed["members"] or _DEFAULT_MEMBERS[typed["kind"]]
+
+
 def check_work_budget(sub: str, typed: dict) -> None:
     """Refuse a config whose largest float64 array would hold more than
     MAX_ARRAY_ENTRIES entries, before anything is allocated or marched.
@@ -283,10 +289,9 @@ def check_work_budget(sub: str, typed: dict) -> None:
     rows = factor * max(typed["nx"], 0) + 1
     shapes = {"field": (rows, factor * window.nt + 1)}
     if sub == "stability-probe" and typed["kind"] == "source":
-        members = (1 if typed["f"]
-                   else typed["members"] or _DEFAULT_MEMBERS["source"])
         last = factor * (window.window_slice.stop - 1)
-        shapes["source probe samples"] = (rows, last + 1, members)
+        shapes["source probe samples"] = (rows, last + 1,
+                                          _family_size(typed))
     name, shape = max(shapes.items(), key=lambda item: math.prod(item[1]))
     entries = math.prod(shape)
     if entries > MAX_ARRAY_ENTRIES:
@@ -308,19 +313,17 @@ def _solve_descriptors(typed):
     return ctx, pair, forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
 
 
-def _run_forward(typed, outdir):
-    ctx, _, u = _solve_descriptors(typed)
-    md = measure(u, ctx.domain, ctx.window)
-    write_field_csv(os.path.join(outdir, "forward.csv"), u.values,
-                    ctx.domain, ctx.window)
+def _run_forward(typed):
+    _, _, u = _solve_descriptors(typed)
+    md = measure(u)
     summary = {"h2_space_norm": md.h2_space_norm,
                "h2_trace_norm": md.h2_trace_norm,
                "combined_norm": md.combined_norm,
                "max_abs_u": float(np.max(np.abs(u.values)))}
-    return ["forward.csv"], summary, False
+    return {"forward.csv": (write_field_csv, u)}, summary, False
 
 
-def _run_carleman_audit(typed, outdir):
+def _run_carleman_audit(typed):
     if typed["boundary"] not in _BOUNDARY_MODES:
         raise ValueError(f"boundary must be one of "
                          f"{sorted(_BOUNDARY_MODES)}, got {typed['boundary']!r}")
@@ -330,12 +333,10 @@ def _run_carleman_audit(typed, outdir):
     v = time_derivative(time_shift(u))
     companion = (None if pair.f is None
                  else time_derivative(time_shift(pair.f)))
-    wcfg = WeightConfig(lam=typed["lambda"], s_values=typed["s"],
-                        p=typed["p"],
+    wcfg = WeightConfig(s_values=typed["s"], p=typed["p"],
                         boundary_weighting=_BOUNDARY_MODES[typed["boundary"]])
-    weights = eval_weights(wcfg, ctx.window, ctx.domain)
+    weights = eval_weights(typed["lambda"], ctx.window, ctx.domain)
     rows = constant_sweep(v, companion, weights, wcfg, dop=ctx.dop)
-    write_sweep_csv(os.path.join(outdir, "sweep.csv"), rows)
     summary = {"rows": len(rows), "s0": rows[0].s,
                "max_over_median": sweep_statistic(rows),
                "s1_threshold": empirical_s_threshold(rows),
@@ -344,10 +345,11 @@ def _run_carleman_audit(typed, outdir):
     bounds = check_weight_bounds(weights)
     summary.update({f"weight_{key}": value
                     for key, value in vars(bounds).items()})
-    return ["sweep.csv"], summary, _flag_has_violation(rows)
+    return ({"sweep.csv": (write_sweep_csv, rows)}, summary,
+            _flag_has_violation(rows))
 
 
-def _run_stability_probe(typed, outdir):
+def _run_stability_probe(typed):
     if typed["members"] < 0:
         raise ValueError(f"members must be nonnegative, got {typed['members']}")
     ctx = _context(typed)
@@ -359,14 +361,12 @@ def _run_stability_probe(typed, outdir):
                 raise ValueError("custom source family needs a nonzero f")
             family = ((1.0, member),)
         else:
-            family = source_eigenmode_family(
-                typed["members"] or _DEFAULT_MEMBERS["source"])
-        report = source_stability_probe(family, ctx, levels=typed["levels"])
+            family = source_eigenmode_family(_family_size(typed))
+        report = source_stability_probe(family, ctx, typed["levels"])
     elif kind == "initial":
-        family = initial_eigenmode_family(
-            typed["members"] or _DEFAULT_MEMBERS["initial"],
-            normalized=typed["normalized"])
-        report = initial_stability_probe(family, ctx, levels=typed["levels"])
+        family = initial_eigenmode_family(_family_size(typed),
+                                          normalized=typed["normalized"])
+        report = initial_stability_probe(family, ctx, typed["levels"])
     else:
         raise ValueError(f"kind must be source or initial, got {kind!r}")
     flagged = _flag_has_violation(report.rows)
@@ -376,26 +376,21 @@ def _run_stability_probe(typed, outdir):
     if empty and not flagged:
         raise ValueError(f"mesh level {empty[0]} has no row to summarize: "
                          f"every member is expected_failure or degenerate")
-    write_probe_csv(os.path.join(outdir, "probe.csv"), report.rows)
     summary = {"kind": report.kind,
                "max_agreement_factor": report.max_agreement_factor}
     for lvl, (mx, md) in enumerate(zip(report.level_max,
                                        report.level_median)):
         summary[f"level_{lvl}_max"] = mx
         summary[f"level_{lvl}_median"] = md
-    return ["probe.csv"], summary, flagged
+    return {"probe.csv": (write_probe_csv, report.rows)}, summary, flagged
 
 
-def _run_decompose(typed, outdir):
+def _run_decompose(typed):
     ctx, pair, u = _solve_descriptors(typed)
     dec = decompose_time_derivative(u, pair.f, ctx)
-    # the growth rate max c(x) and the drift test come from the operator;
     # a degenerate run still carries a nan chord of matching length
-    report = check_log_convexity_and_w_bound(
-        dec.source_free, dec.sourced, pair.f, ctx.window, ctx.C0,
-        self_adjoint=ctx.dop.self_adjoint, omega=ctx.dop.reaction_max)
-    write_profile_csv(os.path.join(outdir, "decompose.csv"), report.times,
-                      report.norms, report.chord)
+    report = check_log_convexity_and_w_bound(dec.source_free, dec.sourced,
+                                             pair.f, ctx)
     summary = {"residual_evolution": dec.residuals.evolution,
                "residual_terminal": dec.residuals.terminal,
                "checked": report.checked,
@@ -406,35 +401,35 @@ def _run_decompose(typed, outdir):
                "w_bound_ok": report.w_bound_ok}
     if report.notice:
         summary["notice"] = report.notice
-    return ["decompose.csv"], summary, False
+    return ({"decompose.csv": (write_profile_csv, report.times, report.norms,
+                               report.chord)}, summary, False)
 
 
 def _recon_spec(typed) -> InverseProblemSpec:
-    # the base weights alpha0; recover scales them by eps^2 per level
+    # the base weights alpha0_f/alpha0_g; recover scales them by eps^2
     return InverseProblemSpec(alpha_f=typed["alpha0_f"],
                               alpha_g=typed["alpha0_g"],
                               grad_tol=typed["grad_tol"], seed=typed["seed"])
 
 
-def _run_reconstruct(typed, outdir):
+def _run_reconstruct(typed):
     ctx = _context(typed)
     phi_true = source_profile(typed["f"], ctx.domain)
     g_true = spatial_profile(typed["g"], ctx.domain)
     spec, res, row = recover(_recon_spec(typed), [typed["noise"]],
                              (phi_true, g_true), ctx)[0]
-    write_reconstruction_csv(os.path.join(outdir, "reconstruction.csv"),
-                             ctx.domain.points, phi_true, g_true,
-                             res.phi_est, res.g_est)
     summary = {"eps": row.eps, "alpha_f": spec.alpha_f,
                "alpha_g": spec.alpha_g, "final_objective": res.final_objective,
                "iterations": res.iterations, "converged": res.converged,
                "grad_norm": res.grad_norm, "err_f": row.err_f,
                "err_g": row.err_g,
                "combined_norm_noisy": row.combined_norm_noisy}
-    return ["reconstruction.csv"], summary, False
+    return ({"reconstruction.csv": (write_reconstruction_csv,
+                                    ctx.domain.points, phi_true, g_true,
+                                    res.phi_est, res.g_est)}, summary, False)
 
 
-def _run_rate(typed, outdir):
+def _run_rate(typed):
     ctx = _context(typed)
     phi_true = source_profile(typed["f"], ctx.domain)
     g_true = spatial_profile(typed["g"], ctx.domain)
@@ -446,14 +441,13 @@ def _run_rate(typed, outdir):
         raise ValueError(f"source slope is {result.source_slope!r}: " + (
             f"the levels eps={stalled} did not converge" if stalled
             else "fewer than two levels have eps > 0 and err_f > 0"))
-    write_rate_csv(os.path.join(outdir, "rate.csv"), result.rows)
     summary = {"levels": len(result.rows),
                "source_slope": result.source_slope,
                "all_converged": all(r.converged for r in result.rows)}
     if result.log_products:
         summary["log_product_min"] = min(result.log_products)
         summary["log_product_max"] = max(result.log_products)
-    return ["rate.csv"], summary, False
+    return {"rate.csv": (write_rate_csv, result.rows)}, summary, False
 
 
 _HANDLERS = {
@@ -472,7 +466,9 @@ def _build_parser() -> _Parser:
                                  "source and initial-value recovery")
     subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
     for sub, table in _TABLES.items():
-        sp = subs.add_parser(sub, description=f"run the {sub} pipeline")
+        # no abbreviations: each key has exactly one spelling
+        sp = subs.add_parser(sub, description=f"run the {sub} pipeline",
+                             allow_abbrev=False)
         for key, _, _ in table:
             sp.add_argument(f"--{key}", type=str, default=None)
         sp.add_argument("--out", type=str, default=None)
@@ -493,15 +489,18 @@ def run_cli(argv=None) -> int:
         check_work_budget(sub, typed)
         outdir = flag_values["out"] or os.environ.get(OUT_ENV_VAR,
                                                       DEFAULT_OUT)
-        os.makedirs(outdir, exist_ok=True)
 
         started = time.perf_counter()
         # the active filters decide what is recorded; entering the block
         # resets the once-per-location memory, so every run records alike;
-        # a float fault the handler leaves unsilenced refuses the run
+        # a float fault the handler leaves unsilenced refuses the run; the
+        # output directory is made only once the handler has succeeded
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(over="raise", invalid="raise", divide="raise"):
-            artifacts, summary, flagged = _HANDLERS[sub](typed, outdir)
+            artifacts, summary, flagged = _HANDLERS[sub](typed)
+            os.makedirs(outdir, exist_ok=True)
+            for name, (writer, *args) in artifacts.items():
+                writer(os.path.join(outdir, name), *args)
         elapsed = time.perf_counter() - started
 
         notes = tuple(dict.fromkeys(

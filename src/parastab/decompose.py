@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SpaceTimeField, TimeWindow
+from .mesh import SpaceTimeField
 from .norms import l2_space
 from .stencils import fd_first
 from .solver import (RESIDUAL_WARN_TOL, equation_residual, forward_solve,
@@ -111,22 +111,23 @@ class LogConvexityReport:
 
 
 def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
-                                    f: SpaceTimeField | None, window: TimeWindow,
-                                    C0: float, *, self_adjoint: bool = True,
-                                    omega: float = 0.0) -> LogConvexityReport:
+                                    f: SpaceTimeField | None,
+                                    ctx) -> LogConvexityReport:
     """Check ||z(t)|| <= ||z(0)||^(1-t/T) ||z(T)||^(t/T) and the sourced-part
     growth bound ||w(t)|| <= C0 t e^(omega t) ||f(.,T)|| on grid t in [0,T].
 
-    The interpolation check uses the sharp self-adjoint form, so it is
-    skipped with a notice when self_adjoint is False. omega is the
-    reaction ceiling max c(x) of the operator that produced z and w.
+    window, C0 and the operator come from ctx, the context that produced
+    z and w. The interpolation check uses the sharp self-adjoint form, so
+    it is skipped with a notice when the operator has drift. omega is the
+    operator's reaction ceiling max c(x).
     """
+    window, C0, omega = ctx.window, ctx.C0, ctx.dop.reaction_max
     i_T = window.snapshot_index
     times = window.times[:i_T + 1]
     T = window.T
 
     empty = np.empty(0)
-    if not self_adjoint:
+    if not ctx.dop.self_adjoint:
         return LogConvexityReport(False, "interpolation bound skipped: the sharp "
                                   "form needs a drift-free operator", False,
                                   times, empty, empty, math.nan, math.nan,

@@ -47,13 +47,14 @@ class InverseProblemSpec:
     """Tuning knobs of the recovery of (phi, g), the time-constant source
     f(x,t) = phi(x) and the initial value.
 
-    alpha_f/alpha_g double as the base weights alpha0 that recover scales
-    by eps^2 at noise level eps. grad_tol is the PDE gradient norm below
-    which minimize reports its solution converged.
+    alpha_f/alpha_g double as the base weights (alpha0_f/alpha0_g on the
+    command line) that recover scales by eps^2 at noise level eps.
+    grad_tol is the PDE gradient norm below which minimize reports its
+    solution converged. The command line takes its defaults from here.
     """
     alpha_f: float = 1.0
     alpha_g: float = 1.0
-    grad_tol: float = 1e-8
+    grad_tol: float = 1e-10
     noise_level: float = 0.0
     seed: int = 0
 
@@ -198,7 +199,7 @@ def synthesize_data(pair, spec: InverseProblemSpec,
     always the H2 readings of whatever arrays the data holds.
     """
     u = forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
-    return _add_noise(measure(u, ctx.domain, ctx.window), spec, ctx)
+    return _add_noise(measure(u), spec, ctx)
 
 
 def _add_noise(md: MeasurementData, spec: InverseProblemSpec,
@@ -278,8 +279,7 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
     phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
     pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
                                 g=g_truth)
-    clean = measure(forward_solve(ctx.dop, pair.f, pair.g, ctx.window),
-                    ctx.domain, ctx.window)
+    clean = measure(forward_solve(ctx.dop, pair.f, pair.g, ctx.window))
     obs = observation_matrix(ctx)
     wx = ctx.domain.quad_weights
     levels = []

@@ -8,7 +8,7 @@ docs and tests lives here too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,17 +38,21 @@ def benchmark_initial(x):
 
 @dataclass(frozen=True)
 class LabContext:
+    """One grid pair, the elliptic operator and the two budgets; the
+    assembled operator dop is built from domain and op, never passed."""
     domain: SpatialDomain
     window: TimeWindow
-    dop: DiscreteOperator
     op: EllipticOperator
     C0: float = DEFAULT_C0
     M0: float = DEFAULT_M0
+    dop: DiscreteOperator = field(init=False)
 
     def __post_init__(self):
         if not (self.C0 >= 0.0 and self.M0 >= 0.0):
             raise ValueError(f"C0 and M0 must be nonnegative, got "
                              f"C0={self.C0!r}, M0={self.M0!r}")
+        object.__setattr__(self, "dop",
+                           assemble_operator(self.domain, self.op))
 
     def refined(self, factor: int = 2) -> "LabContext":
         """Same problem on a grid refined by an integer factor."""
@@ -56,8 +60,7 @@ class LabContext:
                                factor * self.domain.nx, gamma=self.domain.gamma)
         window = make_time_window(self.window.T, self.window.delta0,
                                   self.window.delta1, factor * self.window.nt)
-        return LabContext(domain, window, assemble_operator(domain, self.op),
-                          self.op, C0=self.C0, M0=self.M0)
+        return replace(self, domain=domain, window=window)
 
 
 def make_context(nx: int = DEFAULT_NX, nt: int = DEFAULT_NT, T: float = DEFAULT_T,
@@ -69,5 +72,4 @@ def make_context(nx: int = DEFAULT_NX, nt: int = DEFAULT_NT, T: float = DEFAULT_
     domain = SpatialDomain(0.0, 1.0, nx, gamma=gamma)
     window = make_time_window(T, delta0, delta1, nt)
     op = op if op is not None else EllipticOperator()
-    return LabContext(domain, window, assemble_operator(domain, op), op,
-                      C0=C0, M0=M0)
+    return LabContext(domain, window, op, C0=C0, M0=M0)

@@ -44,10 +44,9 @@ def measurement_data(snapshot: np.ndarray, trace: np.ndarray,
     return MeasurementData(snapshot, trace, h2s, h2t, combined)
 
 
-def measure(u: SpaceTimeField, domain: SpatialDomain, window: TimeWindow) -> MeasurementData:
-    """Snapshot, trace, and their norms for a solution on (domain, window)."""
-    if u.values.shape != (domain.nx + 1, window.nt + 1):
-        raise ValueError("field shape does not match the measurement grids")
+def measure(u: SpaceTimeField) -> MeasurementData:
+    """Snapshot, trace, and their norms for a solution on its own grids."""
+    domain, window = u.domain, u.window
     snapshot = u.values[:, window.snapshot_index].copy()
     trace = u.values[np.array(domain.gamma_indices), window.window_slice].copy()
     return measurement_data(snapshot, trace, domain, window)

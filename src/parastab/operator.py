@@ -18,6 +18,9 @@ import numpy as np
 
 from .mesh import SpatialDomain
 
+# a must stay at or above this bound at every grid point
+ELLIPTICITY_LOWER_BOUND = 1e-10
+
 
 def _sample_coefficient(coef, x: np.ndarray) -> np.ndarray:
     if callable(coef):
@@ -52,17 +55,12 @@ class EllipticOperator:
     """Coefficients of Aq = (a q')' + b q' + c q on the closed interval.
 
     Each coefficient may be a scalar, a grid array, or a callable of x.
-    `ellipticity_lower_bound` is enforced pointwise on a when assembling.
+    ELLIPTICITY_LOWER_BOUND is enforced pointwise on a when assembling.
     """
 
     a: object = 1.0
     b: object = 0.0
     c: object = 0.0
-    ellipticity_lower_bound: float = 1e-10
-
-    def __post_init__(self):
-        if not self.ellipticity_lower_bound > 0:
-            raise ValueError("ellipticity_lower_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,12 +113,12 @@ def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOp
     b = _sample_coefficient(op.b, x)
     c = _sample_coefficient(op.c, x)
 
-    bad = np.flatnonzero(a < op.ellipticity_lower_bound)
+    bad = np.flatnonzero(a < ELLIPTICITY_LOWER_BOUND)
     if bad.size:
         i = int(bad[0])
         raise ValueError(
             f"ellipticity violated at x={x[i]!r}: a={a[i]!r} < "
-            f"bound {op.ellipticity_lower_bound!r}")
+            f"bound {ELLIPTICITY_LOWER_BOUND!r}")
 
     h = domain.h
     n = domain.nx

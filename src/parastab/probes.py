@@ -132,7 +132,7 @@ def _source_combined_norms(c, level: int, family) -> list:
     return _combined_norms(c, level, state, source_sum)
 
 
-def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
+def source_stability_probe(family, ctx, levels: int) -> ProbeReport:
     """Ratio R per member of a source family (g = 0) across mesh levels.
 
     family: sequence of (param, fn) with fn(x, t) vectorized and
@@ -159,7 +159,7 @@ def source_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     return _summarize("source", rows, levels)
 
 
-def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
+def initial_stability_probe(family, ctx, levels: int) -> ProbeReport:
     """Product P per member of an initial-value family (f = 0).
 
     family: sequence of (param, fn) with fn(x) vectorized. Members whose
@@ -199,14 +199,14 @@ def initial_stability_probe(family, ctx, levels: int = 2) -> ProbeReport:
     return _summarize("initial", rows, levels)
 
 
-def source_eigenmode_family(j_max: int = 6):
+def source_eigenmode_family(j_max: int):
     """(j, cos(j pi x)/j^2) for j = 1..j_max, constant in time."""
     def member(j):
         return lambda x, t: np.cos(j * np.pi * x) / j ** 2 + 0.0 * t
     return [(float(j), member(j)) for j in range(1, j_max + 1)]
 
 
-def initial_eigenmode_family(k_max: int = 8, normalized: bool = True):
+def initial_eigenmode_family(k_max: int, normalized: bool = True):
     """(k, cos(k pi x)/k^4) for k = 1..k_max, or un-normalized cos(k pi x).
 
     The un-normalized variant has fourth differences growing like k^4 and

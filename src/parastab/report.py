@@ -61,16 +61,16 @@ def _float_columns(*columns) -> np.ndarray:
     return np.column_stack([np.asarray(c, dtype=float)[:n] for c in columns])
 
 
-def write_field_csv(path: str, field_values: np.ndarray, domain,
-                    window) -> None:
+def write_field_csv(path: str, u) -> None:
     """Solution matrix: rows are time indices, columns space indices.
 
     The first row is a metadata header carrying the grid parameters.
     """
+    domain, window = u.domain, u.window
     header = [f"h={fmt(domain.h)}", f"k={fmt(window.k)}",
               f"T={fmt(window.T)}", f"delta0={fmt(window.delta0)}",
               f"delta1={fmt(window.delta1)}"]
-    _write_float_table(path, header, field_values.T)
+    _write_float_table(path, header, u.values.T)
 
 
 def write_sweep_csv(path: str, rows) -> None:

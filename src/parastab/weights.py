@@ -34,21 +34,19 @@ UNDERFLOW_EXPONENT = -700.0
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Sharpness lam, the s sweep, the exponent selector p, boundary mode.
+    """The audit's sweep settings: the s values, the exponent selector p
+    and the boundary mode (the sharpness lam belongs to the weights).
 
     The one place s, p and the boundary mode are checked. An empty sweep
     means the default octave of default_s_values; a given one must span at
     least a factor 8.
     """
 
-    lam: float = 1.0
     s_values: tuple = ()
     p: int = 0
     boundary_weighting: str = EXP_WEIGHTED
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
         if self.p not in (0, 1):
             raise ValueError("p must be 0 or 1")
         if self.boundary_weighting not in BOUNDARY_MODES:
@@ -91,19 +89,21 @@ class CarlemanWeights:
     theta1_shift: np.ndarray
     M: float
     c1: float
-    config: WeightConfig
+    lam: float
     shifted_window: TimeWindow
     domain: SpatialDomain
 
 
-def eval_weights(config: WeightConfig, window: TimeWindow,
+def eval_weights(lam: float, window: TimeWindow,
                  domain: SpatialDomain) -> CarlemanWeights:
-    """The weights on the shifted frame of window.
+    """The weights of sharpness lam on the shifted frame of window.
 
-    A lam whose amplitude e^{2 lam sup psi}, or the constant M built from
-    it, overflows is refused: every quadrature against such weights would
-    read nan.
+    lam must be positive. A lam whose amplitude e^{2 lam sup psi}, or the
+    constant M built from it, overflows is refused: every quadrature
+    against such weights would read nan.
     """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     psi = build_psi(domain)
     if not np.all(psi > 0.0):
         raise ValueError("psi must be positive on the closed domain")
@@ -111,7 +111,6 @@ def eval_weights(config: WeightConfig, window: TimeWindow,
     if not np.all(np.abs(dpsi) > 0.0):
         raise ValueError("psi gradient vanishes on the grid")
 
-    lam = config.lam
     shifted = window.shifted()
     d1 = shifted.delta1
     dd = d1 * d1
@@ -143,7 +142,7 @@ def eval_weights(config: WeightConfig, window: TimeWindow,
     c1 = (big - e_min) / dd
     return CarlemanWeights(psi=psi, psi_sup=psi_sup, l1_shift=l1,
                            rho1_shift=rho1, theta1_shift=theta1, M=M, c1=c1,
-                           config=config, shifted_window=shifted,
+                           lam=lam, shifted_window=shifted,
                            domain=domain)
 
 
@@ -175,7 +174,7 @@ def check_weight_bounds(weights: CarlemanWeights) -> WeightBoundsReport:
     deficit = float(np.max(-weights.c1 - theta_mid))
     monotone = bool(np.all(theta1 <= theta_mid[:, None]))
 
-    lam = weights.config.lam
+    lam = weights.lam
     numer = np.exp(lam * weights.psi) - math.exp(2.0 * lam * weights.psi_sup)
     ts = weights.shifted_window.times[interior]
     l_slope = 2.0 * (weights.shifted_window.delta1 - ts)

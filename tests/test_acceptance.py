@@ -104,10 +104,8 @@ def test_criterion_03_weight_bounds():
     t0 = time.perf_counter()
     coarse = make_context(nx=64, nt=256)    # delta1 = 0.25, psi = x + 1
     fine = make_context(nx=128, nt=512)
-    rep = check_weight_bounds(eval_weights(WeightConfig(lam=1.0),
-                                           coarse.window, coarse.domain))
-    rep_f = check_weight_bounds(eval_weights(WeightConfig(lam=1.0),
-                                             fine.window, fine.domain))
+    rep = check_weight_bounds(eval_weights(1.0, coarse.window, coarse.domain))
+    rep_f = check_weight_bounds(eval_weights(1.0, fine.window, fine.domain))
     drift = (abs(rep.dt_theta_ratio_sup - rep_f.dt_theta_ratio_sup)
              / rep.dt_theta_ratio_sup)
     elapsed = time.perf_counter() - t0
@@ -126,8 +124,8 @@ def test_criterion_04_carleman_sweep():
     g = sample_spatial(ctx.domain, lambda x: np.cos(np.pi * x))
     u = forward_solve(ctx.dop, None, g, ctx.window)
     v = time_derivative(time_shift(u))
-    cfg = WeightConfig(lam=1.0)     # exp_weighted boundary, p = 0
-    w = eval_weights(cfg, ctx.window, ctx.domain)
+    cfg = WeightConfig()    # exp_weighted boundary, p = 0
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     fz = zero_field(ctx.domain, v.window)
     rows = constant_sweep(v, fz, w, cfg, dop=ctx.dop)
     stat = sweep_statistic(rows)
@@ -150,12 +148,12 @@ def test_criterion_05_log_convexity():
     win = ctx.window
 
     z1 = forward_solve(ctx.dop, None, np.cos(np.pi * x), win)
-    r1 = check_log_convexity_and_w_bound(z1, None, None, win, C0=2.0)
+    r1 = check_log_convexity_and_w_bound(z1, None, None, ctx)
     eq_gap = float(np.max(np.abs(r1.norms - r1.chord) / r1.norms))
 
     z2 = forward_solve(ctx.dop, None,
                        np.cos(np.pi * x) + np.cos(2 * np.pi * x), win)
-    r2 = check_log_convexity_and_w_bound(z2, None, None, win, C0=2.0)
+    r2 = check_log_convexity_and_w_bound(z2, None, None, ctx)
     g1 = cn_step_factor(1, ctx.domain.h, win.k)
     g2 = cn_step_factor(2, ctx.domain.h, win.k)
     i_T = win.snapshot_index

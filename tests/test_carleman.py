@@ -18,12 +18,12 @@ def eigen_setup():
     g = sample_spatial(ctx.domain, lambda x: np.cos(np.pi * x))
     u = forward_solve(ctx.dop, None, g, ctx.window)
     v = time_derivative(time_shift(u))
-    w = eval_weights(WeightConfig(lam=1.0), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     return ctx, u, v, w
 
 
 def _octave(s):
-    return WeightConfig(lam=1.0, s_values=(s, 8.0 * s))
+    return WeightConfig(s_values=(s, 8.0 * s))
 
 
 def test_zero_solution_gives_zero_sides(eigen_setup):
@@ -35,13 +35,13 @@ def test_zero_solution_gives_zero_sides(eigen_setup):
 
 def test_sides_positive_for_eigenmode(eigen_setup):
     ctx, _, v, w = eigen_setup
-    rows = constant_sweep(v, None, w, WeightConfig(lam=1.0), dop=ctx.dop)
+    rows = constant_sweep(v, None, w, WeightConfig(), dop=ctx.dop)
     for row in rows:
         assert np.isfinite(row.lhs) and row.lhs > 0.0
         assert np.isfinite(row.rhs) and row.rhs > 0.0
     # no source and an all-zero source are the same audit, bit for bit
     fz = zero_field(ctx.domain, v.window)
-    assert constant_sweep(v, fz, w, WeightConfig(lam=1.0)) == rows
+    assert constant_sweep(v, fz, w, WeightConfig()) == rows
 
 
 def test_sweep_refuses_the_solve_frame(eigen_setup):
@@ -49,7 +49,7 @@ def test_sweep_refuses_the_solve_frame(eigen_setup):
     # solve frame and is not what the inequality audits
     ctx, u, _, w = eigen_setup
     with pytest.raises(ValueError, match="shifted measurement window"):
-        constant_sweep(u, None, w, WeightConfig(lam=1.0), dop=ctx.dop)
+        constant_sweep(u, None, w, WeightConfig(), dop=ctx.dop)
 
 
 def test_quadratic_scaling_is_exact(eigen_setup):
@@ -66,7 +66,7 @@ def test_quadratic_scaling_is_exact(eigen_setup):
 
 def test_p_one_variant_finite(eigen_setup):
     ctx, _, v, w = eigen_setup
-    cfg = WeightConfig(lam=1.0, s_values=default_s_values(w), p=1)
+    cfg = WeightConfig(s_values=default_s_values(w), p=1)
     for row in constant_sweep(v, zero_field(ctx.domain, v.window), w, cfg):
         assert row.p == 1
         assert np.isfinite(row.lhs) and np.isfinite(row.rhs)
@@ -91,7 +91,7 @@ def test_literal_mode_truncates_but_stays_finite(eigen_setup):
 def test_sweep_ratios_bounded_for_eigenmode(eigen_setup):
     ctx, _, v, w = eigen_setup
     rows = constant_sweep(v, zero_field(ctx.domain, v.window), w,
-                          WeightConfig(lam=1.0), dop=ctx.dop)
+                          WeightConfig(), dop=ctx.dop)
     assert len(rows) == 4
     assert all(r.flag == FLAG_OK for r in rows)
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in rows)
@@ -104,7 +104,7 @@ def test_sweep_ratios_bounded_for_eigenmode(eigen_setup):
 def test_empirical_s_threshold_from_sweep(eigen_setup):
     ctx, _, v, w = eigen_setup
     rows = constant_sweep(v, zero_field(ctx.domain, v.window), w,
-                          WeightConfig(lam=1.0))
+                          WeightConfig())
     s1 = empirical_s_threshold(rows)
     assert s1 == max(rows[0].s, 2.0 * max(r.ratio for r in rows))
     assert np.isfinite(s1) and s1 > 0.0
@@ -117,7 +117,7 @@ def test_empirical_s_threshold_from_sweep(eigen_setup):
 def test_sweep_ratio_scale_invariant_bitwise(eigen_setup):
     ctx, _, v, w = eigen_setup
     fz = zero_field(ctx.domain, v.window)
-    cfg = WeightConfig(lam=1.0)
+    cfg = WeightConfig()
     base = constant_sweep(v, fz, w, cfg)
     scaled_v = SpaceTimeField(4.0 * v.values, v.domain, v.window)
     scaled = constant_sweep(scaled_v, fz, w, cfg)
@@ -138,7 +138,7 @@ def test_violation_candidate_flagged():
     # a field with silent boundary: zero trace, zero flux, zero claimed
     # source, but nonzero interior energy; rhs = 0 < lhs must be flagged
     ctx = make_context(nx=24, nt=48)
-    w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     shifted = ctx.window.shifted()
     vals = np.zeros((25, shifted.nt + 1))
     vals[6:-6, :] = 1.0     # three zero rows at each wall silence the traces
@@ -150,7 +150,7 @@ def test_violation_candidate_flagged():
 
 def test_non_solution_triggers_residual_warning():
     ctx = make_context(nx=24, nt=48)
-    w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     shifted = ctx.window.shifted()
     rng = np.random.default_rng(9)
     junk = SpaceTimeField(rng.standard_normal((25, shifted.nt + 1)),
@@ -166,7 +166,7 @@ def test_solution_does_not_warn(eigen_setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         constant_sweep(v, zero_field(ctx.domain, v.window), w,
-                       WeightConfig(lam=1.0), dop=ctx.dop)
+                       WeightConfig(), dop=ctx.dop)
 
 
 def test_sweep_span_and_frame_validation(eigen_setup):
@@ -191,15 +191,6 @@ def test_non_finite_row_is_refused_naming_s(eigen_setup):
         with pytest.raises(ValueError, match=r"^s=1e\+100 gives a non-finite"):
             constant_sweep(v, None, w,
                            WeightConfig(s_values=(1e100, 1e101, 1e103)))
-
-
-def test_rows_report_the_lambda_of_the_weights(eigen_setup):
-    # the weights were built at lam = 1; a sweep config with another lam
-    # must not relabel the rows
-    ctx, _, v, w = eigen_setup
-    rows = constant_sweep(v, None, w, WeightConfig(lam=2.0))
-    assert [r.lam for r in rows] == [1.0] * 4
-    assert rows == constant_sweep(v, None, w, WeightConfig(lam=1.0))
 
 
 def test_exp_factor_range(eigen_setup):

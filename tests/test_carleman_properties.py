@@ -87,7 +87,7 @@ def audits(draw):
     ctx = make_context(nx=nx, nt=nt, T=0.5, delta0=0.25, delta1=0.125,
                        op=op, gamma=gamma)
     lam = draw(st.floats(0.3, 3.0))
-    weights = eval_weights(WeightConfig(lam=lam), ctx.window, ctx.domain)
+    weights = eval_weights(lam, ctx.window, ctx.domain)
     # s0 from a little below the default 32/M to far past underflow, and an
     # increasing sweep of 2-8 values spanning at least a factor 8
     s0 = draw(st.floats(1.0, 256.0)) / weights.M
@@ -95,7 +95,7 @@ def audits(draw):
     top = draw(st.floats(8.0, 64.0))
     factors = sorted({1.0, top, *inner})
     s_values = tuple(dict.fromkeys(s0 * m for m in factors))
-    config = WeightConfig(lam=lam, s_values=s_values,
+    config = WeightConfig(s_values=s_values,
                           p=draw(st.sampled_from([0, 1])),
                           boundary_weighting=draw(st.sampled_from(
                               [EXP_WEIGHTED, LITERAL_TRUNCATED])))

@@ -112,24 +112,26 @@ def test_late_onset_source_misses_the_observation_window():
 
 
 def test_resolve_config_defaults_and_inheritance():
+    # the inverse keys inherit their defaults from InverseProblemSpec
     cfg, typed = resolve_config("rate", {}, None)
     assert cfg["subcommand"] == "rate"
     assert typed["nx"] == 64
-    assert typed["alpha0_f"] == 1.0     # inherited from alpha0
-    assert typed["alpha0_g"] == 1.0
-    cfg2, typed2 = resolve_config("rate", {"alpha0": "4.0",
-                                           "alpha0_g": "0.5"}, None)
-    assert typed2["alpha0_f"] == 4.0
+    spec = inverse.InverseProblemSpec()
+    assert (typed["alpha0_f"], typed["alpha0_g"], typed["grad_tol"],
+            typed["seed"]) == (spec.alpha_f, spec.alpha_g, spec.grad_tol,
+                               spec.seed)
+    cfg2, typed2 = resolve_config("rate", {"alpha0_g": "0.5"}, None)
+    assert typed2["alpha0_f"] == 1.0
     assert typed2["alpha0_g"] == 0.5
-    assert cfg2["alpha0_f"] == "4.0"
+    assert cfg2["alpha0_g"] == "0.5"
 
 
 def test_resolve_config_flags_beat_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("nx=24\nseed=5\n")
+    cfg_file.write_text("nx=24\nT=0.5\n")
     cfg, typed = resolve_config("forward", {"nx": "48"}, str(cfg_file))
     assert typed["nx"] == 48
-    assert typed["seed"] == 5
+    assert typed["T"] == 0.5
 
 
 def test_resolve_config_rejects_unknown_key(tmp_path):
@@ -267,6 +269,47 @@ def test_exit_one_on_usage_and_validation(tmp_path, capsys):
                  "--out", str(tmp_path / "w")]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == \
         "usage error: unrecognized arguments: --max_iters 300"
+
+
+@pytest.mark.parametrize("argv", [
+    # forward draws nothing at random
+    ["forward", "--seed", "1"],
+    # alpha0_f and alpha0_g are the one way to set the base weights
+    ["rate", "--alpha0", "2"],
+])
+def test_removed_keys_are_usage_errors(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: unrecognized arguments: {' '.join(argv[1:])}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_forward_config_with_a_seed_is_refused(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("subcommand=forward\nseed=5\n")
+    rc = main(["forward", *FAST, "--config", str(cfg_file),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown config key: seed"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--g", "eigenmode:3:1e154"],
+     "error: overflow encountered in "),
+    (["rate", "--noise", "0.1,0.01,-1"],
+     "error: noise level must be nonnegative"),
+])
+def test_a_refused_run_creates_no_output_directory(tmp_path, capsys, argv,
+                                                   message):
+    out = tmp_path / "o"
+    rc = main([argv[0], "--nx", "8", "--nt", "8", *argv[1:],
+               "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message)
+    assert not out.exists()
 
 
 def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
@@ -437,11 +480,12 @@ def test_negative_budgets_are_refused_before_any_march(tmp_path, capsys,
 
 
 def test_rate_with_a_nan_source_slope_is_refused(tmp_path, capsys):
-    # alpha0 = 1e308 leaves every level unconverged, so the slope fit has
+    # alpha0_f = alpha0_g = 1e308 leaves every level unconverged, so the slope fit has
     # no point and would read nan
     out = tmp_path / "o"
-    rc = main(["rate", "--nx", "8", "--nt", "8", "--alpha0", "1e308",
-               "--noise", "1,0.5,0.25", "--out", str(out)])
+    rc = main(["rate", "--nx", "8", "--nt", "8", "--alpha0_f", "1e308",
+               "--alpha0_g", "1e308", "--noise", "1,0.5,0.25",
+               "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: source slope is nan: the levels eps=1.0,0.5,0.25 did not "
@@ -451,8 +495,8 @@ def test_rate_with_a_nan_source_slope_is_refused(tmp_path, capsys):
 
 def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
     out = str(tmp_path / "o")
-    rc = main(["reconstruct", "--nx", "8", "--nt", "8", "--alpha0", "1e308",
-               "--noise", "1", "--out", out])
+    rc = main(["reconstruct", "--nx", "8", "--nt", "8", "--alpha0_f",
+               "1e308", "--alpha0_g", "1e308", "--noise", "1", "--out", out])
     assert rc == 0
     lines = manifest_lines(out)
     assert "summary.iterations=1" in lines
@@ -550,7 +594,7 @@ def test_a_tiny_time_step_with_a_normal_square_still_runs(tmp_path):
 
 def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,
                                                     monkeypatch):
-    def exhausted(typed, outdir):
+    def exhausted(typed):
         raise MemoryError("Unable to allocate 10.7 GiB for an array")
     monkeypatch.setitem(cli._HANDLERS, "forward", exhausted)
     rc = main(["forward", *FAST, "--out", str(tmp_path / "o")])
@@ -729,7 +773,7 @@ def test_output_location_does_not_touch_the_hash(tmp_path):
 def test_semantic_config_change_moves_the_hash(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["forward", *FAST, "--out", a]) == 0
-    assert main(["forward", *FAST, "--seed", "1", "--out", b]) == 0
+    assert main(["forward", *FAST, "--g", "eigenmode:2", "--out", b]) == 0
     assert manifest_lines(a)[0] != manifest_lines(b)[0]
 
 

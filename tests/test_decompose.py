@@ -116,7 +116,7 @@ def test_forward_map_is_affine():
 def test_single_mode_log_norm_is_affine():
     ctx = make_context(nx=48, nt=96)
     z = forward_solve(ctx.dop, None, np.cos(np.pi * ctx.domain.points), ctx.window)
-    rep = check_log_convexity_and_w_bound(z, None, None, ctx.window, C0=2.0)
+    rep = check_log_convexity_and_w_bound(z, None, None, ctx)
     assert rep.checked and not rep.degenerate
     assert np.max(np.abs(rep.norms - rep.chord) / rep.norms) < 1e-10
     assert rep.min_log_second_difference > -1e-8
@@ -128,7 +128,7 @@ def test_two_mode_margin_matches_eigenexpansion():
     dom, win = ctx.domain, ctx.window
     x = dom.points
     z = forward_solve(ctx.dop, None, np.cos(np.pi * x) + np.cos(2 * np.pi * x), win)
-    rep = check_log_convexity_and_w_bound(z, None, None, win, C0=2.0)
+    rep = check_log_convexity_and_w_bound(z, None, None, ctx)
 
     g1 = cn_step_factor(1, dom.h, win.k)
     g2 = cn_step_factor(2, dom.h, win.k)
@@ -147,27 +147,37 @@ def test_two_mode_margin_matches_eigenexpansion():
 
 
 def test_sourced_part_growth_bound():
-    ctx = make_context(nx=32, nt=128)
+    ctx = make_context(nx=32, nt=128, C0=math.exp(0.5) * 1.001)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: np.exp(t) * (2.0 + np.cos(np.pi * x)))
     u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
     d = decompose_time_derivative(u, f, ctx)
-    rep = check_log_convexity_and_w_bound(
-        d.source_free, d.sourced, f, ctx.window,
-        C0=math.exp(0.5) * 1.001, omega=ctx.dop.reaction_max)
+    rep = check_log_convexity_and_w_bound(d.source_free, d.sourced, f, ctx)
     assert rep.w_bound_ok
     assert 0.0 < rep.w_ratio_sup < 1.0
 
 
+def test_growth_bound_reads_the_reaction_ceiling_of_the_context():
+    # with c = 1 the sourced part outgrows C0 t, the bound of the heat
+    # operator; the context's omega = max c = 1 restores C0 t e^t
+    ctx = make_context(nx=32, nt=128, op=EllipticOperator(c=1.0), C0=0.51)
+    f = field_from_function(ctx.domain, ctx.window, lambda x, t: np.exp(
+        0.5 * t) * (2.0 + np.cos(np.pi * x)))
+    u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
+    d = decompose_time_derivative(u, f, ctx)
+    rep = check_log_convexity_and_w_bound(d.source_free, d.sourced, f, ctx)
+    assert rep.w_ratio_sup > ctx.C0 * ctx.window.T
+    assert rep.w_bound_ok
+
+
 def test_time_independent_source_gives_zero_ratio():
-    ctx = make_context(nx=24, nt=48)
+    ctx = make_context(nx=24, nt=48, C0=1.0)
     f = field_from_function(ctx.domain, ctx.window,
                             lambda x, t: np.cos(np.pi * x) + 0.0 * t)
     u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
     d = decompose_time_derivative(u, f, ctx)
     assert np.array_equal(d.sourced.values, np.zeros_like(u.values))
-    rep = check_log_convexity_and_w_bound(d.source_free, d.sourced, f,
-                                          ctx.window, C0=1.0)
+    rep = check_log_convexity_and_w_bound(d.source_free, d.sourced, f, ctx)
     assert rep.w_ratio_sup == 0.0 and rep.w_bound_ok
 
 
@@ -199,7 +209,7 @@ def test_degenerate_terminal_norm_reported():
     decay = np.exp(-np.arange(i_T))
     vals[:, :i_T] = np.cos(np.pi * ctx.domain.points)[:, None] * decay[None, :]
     z = SpaceTimeField(vals, ctx.domain, ctx.window)
-    rep = check_log_convexity_and_w_bound(z, None, None, ctx.window, C0=1.0)
+    rep = check_log_convexity_and_w_bound(z, None, None, ctx)
     assert rep.degenerate
     assert math.isnan(rep.max_violation)
     assert "vacuous" in rep.notice
@@ -210,17 +220,16 @@ def test_drift_operator_skips_the_interpolation_check():
     ctx = make_context(nx=24, nt=48, op=op)
     z = forward_solve(ctx.dop, None, np.cos(np.pi * ctx.domain.points), ctx.window)
     assert not ctx.dop.self_adjoint
-    rep = check_log_convexity_and_w_bound(z, None, None, ctx.window, C0=1.0,
-                                          self_adjoint=ctx.dop.self_adjoint)
+    rep = check_log_convexity_and_w_bound(z, None, None, ctx)
     assert not rep.checked
     assert "drift" in rep.notice
     assert rep.norms.size == 0
 
 
 def test_nonzero_sourced_part_with_vanishing_snapshot_fails_bound():
-    ctx = make_context(nx=24, nt=48)
+    ctx = make_context(nx=24, nt=48, C0=1.0)
     w = forward_solve(ctx.dop, None, np.cos(np.pi * ctx.domain.points), ctx.window)
-    rep = check_log_convexity_and_w_bound(w, w, None, ctx.window, C0=1.0)
+    rep = check_log_convexity_and_w_bound(w, w, None, ctx)
     assert math.isinf(rep.w_ratio_sup)
     assert not rep.w_bound_ok
 

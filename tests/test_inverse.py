@@ -64,8 +64,7 @@ def test_zero_noise_returns_clean_measurement_bitwise():
     phi, g = truth_arrays(CTX)
     pair = truth_pair(CTX, phi, g)
     data = synthesize_data(pair, InverseProblemSpec(), CTX)
-    clean = measure(forward_solve(CTX.dop, pair.f, pair.g, CTX.window),
-                    CTX.domain, CTX.window)
+    clean = measure(forward_solve(CTX.dop, pair.f, pair.g, CTX.window))
     assert np.array_equal(data.final_snapshot, clean.final_snapshot)
     assert np.array_equal(data.lateral_trace, clean.lateral_trace)
     assert data.combined_norm == clean.combined_norm
@@ -93,8 +92,7 @@ def test_noise_scaling_on_constant_solution():
     pair = make_admissible_pair(ctx, f=None, g=np.ones(ctx.domain.nx + 1))
     spec = InverseProblemSpec(noise_level=0.01, seed=11)
     data = synthesize_data(pair, spec, ctx)
-    clean = measure(forward_solve(ctx.dop, None, pair.g, ctx.window),
-                    ctx.domain, ctx.window)
+    clean = measure(forward_solve(ctx.dop, None, pair.g, ctx.window))
     wx = ctx.domain.quad_weights
     ww = ctx.window.window_weights
 

@@ -39,7 +39,7 @@ def reference_source_rows(family, ctx, levels):
             f = field_from_function(c.domain, c.window, fn)
             f_norm = l2_spacetime(f.values, c.domain, c.window)
             u = forward_solve(c.dop, f, None, c.window)
-            combined = measure(u, c.domain, c.window).combined_norm
+            combined = measure(u).combined_norm
             if combined == 0.0:
                 flag = FLAG_DEGENERATE if f_norm == 0.0 else FLAG_VIOLATION
                 value = math.nan if f_norm == 0.0 else math.inf
@@ -60,7 +60,7 @@ def reference_initial_rows(family, ctx, levels):
             if c4_surrogate(g, c.domain.h) > c.M0:
                 flags.append(FLAG_EXPECTED_FAILURE)
             u = forward_solve(c.dop, None, g, c.window)
-            combined = measure(u, c.domain, c.window).combined_norm
+            combined = measure(u).combined_norm
             if combined == 0.0:
                 flags.append(FLAG_DEGENERATE)
                 value = math.nan

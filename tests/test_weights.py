@@ -26,8 +26,6 @@ def test_psi_orientation_follows_observed_endpoints():
 
 def test_weight_config_validation():
     with pytest.raises(ValueError):
-        WeightConfig(lam=0.0)
-    with pytest.raises(ValueError):
         WeightConfig(p=2)
     with pytest.raises(ValueError):
         WeightConfig(boundary_weighting="raw")
@@ -44,24 +42,31 @@ def test_weight_config_validation():
     assert WeightConfig(s_values=(1, 8)).s_values == (1.0, 8.0)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+def test_eval_weights_refuses_a_nonpositive_lam(lam):
+    ctx = make_context(nx=16, nt=64)
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        eval_weights(lam, ctx.window, ctx.domain)
+
+
 def test_overflowing_weight_amplitude_is_refused():
     # lam = 200 on psi in [1, 2]: e^{2 lam sup psi} = e^800 overflows
     ctx = make_context(nx=16, nt=32)
     with pytest.raises(ValueError, match="^lambda=200.0 overflows"):
-        eval_weights(WeightConfig(lam=200.0), ctx.window, ctx.domain)
+        eval_weights(200.0, ctx.window, ctx.domain)
     # finite amplitude, but M = (e^{2 lam sup psi} - e^{lam sup psi}) /
     # delta1^2 overflows on a narrow window
     narrow = make_time_window(1.0, 0.5, 1.0 / 512, 768)
     dom = SpatialDomain(0.0, 1.0, 16)
     with pytest.raises(ValueError, match=r"M = inf"):
-        eval_weights(WeightConfig(lam=177.0), narrow, dom)
+        eval_weights(177.0, narrow, dom)
 
 
 def test_time_factor_arithmetic():
     # l1(t) = delta1^2 - (t - delta1)^2 on (0, 2 delta1): at the midpoint
     # t = delta1 = 0.25 it is exactly delta1^2 = 0.0625
     ctx = make_context(nx=16, nt=36)
-    w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     mid = w.shifted_window.snapshot_index
     d1 = w.shifted_window.delta1
     assert d1 == ctx.window.delta1
@@ -73,7 +78,7 @@ def test_time_factor_arithmetic():
 def test_rho_example_value():
     # psi(0) = 1 at lam = 1: rho1 there at the midpoint is e / delta1^2
     ctx = make_context(nx=16, nt=36)
-    w = eval_weights(WeightConfig(lam=1.0), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     mid = w.shifted_window.snapshot_index
     assert w.rho1_shift[0, mid] == math.e / ctx.window.delta1**2
 
@@ -82,14 +87,14 @@ def test_m_formula_at_wide_window():
     # lam=1, sup psi = 2, delta1 = 0.5: M = (e^4 - e^2)/0.25
     win = make_time_window(1.0, 0.5, 0.5, 36)
     dom = SpatialDomain(0.0, 1.0, 16)
-    w = eval_weights(WeightConfig(lam=1.0), win, dom)
+    w = eval_weights(1.0, win, dom)
     assert w.M == pytest.approx((math.exp(4) - math.exp(2)) / 0.25, rel=1e-13)
     assert w.M == pytest.approx(188.83, rel=1e-3)
 
 
 def test_constants_ordering_and_positivity():
     ctx = make_context(nx=32, nt=60)
-    w = eval_weights(WeightConfig(lam=1.3), ctx.window, ctx.domain)
+    w = eval_weights(1.3, ctx.window, ctx.domain)
     assert 0.0 < w.M < w.c1
     gap = (math.exp(1.3 * w.psi_sup) - math.exp(1.3 * np.min(w.psi)))
     assert w.c1 - w.M == pytest.approx(gap / ctx.window.delta1**2, rel=1e-12)
@@ -97,7 +102,7 @@ def test_constants_ordering_and_positivity():
 
 def test_theta_negative_and_nan_at_endpoints():
     ctx = make_context(nx=16, nt=36)
-    w = eval_weights(WeightConfig(), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     for field in (w.rho1_shift, w.theta1_shift):
         assert np.all(np.isnan(field[:, 0])) and np.all(np.isnan(field[:, -1]))
     assert np.all(w.theta1_shift[:, 1:-1] < 0.0)
@@ -107,7 +112,7 @@ def test_theta_negative_and_nan_at_endpoints():
 def test_shifted_theta_bound_is_exact():
     # the acceptance configuration: lam=1, psi=x+1, delta1=0.25
     ctx = make_context(nx=64, nt=256)
-    w = eval_weights(WeightConfig(lam=1.0), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     rep = check_weight_bounds(w)
     assert rep.theta_shift_excess == 0.0          # attained, never exceeded
     assert rep.midline_deficit == 0.0             # theta(., delta1) >= -c1
@@ -117,7 +122,7 @@ def test_shifted_theta_bound_is_exact():
 
 def test_dt_theta_quotient_matches_direct_grid_sweep():
     ctx = make_context(nx=24, nt=48)
-    w = eval_weights(WeightConfig(lam=1.0), ctx.window, ctx.domain)
+    w = eval_weights(1.0, ctx.window, ctx.domain)
     rep = check_weight_bounds(w)
     # independent sweep: |N| |l'| e^{-2 lam psi} over interior shifted nodes
     sw = w.shifted_window
@@ -132,8 +137,8 @@ def test_dt_theta_quotient_matches_direct_grid_sweep():
 
 
 def test_dt_theta_quotient_mesh_stable():
-    a = check_weight_bounds(eval_weights(WeightConfig(), *_grids(64, 258)))
-    b = check_weight_bounds(eval_weights(WeightConfig(), *_grids(128, 516)))
+    a = check_weight_bounds(eval_weights(1.0, *_grids(64, 258)))
+    b = check_weight_bounds(eval_weights(1.0, *_grids(128, 516)))
     rel = abs(a.dt_theta_ratio_sup - b.dt_theta_ratio_sup) / a.dt_theta_ratio_sup
     assert rel < 0.10
 
@@ -148,7 +153,7 @@ def test_weighted_powers_vanish_toward_endpoints():
     # refinement, for every power m: the exponential beats 1/l
     def corner_value(nt, m):
         win, dom = _grids(16, nt)
-        w = eval_weights(WeightConfig(), win, dom)
+        w = eval_weights(1.0, win, dom)
         s = 4.0 / w.M
         vals = []
         for j in (1, w.shifted_window.nt - 1):
