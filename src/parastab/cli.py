@@ -86,10 +86,14 @@ _RECON_COMMON = [
 
 _TABLES = {
     "forward": _SHARED + [("f", "str", "zero"), ("g", "str", "eigenmode:1")],
+    # the sweep defaults s, p and boundary are WeightConfig's
     "carleman-audit": _SHARED + [
         ("f", "str", "zero"), ("g", "str", "eigenmode:1"),
-        ("lambda", "float", 1.0), ("s", "floats", ()),
-        ("p", "int", 0), ("boundary", "str", "exp")],
+        ("lambda", "float", 1.0), ("s", "floats", WeightConfig.s_values),
+        ("p", "int", WeightConfig.p),
+        ("boundary", "str",
+         next(name for name, mode in _BOUNDARY_MODES.items()
+              if mode == WeightConfig.boundary_weighting))],
     "stability-probe": _SHARED + [
         # inert; kept while perfbench passes --seed (ROADMAP item 1, part B)
         ("seed", "int", 0),
@@ -274,7 +278,7 @@ def check_work_budget(sub: str, typed: dict) -> None:
     MAX_ARRAY_ENTRIES entries, before anything is allocated or marched.
 
     The candidates are the (nx+1, nt+1) field and, for the source probe,
-    the (nx+1, last+1, m) samples of its family up to the end of the
+    the nx+1 by last+1 by m samples of its family up to the end of the
     lateral window. A probe is sized at its finest level; there the field
     also bounds the work of the initial probe, which marches every member
     through it without holding it. Sizes that are invalid for other

@@ -30,23 +30,47 @@ def _sample_coefficient(coef, x: np.ndarray) -> np.ndarray:
     return np.broadcast_to(vals, x.shape).astype(float).copy()
 
 
-def column_bands(lower, diag, upper, ndim: int = 1):
-    """Bands in row convention, trimmed of their zero padding and shaped to
-    broadcast along axis 0 of an operand with `ndim` axes.
+def column_bands(lower, diag, upper, columns: int = 1):
+    """Bands in row convention, tiled for band_mv over `columns` columns.
 
-    Build them once per operand shape; band_mv then reshapes nothing.
+    They follow the flat F-order view of the operand, column after column.
+    Where a band would couple the last row of one column to the first row
+    of the next it holds 1.0, whose products raise no float fault; band_mv
+    discards them. Build the bands once per operand shape.
     """
-    shape = (-1,) + (1,) * (ndim - 1)
-    return (lower[1:].reshape(shape), diag.reshape(shape),
-            upper[:-1].reshape(shape))
+    sub = np.tile(np.concatenate(([1.0], lower[1:])), columns)[1:]
+    sup = np.tile(np.concatenate((upper[:-1], [1.0])), columns)[:-1]
+    return sub, np.tile(diag, columns), sup
 
 
-def band_mv(bands, q: np.ndarray) -> np.ndarray:
-    """Tridiagonal product with bands from column_bands, space on axis 0."""
+def band_mv(bands, q: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """Tridiagonal product with bands from column_bands, space on axis 0.
+
+    q has shape (n,) or (n, m), and the product makes one pass over the
+    flat F-order view of all m columns, with the arithmetic of a product
+    per column. Given out and scratch, F-contiguous arrays shaped like q
+    and distinct from it, the product is written into out and nothing is
+    allocated.
+    """
     sub, diag, sup = bands
-    out = diag * q
-    out[1:] += sub * q[:-1]
-    out[:-1] += sup * q[1:]
+    if out is None:
+        out = np.empty(q.shape, order="F")
+        scratch = np.empty(q.shape, order="F")
+    rows, batched = q.shape[0], q.ndim == 2
+    qf, of, sf = q, out, scratch
+    if batched:
+        qf, of, sf = (a.reshape(-1, order="F") for a in (q, out, scratch))
+    np.multiply(diag, qf, out=of)
+    np.multiply(sub, qf[:-1], out=sf[1:])
+    # adding -0.0 leaves every value's bits as they are, so the terms that
+    # would cross from one column into the next add nothing
+    if batched:
+        sf[rows::rows] = -0.0
+    of[1:] += sf[1:]
+    np.multiply(sup, qf[1:], out=sf[:-1])
+    if batched:
+        sf[rows - 1:-1:rows] = -0.0
+    of[:-1] += sf[:-1]
     return out
 
 
@@ -90,7 +114,9 @@ class DiscreteOperator:
         leaving the cancellation error of the expanded bands.
         """
         q = np.asarray(q, dtype=float)
-        sub, c, sup = column_bands(self.lower, self.c, self.upper, q.ndim)
+        shape = (-1,) + (1,) * (q.ndim - 1)
+        sub, c, sup = (self.lower[1:].reshape(shape), self.c.reshape(shape),
+                       self.upper[:-1].reshape(shape))
         out = c * q
         out[1:] += sub * (q[:-1] - q[1:])
         out[:-1] += sup * (q[1:] - q[:-1])

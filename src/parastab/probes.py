@@ -118,15 +118,18 @@ def _source_combined_norms(c, level: int, family) -> list:
 
     The members are sampled again rather than kept from the gate, which
     holds one field at a time, and only at the times the march reads: up
-    to the end of the window.
+    to the end of the window. The samples are stored space-contiguous per
+    time and member, so f^n + f^{n+1} of every member lands in one buffer
+    whose transpose is the F-ordered (nx+1, m) state layout of the march.
     """
     times = c.window.times[:c.window.window_slice.stop]
-    src = np.empty((c.domain.nx + 1, times.size, len(family)))
+    src = np.empty((times.size, len(family), c.domain.nx + 1))
     for i, (_, fn) in enumerate(family):
-        src[:, :, i] = sample_space_time(c.domain, times, fn)
+        src[:, i] = sample_space_time(c.domain, times, fn).T
+    total = np.empty(src.shape[1:])
 
     def source_sum(n):
-        return src[:, n] + src[:, n + 1]
+        return np.add(src[n], src[n + 1], out=total).T
 
     state = np.zeros((c.domain.nx + 1, len(family)))
     return _combined_norms(c, level, state, source_sum)
@@ -206,7 +209,7 @@ def source_eigenmode_family(j_max: int):
     return [(float(j), member(j)) for j in range(1, j_max + 1)]
 
 
-def initial_eigenmode_family(k_max: int, normalized: bool = True):
+def initial_eigenmode_family(k_max: int, normalized: bool):
     """(k, cos(k pi x)/k^4) for k = 1..k_max, or un-normalized cos(k pi x).
 
     The un-normalized variant has fourth differences growing like k^4 and

@@ -23,8 +23,20 @@ with LAPACK's tridiagonal LU (dgttrf, partial pivoting) and builds the
 explicit bands of (I + kappa A) once; every level then only applies the
 stored factors (dgttrs). The arithmetic is the one a per-level tridiagonal
 solve performs, so the iterates are bit-identical to it. A zero pivot is
-reported at the first level the march solves, and every level checks its
-iterate for non-finite values.
+reported at the first level the march solves.
+
+The level loops allocate nothing: each march keeps two work buffers and
+one scratch array shaped like its state, forms the band product in place
+and solves in place, so the array a level hands to record(n, u) is
+overwritten by later levels and callers copy what they keep. Nor do the
+levels check anything. A non-finite entry stays non-finite under the band
+product and the tridiagonal solve (inf and nan never vanish there), so one
+check of the last state tells whether any level failed. The march,
+callbacks included, runs with overflow, invalid and divide faults
+ignored; when its last state is not finite it marches again the checked
+way, under the caller's errstate and with every iterate checked, so a
+failure is reported as before: the numpy fault the caller's errstate
+raises, or a non-finite iterate at the first level that has one.
 
 The forward level loop, cn_march, also marches m columns at once: LAPACK
 applies the factors to each column with the arithmetic of a single
@@ -44,25 +56,42 @@ from .stencils import fd_first
 RESIDUAL_WARN_TOL = 5e-2
 
 
-def _cn_factors(lower, diag, upper, kappa, tag, first_level, ndim=1):
-    """LU factors of (I - kappa L) plus the bands of (I + kappa L), shaped
-    for a state with ndim axes."""
+def _cn_factors(lower, diag, upper, kappa, tag, first_level, columns=1):
+    """LU factors of (I - kappa L) plus the bands of (I + kappa L), tiled
+    for a state of `columns` columns."""
     *lu, info = dgttrf(-kappa * lower[1:], 1.0 - kappa * diag,
                        -kappa * upper[:-1])
     if info > 0:
         raise RuntimeError(f"singular time-step system in {tag} solve at "
                            f"level {first_level}")
     plus = column_bands(kappa * lower, 1.0 + kappa * diag, kappa * upper,
-                        ndim)
+                        columns)
     return tuple(lu), plus
 
 
-def solve_banded(lu, rhs, tag, level):
-    """One implicit level: apply the stored factors of (I - kappa L) to rhs."""
-    out, _ = dgttrs(*lu, rhs)  # its info only flags an illegal argument
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"non-finite iterate in {tag} solve at level {level}")
+def solve_banded(lu, rhs):
+    """One implicit level: apply the stored factors of (I - kappa L) to rhs,
+    in place when rhs is F-contiguous, and return the solution."""
+    # dgttrs's info only flags an illegal argument
+    out, _ = dgttrs(*lu, rhs, overwrite_b=1)
     return out
+
+
+def _require_finite(tag, level, state):
+    if not np.all(np.isfinite(state)):
+        raise RuntimeError(f"non-finite iterate in {tag} solve at level {level}")
+
+
+def _checked_once(levels, record, tag):
+    """levels(record) marches and returns its last state; run it with float
+    faults ignored and check that last state once. If it is not finite,
+    march again under the caller's errstate with every level checked, which
+    raises where a per-level check would have (module docstring)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        last = levels(record)
+    if not np.all(np.isfinite(last)):
+        levels(lambda n, u: _require_finite(tag, n, u))
+    return last
 
 
 def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
@@ -80,10 +109,10 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
     if f is not None:
         if f.values.shape != u.shape:
             raise ValueError("source field grid does not match the window")
-        fv = f.values
+        fv, total = f.values, np.empty(nx + 1)
 
         def source_sum(n):
-            return fv[:, n] + fv[:, n + 1]
+            return np.add(fv[:, n], fv[:, n + 1], out=total)
 
     def record(n, state):
         u[:, n] = state
@@ -97,21 +126,31 @@ def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
     """The forward Crank-Nicolson level loop from u^0 = state.
 
     state has shape (nx+1,), or (nx+1, m) to march m columns under one
-    factorization. record(n, u^n) receives every new level n = 1..last,
-    where last is nt unless _last_level stops the march earlier (callers
-    that only measure stop at the end of the lateral window); source_sum(n),
-    when given, returns f^n + f^{n+1} shaped like the state.
+    factorization; it is read, never written. record(n, u^n) receives every
+    new level n = 1..last, where last is nt unless _last_level stops the
+    march earlier (callers that only measure stop at the end of the lateral
+    window); u^n is a work buffer that later levels overwrite, so record
+    copies what it keeps. source_sum(n), when given, returns
+    f^n + f^{n+1} shaped like the state.
     """
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
-                           1, state.ndim)
+                           1, state.shape[1] if state.ndim == 2 else 1)
     last = window.nt if _last_level is None else _last_level
-    for n in range(last):
-        rhs = band_mv(plus, state)
-        if source_sum is not None:
-            rhs += kappa * source_sum(n)
-        state = solve_banded(lu, rhs, "forward", n + 1)
-        record(n + 1, state)
+
+    def levels(record):
+        # F order: dgttrs solves an F-contiguous right-hand side in place
+        u = np.array(state, dtype=float, order="F")
+        work, scratch = np.empty_like(u), np.empty_like(u)
+        for n in range(last):
+            band_mv(plus, u, work, scratch)
+            if source_sum is not None:
+                work += np.multiply(kappa, source_sum(n), out=scratch)
+            u, work = solve_banded(lu, work), u
+            record(n + 1, u)
+        return u
+
+    _checked_once(levels, record, "forward")
 
 
 def adjoint_solve(dop: DiscreteOperator,
@@ -158,11 +197,22 @@ def adjoint_solve(dop: DiscreteOperator,
     lu, plus = _cn_factors(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa,
                            "adjoint", nt)
     p = np.empty_like(s)
-    p[:, nt] = solve_banded(lu, s[:, nt], "adjoint", nt)
-    for m in range(nt - 1, 0, -1):
-        rhs = s[:, m] + band_mv(plus, p[:, m + 1])
-        p[:, m] = solve_banded(lu, rhs, "adjoint", m)
-    p[:, 0] = s[:, 0] + band_mv(plus, p[:, 1])
+
+    def store(m, state):
+        p[:, m] = state
+
+    def levels(record):
+        state = solve_banded(lu, s[:, nt].copy())
+        record(nt, state)
+        work, scratch = np.empty_like(state), np.empty_like(state)
+        for m in range(nt - 1, 0, -1):
+            band_mv(plus, state, work, scratch)
+            work += s[:, m]
+            state, work = solve_banded(lu, work), state
+            record(m, state)
+        return state
+
+    p[:, 0] = s[:, 0] + band_mv(plus, _checked_once(levels, store, "adjoint"))
     return SpaceTimeField(p, dop.domain, window)
 
 

@@ -2,9 +2,11 @@
 
 The reference marches below solve every time level with
 scipy.linalg.solve_banded, the way the solver did before it factored each
-march's step matrix once. The factored marches must match them bit for bit,
-and the discrete duality identity must hold to round-off, for random
-a > 0, b and c on random grids and either observed boundary set.
+march's step matrix once, and allocate fresh arrays at every level. The
+factored marches, which work in place, must match them bit for bit and
+leave the caller's arrays untouched, and the discrete duality identity must
+hold to round-off, for random a > 0, b and c on random grids and either
+observed boundary set.
 """
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from parastab.lab import make_context
+from parastab.measurement import observed_march
 from parastab.mesh import SpaceTimeField
 from parastab.norms import l2_space_inner, l2_spacetime_inner
-from parastab.operator import EllipticOperator
-from parastab.solver import adjoint_gradients, adjoint_solve, forward_solve
+from parastab.operator import EllipticOperator, band_mv, column_bands
+from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
+                             forward_solve)
 from test_solver import functional_value
 
 
@@ -51,6 +55,20 @@ def reference_forward(dop, f, g, window):
         rhs += kappa * (f.values[:, n] + f.values[:, n + 1])
         u[:, n + 1] = _reference_step(ab, rhs)
     return u
+
+
+def reference_columns(dop, window, state, source_sum, last):
+    """Levels 0..last of a batched march, each column marched on its own."""
+    kappa = 0.5 * window.k
+    ab, plus = _reference_matrices(dop.lower, dop.diag, dop.upper, kappa)
+    levels = [np.array(state)]
+    for n in range(last):
+        rhs = np.stack([_reference_mv(plus, col) for col in levels[-1].T], 1)
+        if source_sum is not None:
+            rhs += kappa * source_sum(n)
+        levels.append(np.stack([_reference_step(ab, col) for col in rhs.T],
+                               1))
+    return levels
 
 
 def reference_adjoint(dop, r_T, r_Q, r_G, window):
@@ -138,3 +156,104 @@ def test_duality_identity_holds_for_random_coefficients(problem):
     # round-off stays near 1e-14; the absolute floor covers draws where the
     # functional itself nearly cancels.
     assert paired == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def same_bits(a, b):
+    """Equal down to the sign of zero, which np.array_equal ignores; a nan
+    matches any nan, since its sign and payload reach no output."""
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(nan_a, nan_b)
+            and np.array_equal(np.where(nan_a, 0.0, a).view(np.uint64),
+                               np.where(nan_b, 0.0, b).view(np.uint64)))
+
+
+@st.composite
+def batched_marches(draw):
+    """A random context, m columns of u^0 in C or F order, one of them
+    possibly all +0.0 or all -0.0, and optionally level-varying source sums
+    in C order or as the F-ordered transpose of space-contiguous samples
+    (the stability probe's layout)."""
+    ctx, seed = draw(problems())
+    m = draw(st.integers(1, 8))
+    state_order = draw(st.sampled_from("CF"))
+    zero_column = draw(st.sampled_from([None, 0.0, -0.0]))
+    source = draw(st.sampled_from([None, "C", "F"]))
+    return ctx, seed, m, state_order, zero_column, source
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_marches())
+def test_batched_march_matches_per_column_reference_bitwise(case):
+    ctx, seed, m, state_order, zero_column, source = case
+    nx, window = ctx.domain.nx, ctx.window
+    rng = np.random.default_rng(seed)
+    state = np.asarray(rng.standard_normal((nx + 1, m)), order=state_order)
+    if zero_column is not None:
+        state[:, rng.integers(m)] = zero_column
+    source_sum, samples = None, None
+    if source == "C":
+        samples = rng.standard_normal((window.nt + 1, nx + 1, m))
+
+        def source_sum(n):
+            return samples[n] + samples[n + 1]
+    elif source == "F":
+        samples = rng.standard_normal((window.nt + 1, m, nx + 1))
+
+        def source_sum(n):
+            return (samples[n] + samples[n + 1]).T
+    state_before = state.copy()
+    samples_before = None if samples is None else samples.copy()
+
+    recorded = {}
+
+    def record(n, u):
+        recorded[n] = u.copy()
+
+    cn_march(ctx.dop, window, state, record, source_sum)
+    reference = reference_columns(ctx.dop, window, state, source_sum,
+                                  window.nt)
+    assert sorted(recorded) == list(range(1, window.nt + 1))
+    assert all(same_bits(recorded[n], reference[n]) for n in recorded)
+
+    snapshots, traces = observed_march(ctx.dop, window, state, source_sum)
+    sl, gamma = window.window_slice, list(ctx.domain.gamma_indices)
+    assert same_bits(snapshots, reference[window.snapshot_index].T)
+    assert same_bits(traces, np.stack(
+        [reference[n][gamma].T for n in range(sl.start, sl.stop)], axis=2))
+    # the marches work in place, but never in the caller's arrays
+    assert same_bits(state, state_before)
+    assert samples is None or np.array_equal(samples, samples_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(), st.integers(1, 8),
+       st.sampled_from([0.0, np.inf, np.nan]))
+def test_band_product_matches_per_column_products_bitwise(problem, m,
+                                                          special):
+    # one pass over all columns must neither leak a term across a column
+    # boundary (not even the sign of a zero or a nan) nor raise a float
+    # fault that the per-column products would not
+    ctx, seed = problem
+    dop, kappa = ctx.dop, 0.5 * ctx.window.k
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((ctx.domain.nx + 1, m))
+    special_at = rng.random(q.shape) < 0.5
+    q[special_at] = np.copysign(special, q[special_at])
+    _, plus = _reference_matrices(dop.lower, dop.diag, dop.upper, kappa)
+    bands = column_bands(kappa * dop.lower, 1.0 + kappa * dop.diag,
+                         kappa * dop.upper, m)
+
+    def per_column():
+        return np.stack([_reference_mv(plus, col) for col in q.T], 1)
+
+    with np.errstate(all="ignore"):
+        assert same_bits(band_mv(bands, q), per_column())
+    faults = []
+    for product in (lambda: band_mv(bands, q), per_column):
+        with np.errstate(all="raise"):
+            try:
+                product()
+                faults.append(None)
+            except FloatingPointError as exc:
+                faults.append(str(exc))
+    assert faults[0] == faults[1]

@@ -73,8 +73,8 @@ def test_unseen_late_source_is_flagged_as_violation_candidate():
 
 
 def test_initial_family_products_decay_and_agree_across_meshes():
-    rep = initial_stability_probe(initial_eigenmode_family(8), probe_context(),
-                                  levels=2)
+    rep = initial_stability_probe(initial_eigenmode_family(8, normalized=True),
+                                  probe_context(), levels=2)
     assert rep.kind == "initial"
     assert len(rep.rows) == 16
     assert all(r.flag == "" for r in rep.rows)
@@ -177,7 +177,8 @@ def test_overflowing_initial_member_is_refused():
 
 @pytest.mark.parametrize("probe,family", [
     (source_stability_probe, source_eigenmode_family(3)),
-    (initial_stability_probe, initial_eigenmode_family(4))])
+    (initial_stability_probe,
+     initial_eigenmode_family(4, normalized=True))])
 def test_one_factorization_per_mesh_level(monkeypatch, probe, family):
     calls = []
     original = solver._cn_factors

@@ -4,12 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastab.lab import make_context
 from parastab.mesh import (SpaceTimeField, field_from_function, sample_spatial,
                            zero_field)
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
+from parastab.probes import _source_combined_norms
 from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
                              forward_solve, time_derivative, time_shift)
 
@@ -200,3 +203,61 @@ def test_overflowing_march_raises_at_level_one():
         with pytest.raises(RuntimeError, match=r"^non-finite iterate in "
                            r"forward solve at level 1$"):
             forward_solve(ctx.dop, None, g, ctx.window)
+
+
+# Each march checks only its last state; a failed check must still name the
+# first level whose iterate is not finite, as a per-level check would.
+NON_FINITE = st.sampled_from([np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_an_overflowing_source_is_named_at_its_first_bad_level(data):
+    # a field holds only finite values: f = 1e308 from column n - 1 on
+    # makes f^{n-1} + f^n, the source of level n, overflow, while level
+    # n - 1 only sees 1e308
+    ctx = make_context(nx=16, nt=24)
+    n = data.draw(st.integers(2, ctx.window.nt))
+    values = np.zeros((17, ctx.window.nt + 1))
+    values[:, n - 1:] = 1e308
+    f = SpaceTimeField(values, ctx.domain, ctx.window)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=rf"^non-finite iterate in forward solve at "
+                                rf"level {n}$"):
+        forward_solve(ctx.dop, f, np.ones(17), ctx.window)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_non_finite_probe_source_is_named_at_its_first_level(data):
+    # the probe's batched march (observed_march) stops at the window end
+    ctx = make_context(nx=16, nt=24)
+    times = ctx.window.times
+    n = data.draw(st.integers(1, ctx.window.window_slice.stop - 1))
+    bad = data.draw(NON_FINITE)
+
+    def member(x, t):
+        return np.where(t >= times[n], bad, np.cos(np.pi * x))
+
+    family = [(1.0, lambda x, t: np.cos(2 * np.pi * x) + 0.0 * t),
+              (2.0, member)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=rf"^non-finite iterate in forward solve at "
+                                rf"level {n}$"):
+        _source_combined_norms(ctx, 0, family)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_non_finite_adjoint_payload_is_named_at_its_first_level(data):
+    # the adjoint marches down from nt, so its first bad level is the
+    # highest one the payload reaches
+    ctx = make_context(nx=16, nt=24)
+    sl = ctx.window.window_slice
+    rows = np.ones((2, sl.stop - sl.start))
+    j = data.draw(st.integers(0, rows.shape[1] - 1))
+    rows[data.draw(st.integers(0, 1)), j] = data.draw(NON_FINITE)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError, match=rf"^non-finite iterate in adjoint solve at "
+                                rf"level {sl.start + j}$"):
+        adjoint_solve(ctx.dop, np.ones(17), None, rows, ctx.window)
