@@ -6,7 +6,8 @@ boundary trace on the observed endpoints over the window
 sqrt(h2_space(snapshot)^2 + h2_trace(trace)^2); measurement_data attaches
 these norms to any snapshot/trace pair, clean or noisy, and refuses data
 too large for them. observed_march records only the observed levels of a
-batched forward march.
+batched forward march; the solver's level loop guards a march of no
+columns.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ def observed_march(dop: DiscreteOperator, window: TimeWindow,
     level measured. The results are indexed by column first: snapshots of
     shape (m, nx+1) and traces of shape (m, observed endpoints, window
     levels), so each column's pair is contiguous like the one measure
-    copies out of a full field.
+    copies out of a full field. With m = 0 both are empty.
     """
     domain = dop.domain
     i_T, sl = window.snapshot_index, window.window_slice
@@ -76,10 +77,6 @@ def observed_march(dop: DiscreteOperator, window: TimeWindow,
         if sl.start <= n < sl.stop:
             traces[:, :, n - sl.start] = u[gamma].T
 
-    if m == 0:
-        # nothing to march, and LAPACK's dgttrs corrupts memory when handed
-        # zero right-hand sides
-        return snapshots, traces
     record(0, state)
     cn_march(dop, window, state, record, source_sum, _last_level=sl.stop - 1)
     return snapshots, traces

@@ -56,20 +56,18 @@ def band_mv(bands, q: np.ndarray, out=None, scratch=None) -> np.ndarray:
     if out is None:
         out = np.empty(q.shape, order="F")
         scratch = np.empty(q.shape, order="F")
-    rows, batched = q.shape[0], q.ndim == 2
-    qf, of, sf = q, out, scratch
-    if batched:
-        qf, of, sf = (a.reshape(-1, order="F") for a in (q, out, scratch))
+    rows = q.shape[0]
+    # one column has no cross-column entries: the strided slices below
+    # select nothing in a flat view of length rows
+    qf, of, sf = q.ravel("F"), out.ravel("F"), scratch.ravel("F")
     np.multiply(diag, qf, out=of)
     np.multiply(sub, qf[:-1], out=sf[1:])
     # adding -0.0 leaves every value's bits as they are, so the terms that
     # would cross from one column into the next add nothing
-    if batched:
-        sf[rows::rows] = -0.0
+    sf[rows::rows] = -0.0
     of[1:] += sf[1:]
     np.multiply(sup, qf[1:], out=sf[:-1])
-    if batched:
-        sf[rows - 1:-1:rows] = -0.0
+    sf[rows - 1:-1:rows] = -0.0
     of[:-1] += sf[:-1]
     return out
 

@@ -17,9 +17,9 @@ one factorization, and the march stops at the end of the lateral window
 because nothing later is measured. Every column equals its member's own
 forward solve bit for bit, so the rows do too.
 
-A member the gate refuses, or whose measurement overflows, is refused
-with a ValueError naming the member and the mesh level rather than
-reported as a nan row.
+A member whose samples are not finite, that the gate refuses, or whose
+measurement overflows, is refused with a ValueError naming the member and
+the mesh level rather than reported as a nan row.
 """
 from __future__ import annotations
 
@@ -145,10 +145,9 @@ def source_stability_probe(family, ctx, levels: int) -> ProbeReport:
     """
     rows = []
     for level, c in enumerate(_contexts(ctx, levels)):
-        f_norms = [_member(i, level, make_admissible_pair, c,
-                           f=field_from_function(c.domain, c.window,
-                                                 fn)).f_norm
-                   for i, (_, fn) in enumerate(family)]
+        f_norms = [_member(i, level, lambda: make_admissible_pair(
+                       c, f=field_from_function(c.domain, c.window, fn)))
+                   .f_norm for i, (_, fn) in enumerate(family)]
         combined_norms = _source_combined_norms(c, level, family)
         for i, (param, _) in enumerate(family):
             f_norm, combined = f_norms[i], combined_norms[i]

@@ -5,11 +5,11 @@ and nothing time- or host-dependent goes into a file, so a fixed config
 and seed produce byte-identical artifacts. Wall-clock timings belong to
 stdout, never to the report files.
 
-All-float tables (the forward field, the decompose profile, the
-reconstruction) are streamed to the open file one row at a time, each row
-converted to Python floats and joined in repr; the whole file is never
-held as one string. Rows that mix floats with integers, booleans or labels
-(sweep, probe and rate tables) go cell by cell through fmt.
+One writer streams every table to the open file a row at a time; the
+whole file is never held as one string. All-float tables (the forward
+field, the decompose profile, the reconstruction) are spelled in repr over
+Python floats, rows that mix floats with integers, booleans or labels
+(sweep, probe and rate tables) through fmt.
 """
 from __future__ import annotations
 
@@ -34,25 +34,18 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_float_table(path: str, header, table: np.ndarray) -> None:
-    """Header line, then one line per row of a 2-D float array.
-
-    Each row becomes Python floats only while it is written, so memory
-    stays at one row of text whatever the table size; the bytes equal
-    _write_rows of the same rows, since fmt of a float is its repr.
-    """
+def _write_table(path: str, header, rows, cell=fmt) -> None:
+    """Header line, then one line per row, each cell spelled by cell;
+    repr spells a Python float as fmt does."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
+def _float_rows(table: np.ndarray):
+    """Each row of a 2-D float array as a list of Python floats."""
+    return (row.tolist() for row in table)
 
 
 def _float_columns(*columns) -> np.ndarray:
@@ -70,13 +63,13 @@ def write_field_csv(path: str, u) -> None:
     header = [f"h={fmt(domain.h)}", f"k={fmt(window.k)}",
               f"T={fmt(window.T)}", f"delta0={fmt(window.delta0)}",
               f"delta1={fmt(window.delta1)}"]
-    _write_float_table(path, header, u.values.T)
+    _write_table(path, header, _float_rows(u.values.T), repr)
 
 
 def write_sweep_csv(path: str, rows) -> None:
     header = ["s", "p", "lhs", "rhs", "ratio", "boundary_mode", "lambda",
               "delta1", "flag"]
-    _write_rows(path, header,
+    _write_table(path, header,
                 [(r.s, r.p, r.lhs, r.rhs, r.ratio, r.boundary_mode, r.lam,
                   r.delta1, r.flag) for r in rows])
 
@@ -84,7 +77,7 @@ def write_sweep_csv(path: str, rows) -> None:
 def write_probe_csv(path: str, rows) -> None:
     header = ["member_id", "param", "f_norm_or_g_norm", "combined_norm",
               "ratio_or_product", "mesh_level", "flag"]
-    _write_rows(path, header,
+    _write_table(path, header,
                 [(r.member_id, r.param, r.data_norm, r.combined_norm,
                   r.value, r.mesh_level, r.flag) for r in rows])
 
@@ -92,7 +85,7 @@ def write_probe_csv(path: str, rows) -> None:
 def write_rate_csv(path: str, rows) -> None:
     header = ["eps", "alpha", "err_f", "err_g", "combined_norm_clean",
               "combined_norm_noisy", "iters", "converged", "grad_norm"]
-    _write_rows(path, header,
+    _write_table(path, header,
                 [(r.eps, r.alpha, r.err_f, r.err_g, r.combined_norm_clean,
                   r.combined_norm_noisy, r.iters, r.converged, r.grad_norm)
                  for r in rows])
@@ -101,15 +94,16 @@ def write_rate_csv(path: str, rows) -> None:
 def write_reconstruction_csv(path: str, x, phi_true, g_true, phi_est,
                              g_est) -> None:
     header = ["x", "phi_true", "g_true", "phi_est", "g_est"]
-    _write_float_table(path, header,
-                       _float_columns(x, phi_true, g_true, phi_est, g_est))
+    _write_table(path, header, _float_rows(
+        _float_columns(x, phi_true, g_true, phi_est, g_est)), repr)
 
 
 def write_profile_csv(path: str, times, z_norms, chord) -> None:
     """Per-time table behind the interpolation check; a drift operator
     leaves the norms and chord empty, so its table is the header alone."""
     header = ["t", "z_norm", "chord"]
-    _write_float_table(path, header, _float_columns(times, z_norms, chord))
+    _write_table(path, header,
+                 _float_rows(_float_columns(times, z_norms, chord)), repr)
 
 
 @dataclass(frozen=True)

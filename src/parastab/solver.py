@@ -25,9 +25,19 @@ stored factors (dgttrs). The arithmetic is the one a per-level tridiagonal
 solve performs, so the iterates are bit-identical to it. A zero pivot is
 reported at the first level the march solves.
 
-The level loops allocate nothing: each march keeps two work buffers and
-one scratch array shaped like its state, forms the band product in place
-and solves in place, so the array a level hands to record(n, u) is
+One level loop, _march, serves every march. cn_march runs levels 1..nt
+from u^0 = g with kappa (f^{n-1} + f^n) as the source of level n, for one
+column or m at once: LAPACK applies the factors to each column with the
+arithmetic of a single right-hand side, so every column equals its own
+forward_solve bit for bit. adjoint_solve runs levels nt..1 from a zero
+state with the weighted payloads s[:, m] as sources. Its first level
+equals solving s[:, nt] bit for bit: the band product of zero is +-0.0,
+and adding +-0.0 changes no entry of s, which is built by adding onto
++0.0 and so never holds -0.0.
+
+The loop allocates nothing per level: each march keeps two work buffers
+and one scratch array shaped like its state, forms the band product in
+place and solves in place, so the array a level hands to record(n, u) is
 overwritten by later levels and callers copy what they keep. Nor do the
 levels check anything. A non-finite entry stays non-finite under the band
 product and the tridiagonal solve (inf and nan never vanish there), so one
@@ -36,11 +46,9 @@ callbacks included, runs with overflow, invalid and divide faults
 ignored; when its last state is not finite it marches again the checked
 way, under the caller's errstate and with every iterate checked, so a
 failure is reported as before: the numpy fault the caller's errstate
-raises, or a non-finite iterate at the first level that has one.
-
-The forward level loop, cn_march, also marches m columns at once: LAPACK
-applies the factors to each column with the arithmetic of a single
-right-hand side, so every column equals its own forward_solve bit for bit.
+raises, or a non-finite iterate at the first level that has one. A state
+of no columns returns before the loop: dgttrs corrupts memory when handed
+zero right-hand sides.
 """
 from __future__ import annotations
 
@@ -77,20 +85,34 @@ def solve_banded(lu, rhs):
     return out
 
 
-def _require_finite(tag, level, state):
-    if not np.all(np.isfinite(state)):
-        raise RuntimeError(f"non-finite iterate in {tag} solve at level {level}")
+def _march(lu, plus, state, levels, record, source, tag):
+    """March state through `levels`: level n adds source(n, out), if any,
+    to plus*u (out is a free buffer) and solves with lu, then calls
+    record(n, u). Returns the last state, checked once (module docstring).
+    """
+    if state.size == 0:
+        return state
 
+    def run(record):
+        # F order: dgttrs solves an F-contiguous right-hand side in place
+        u = np.array(state, dtype=float, order="F")
+        work, scratch = np.empty_like(u), np.empty_like(u)
+        for n in levels:
+            band_mv(plus, u, work, scratch)
+            if source is not None:
+                work += source(n, scratch)
+            u, work = solve_banded(lu, work), u
+            record(n, u)
+        return u
 
-def _checked_once(levels, record, tag):
-    """levels(record) marches and returns its last state; run it with float
-    faults ignored and check that last state once. If it is not finite,
-    march again under the caller's errstate with every level checked, which
-    raises where a per-level check would have (module docstring)."""
+    def check(n, u):
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError(f"non-finite iterate in {tag} solve at level {n}")
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        last = levels(record)
+        last = run(record)
     if not np.all(np.isfinite(last)):
-        levels(lambda n, u: _require_finite(tag, n, u))
+        run(check)
     return last
 
 
@@ -123,12 +145,13 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
 
 def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
              record, source_sum=None, *, _last_level=None) -> None:
-    """The forward Crank-Nicolson level loop from u^0 = state.
+    """The forward Crank-Nicolson march from u^0 = state.
 
     state has shape (nx+1,), or (nx+1, m) to march m columns under one
-    factorization; it is read, never written. record(n, u^n) receives every
-    new level n = 1..last, where last is nt unless _last_level stops the
-    march earlier (callers that only measure stop at the end of the lateral
+    factorization; it is read, never written, and with m = 0 nothing is
+    marched or recorded. record(n, u^n) receives every new level
+    n = 1..last, where last is nt unless _last_level stops the march
+    earlier (callers that only measure stop at the end of the lateral
     window); u^n is a work buffer that later levels overwrite, so record
     copies what it keeps. source_sum(n), when given, returns
     f^n + f^{n+1} shaped like the state.
@@ -137,20 +160,12 @@ def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
     lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
                            1, state.shape[1] if state.ndim == 2 else 1)
     last = window.nt if _last_level is None else _last_level
+    source = None
+    if source_sum is not None:
+        def source(n, out):
+            return np.multiply(kappa, source_sum(n - 1), out=out)
 
-    def levels(record):
-        # F order: dgttrs solves an F-contiguous right-hand side in place
-        u = np.array(state, dtype=float, order="F")
-        work, scratch = np.empty_like(u), np.empty_like(u)
-        for n in range(last):
-            band_mv(plus, u, work, scratch)
-            if source_sum is not None:
-                work += np.multiply(kappa, source_sum(n), out=scratch)
-            u, work = solve_banded(lu, work), u
-            record(n + 1, u)
-        return u
-
-    _checked_once(levels, record, "forward")
+    _march(lu, plus, state, range(1, last + 1), record, source, "forward")
 
 
 def adjoint_solve(dop: DiscreteOperator,
@@ -192,6 +207,9 @@ def adjoint_solve(dop: DiscreteOperator,
         # weight makes the weighted pairing reproduce the plain window sum.
         for row, gi in zip(rows, domain.gamma_indices):
             s[gi, sl] += ww * row / wx[gi]
+    if not np.all(np.isfinite(s)):
+        raise ValueError("adjoint payload is not finite, or overflows once "
+                         "weighted")
 
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa,
@@ -201,18 +219,9 @@ def adjoint_solve(dop: DiscreteOperator,
     def store(m, state):
         p[:, m] = state
 
-    def levels(record):
-        state = solve_banded(lu, s[:, nt].copy())
-        record(nt, state)
-        work, scratch = np.empty_like(state), np.empty_like(state)
-        for m in range(nt - 1, 0, -1):
-            band_mv(plus, state, work, scratch)
-            work += s[:, m]
-            state, work = solve_banded(lu, work), state
-            record(m, state)
-        return state
-
-    p[:, 0] = s[:, 0] + band_mv(plus, _checked_once(levels, store, "adjoint"))
+    last = _march(lu, plus, np.zeros(nx + 1), range(nt, 0, -1), store,
+                  lambda m, out: s[:, m], "adjoint")
+    p[:, 0] = s[:, 0] + band_mv(plus, last)
     return SpaceTimeField(p, dop.domain, window)
 
 

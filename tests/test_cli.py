@@ -300,6 +300,16 @@ def test_a_forward_config_with_a_seed_is_refused(tmp_path, capsys):
      "error: overflow encountered in "),
     (["rate", "--noise", "0.1,0.01,-1"],
      "error: noise level must be nonnegative"),
+    (["carleman-audit", "--boundary", "nope"],
+     "error: boundary must be one of ['exp', 'literal'], got 'nope'"),
+    (["forward", "--g", "eigenmode:1:2:3"],
+     "error: bad eigenmode descriptor: 'eigenmode:1:2:3'"),
+    (["stability-probe", "--kind", "source", "--f", "zero"],
+     "error: custom source family needs a nonzero f"),
+    # the member is sampled where its refusal gets the member prefix
+    (["stability-probe", "--kind", "source", "--f", "eigenmode:1:inf"],
+     "error: family member 0 at mesh level 0: field contains non-finite "
+     "values"),
 ])
 def test_a_refused_run_creates_no_output_directory(tmp_path, capsys, argv,
                                                    message):
@@ -532,6 +542,17 @@ def test_readme_inverse_jobs_solve_the_truth_once(tmp_path, monkeypatch,
     assert calls == {"forward_solve": marches[0], "adjoint_solve": marches[1],
                      "lstsq": solves, "observed_march": 1,
                      "make_admissible_pair": 1}
+
+
+def test_reconstruct_of_zero_data_keeps_them_unperturbed(tmp_path):
+    # zero data have no size to scale the noise by, so they stay zero and
+    # the zero pair is recovered exactly
+    out = str(tmp_path / "o")
+    assert main(["reconstruct", "--nx", "8", "--nt", "8", "--f", "zero",
+                 "--g", "zero", "--noise", "0.1", "--out", out]) == 0
+    lines = manifest_lines(out)
+    for key in ("combined_norm_noisy", "err_f", "err_g", "final_objective"):
+        assert f"summary.{key}=0.0" in lines
 
 
 def test_reconstruct_is_level_zero_of_rate(tmp_path):

@@ -9,7 +9,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from parastab.cli import _TABLES, resolve_config, run_cli
@@ -150,6 +150,22 @@ def _may_be_non_finite(sub: str, rc: int, summary: dict, rows) -> set:
     return set()
 
 
+def _tiny(sub, horizon):
+    return [sub, "--nx", "8", "--nt", "8"] + [
+        tok for key in ("T", "delta0", "delta1") for tok in (f"--{key}",
+                                                             horizon)]
+
+
+# random draws rarely reach these corners, so each is run every time
+@example(_tiny("forward", "1e-5"))
+@example(_tiny("decompose", "1e-100"))
+@example(_tiny("reconstruct", "1e-154"))
+@example(_tiny("carleman-audit", "1e-200"))
+@example(_tiny("rate", "1e-320"))
+@example(_tiny("stability-probe", "5e-324"))
+@example(["carleman-audit", "--nx", _OVERSIZED["nx"], "--nt", "8"])
+@example(["stability-probe", "--nx", "8", "--nt", "8", "--levels",
+          _OVERSIZED["levels"]])
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_argv())

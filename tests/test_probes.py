@@ -123,8 +123,8 @@ def test_zero_initial_value_is_degenerate():
 
 
 def test_empty_family_marches_nothing():
-    # zero members must not reach the batched march: dgttrs corrupts
-    # memory when given zero right-hand sides
+    # dgttrs corrupts memory when given zero right-hand sides, so the
+    # level loop returns before it when a family has no members
     for probe in (source_stability_probe, initial_stability_probe):
         rep = probe([], make_context(nx=8, nt=8), levels=2)
         assert rep.rows == ()
@@ -167,6 +167,20 @@ def test_mixed_family_refuses_the_overflowing_member(amplitude, what):
     with np.errstate(all="raise"), \
             pytest.raises(ValueError, match=f"member 1 .*overflows.* {what}"):
         source_stability_probe(family, ctx, levels=1)
+
+
+@pytest.mark.parametrize("probe, family, message", [
+    (source_stability_probe, source_eigenmode_family(1) + [
+        (2.0, lambda x, t: np.where(x == 0.5, np.inf, 0.0) + 0.0 * t)],
+     "field contains non-finite values$"),
+    (initial_stability_probe, initial_eigenmode_family(1, normalized=True) + [
+        (2.0, lambda x: np.where(x == 0.5, np.nan, 0.0))],
+     "initial value overflows: its L2 norm is nan")])
+def test_a_non_finite_member_is_refused_with_its_prefix(probe, family,
+                                                        message):
+    with pytest.raises(ValueError, match="^family member 1 at mesh level 0: "
+                                         + message):
+        probe(family, make_context(nx=16, nt=8), levels=1)
 
 
 def test_overflowing_initial_member_is_refused():

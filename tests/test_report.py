@@ -1,5 +1,5 @@
-"""Float-table CSV writer: byte equality with the cell-by-cell fmt path,
-and an exact round trip of the forward field through forward.csv."""
+"""The one CSV writer: repr cells of float tables equal fmt cells byte for
+byte, and the forward field round-trips exactly through forward.csv."""
 import math
 import os
 
@@ -55,10 +55,11 @@ _MATRICES = hnp.arrays(np.float64,
 def test_float_table_matches_the_fmt_path_bytewise(tmp_path_factory, table):
     path = str(tmp_path_factory.mktemp("t") / "table.csv")
     header = [f"c{j}" for j in range(table.shape[1])]
-    report._write_float_table(path, header, table)
+    # the float-table spelling: repr over Python floats
+    report._write_table(path, header, report._float_rows(table), repr)
     assert _read(path) == _reference_bytes(header, table)
-    # the mixed-row path keeps the same spelling of every float
-    report._write_rows(path, header, table)
+    # the mixed-table spelling: fmt over numpy cells
+    report._write_table(path, header, table)
     assert _read(path) == _reference_bytes(header, table)
     assert all(report.fmt(v) == _reference_fmt(v) for v in table.flat)
 
@@ -79,7 +80,8 @@ def test_profile_table_is_cut_to_its_shortest_column(tmp_path_factory, nt,
 
 def test_zero_row_tables_are_the_header_alone(tmp_path):
     path = str(tmp_path / "empty.csv")
-    report._write_float_table(path, ["a", "b"], np.empty((0, 2)))
+    report._write_table(path, ["a", "b"], report._float_rows(np.empty((0, 2))),
+                        repr)
     assert _read(path) == b"a,b\n"
     # a drift operator leaves norms and chord empty while times is not
     report.write_profile_csv(path, np.linspace(0.0, 1.0, 5), np.empty(0),

@@ -1,20 +1,26 @@
 """Forward/adjoint marching: manufactured convergence, exact discrete
 duality, mass conservation, the window restriction, and the failure paths."""
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parastab import solver
 from parastab.lab import make_context
+from parastab.measurement import observed_march
 from parastab.mesh import (SpaceTimeField, field_from_function, sample_spatial,
                            zero_field)
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
 from parastab.probes import _source_combined_norms
 from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
-                             forward_solve, time_derivative, time_shift)
+                             forward_solve, solve_banded, time_derivative,
+                             time_shift)
 
 GENERAL_OP = EllipticOperator(a=lambda x: 1.0 + 0.3 * np.sin(np.pi * x),
                               b=lambda x: 0.4 * np.cos(x),
@@ -249,15 +255,97 @@ def test_a_non_finite_probe_source_is_named_at_its_first_level(data):
 
 @settings(max_examples=20, deadline=None)
 @given(st.data())
-def test_a_non_finite_adjoint_payload_is_named_at_its_first_level(data):
-    # the adjoint marches down from nt, so its first bad level is the
-    # highest one the payload reaches
+def test_a_non_finite_adjoint_payload_is_refused_before_the_march(data):
     ctx = make_context(nx=16, nt=24)
     sl = ctx.window.window_slice
-    rows = np.ones((2, sl.stop - sl.start))
-    j = data.draw(st.integers(0, rows.shape[1] - 1))
-    rows[data.draw(st.integers(0, 1)), j] = data.draw(NON_FINITE)
+    terminal, rows = np.ones(17), np.ones((2, sl.stop - sl.start))
+    payload = data.draw(st.sampled_from([terminal, rows]))
+    payload[tuple(data.draw(st.integers(0, n - 1))
+                  for n in payload.shape)] = data.draw(NON_FINITE)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match=r"^adjoint payload is not finite, or overflows "
+                              r"once weighted$"):
+        adjoint_solve(ctx.dop, terminal, None, rows, ctx.window)
+
+
+def test_an_adjoint_payload_that_overflows_once_weighted_is_refused():
+    # a step k = 4 weights the interior trace levels by 4/(1/2) = 8
+    ctx = make_context(nx=16, nt=8, T=16.0, delta0=16.0, delta1=8.0)
+    sl = ctx.window.window_slice
+    rows = np.full((2, sl.stop - sl.start), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^adjoint payload is not finite"):
+        adjoint_solve(ctx.dop, None, None, rows, ctx.window)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(8, 40))
+def test_an_overflowing_adjoint_march_is_named_at_its_first_level(nt):
+    # a finite terminal payload whose first level, the snapshot, overflows
+    ctx = make_context(nx=16, nt=nt)
+    payload = 1e308 * np.cos(np.pi * ctx.domain.points)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             RuntimeError, match=rf"^non-finite iterate in adjoint solve at "
-                                rf"level {sl.start + j}$"):
-        adjoint_solve(ctx.dop, np.ones(17), None, rows, ctx.window)
+                                rf"level {ctx.window.snapshot_index}$"):
+        adjoint_solve(ctx.dop, payload, None, None, ctx.window)
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda ctx, other: forward_solve(ctx.dop, None, np.ones(5), ctx.window),
+     r"^initial value shape \(5,\), expected \(17,\)$"),
+    (lambda ctx, other: adjoint_solve(ctx.dop, None, other, None, ctx.window),
+     r"^interior payload grid does not match the window$"),
+    (lambda ctx, other: adjoint_solve(ctx.dop, None, None, np.ones((3, 2)),
+                                      ctx.window),
+     r"^boundary payload shape \(3, 2\), expected \(2, 9\)$"),
+], ids=["initial", "interior", "boundary"])
+def test_mismatched_shapes_are_refused(solve, message):
+    ctx = make_context(nx=16, nt=24)
+    other = make_context(nx=16, nt=48)
+    with pytest.raises(ValueError, match=message):
+        solve(ctx, zero_field(other.domain, other.window))
+
+
+def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
+    # perfbench counts solver.banded_solves by wrapping this module global,
+    # so the level loop must call it, once per level
+    ctx = make_context(nx=16, nt=24)
+    w = ctx.window
+    calls = []
+
+    def counted(lu, rhs):
+        calls.append(rhs.shape)
+        return solve_banded(lu, rhs)
+    monkeypatch.setattr(solver, "solve_banded", counted)
+    forward_solve(ctx.dop, zero_field(ctx.domain, w), np.ones(17), w)
+    assert calls == [(17,)] * w.nt
+    calls.clear()
+    adjoint_solve(ctx.dop, np.ones(17), None, None, w)
+    assert calls == [(17,)] * w.nt
+    calls.clear()
+    observed_march(ctx.dop, w, np.ones((17, 3)))
+    assert calls == [(17, 3)] * (w.window_slice.stop - 1)
+
+
+def test_a_march_of_no_columns_makes_no_lapack_solve():
+    # dgttrs handed zero right-hand sides corrupts memory, so a child
+    # process runs the march: a crash fails the test instead of the suite
+    code = "\n".join([
+        "import numpy as np",
+        "from parastab import solver",
+        "from parastab.lab import make_context",
+        "solves, levels = [], []",
+        "dgttrs = solver.dgttrs",
+        "solver.dgttrs = lambda *a, **k: (solves.append(1), "
+        "dgttrs(*a, **k))[1]",
+        "ctx = make_context(nx=16, nt=12)",
+        "solver.cn_march(ctx.dop, ctx.window, np.zeros((17, 0)),",
+        "                lambda n, u: levels.append(n))",
+        "print(len(solves), levels)",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
