@@ -20,6 +20,7 @@ estimate-violation candidate, so CI can tell them apart.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -464,7 +465,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing keeps no state in the parser
     parser = _Parser(prog="parastab",
                      description="numerical laboratory for simultaneous "
                                  "source and initial-value recovery")

@@ -16,15 +16,25 @@ weights (discretize-then-optimize).
 The source is time-constant, f(x,t) = phi(x): its f_t vanishes, so every
 phi meets the rate budget and the unknowns need no constraint of their
 own. The data depend linearly on the 2(nx+1) unknowns (phi, g), and the
-objective is an exact quadratic. minimize solves it once, as the SVD
-least-squares problem of the observation matrix (one batched forward
-march of the basis pairs) stacked on the Tikhonov rows, and then
-certifies the solution with one PDE objective and gradient evaluation.
-The normal equations are avoided because they square the condition
-number: 1.7e3 becomes 3e6 at eps = 1e-3 in the README rate run, and at
-alpha = 0 they lose definiteness. recover, the one driver of the
-reconstruct and rate runs, solves and measures the truth pair once for
-all its noise levels.
+objective is an exact quadratic. Each noise level is solved once, as the
+SVD least-squares problem of the observation matrix stacked on the
+Tikhonov rows, and the solution is certified by one PDE objective and
+gradient evaluation. The normal equations are avoided because they square
+the condition number: 1.7e3 becomes 3e6 at eps = 1e-3 in the README rate
+run, and at alpha = 0 they lose definiteness.
+
+recover, the one driver of the reconstruct and rate runs, marches three
+times however many levels it has, each march one factorization with one
+column per pair:
+1. the observation march of the basis pairs, with the truth pair riding
+   as one more column; it stops at the end of the lateral window;
+2. the certificate forward march of every level's estimate, to the same
+   level;
+3. the certificate adjoint march of every level's residual payload.
+Every column equals the march of its pair alone bit for bit, so the
+results are those of solving the truth, and certifying each level, on its
+own. objective_and_gradient and minimize are the one-level cases of the
+same code.
 """
 from __future__ import annotations
 
@@ -39,7 +49,10 @@ from .lab import LabContext
 from .measurement import MeasurementData, measure, measurement_data, \
     observed_march
 from .mesh import SpaceTimeField
-from .solver import adjoint_gradients, adjoint_solve, forward_solve
+# adjoint_solve is not called here; the benchmark tracer wraps it by this
+# module's name
+from .solver import adjoint_gradients, adjoint_march, adjoint_solve, \
+    adjoint_sources, forward_solve
 
 
 @dataclass(frozen=True)
@@ -102,29 +115,69 @@ def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
 
     The data gradient is one adjoint solve; entries are partial derivatives
     with respect to the raw parameter vector (trapezoid weights included),
-    so central differences of J reproduce them directly.
+    so central differences of J reproduce them directly. This is the
+    one-level case of the batched certificate that recover runs.
     """
-    phi, g = unpack_params(params, ctx)
-    f = _source_field(phi, ctx)
-    u = forward_solve(ctx.dop, f, g, ctx.window)
+    return _certificates([spec], [params], [data], ctx)[0]
 
+
+def _certificates(specs, params, datas, ctx: LabContext) -> list:
+    """(J, gradient) of objective_and_gradient for each level's spec,
+    parameter vector and data, from one forward march of every estimate
+    and one adjoint march of every residual payload. Each level's pair is
+    bit-identical to its own evaluation."""
     window, domain = ctx.window, ctx.domain
+    phis, gs = zip(*(unpack_params(x, ctx) for x in params))
+    # f^n + f^{n+1} of the time-constant sources, the same at every level
+    phi_cols = np.stack(phis, axis=1)
+    source_sum = phi_cols + phi_cols
+    snapshots, traces = observed_march(ctx.dop, window, np.stack(gs, axis=1),
+                                       lambda level: source_sum)
     wx = domain.quad_weights
     ww = window.window_weights
-    r_T = u.values[:, window.snapshot_index] - data.final_snapshot
-    r_G = u.values[np.array(domain.gamma_indices), window.window_slice] \
-        - data.lateral_trace
+    values, payloads = [], []
+    for spec, data, phi, g, snapshot, trace in zip(specs, datas, phis, gs,
+                                                    snapshots, traces):
+        r_T = snapshot - data.final_snapshot
+        r_G = trace - data.lateral_trace
+        J = 0.5 * float(np.sum(wx * r_T ** 2))
+        J += 0.5 * float(np.sum(ww[None, :] * r_G ** 2))
+        J += 0.5 * spec.alpha_f * float(np.sum(wx * phi ** 2))
+        J += 0.5 * spec.alpha_g * float(np.sum(wx * g ** 2))
+        values.append(J)
+        payloads.append(adjoint_sources(ctx.dop, r_T, None, r_G, window))
 
-    J = 0.5 * float(np.sum(wx * r_T ** 2))
-    J += 0.5 * float(np.sum(ww[None, :] * r_G ** 2))
-    J += 0.5 * spec.alpha_f * float(np.sum(wx * phi ** 2))
-    J += 0.5 * spec.alpha_g * float(np.sum(wx * g ** 2))
+    out = []
+    for spec, phi, g, J, p in zip(specs, phis, gs, values,
+                                  adjoint_march(ctx.dop, window,
+                                                np.stack(payloads))):
+        phi_adj, g_riesz = adjoint_gradients(SpaceTimeField(p, domain,
+                                                            window))
+        grad_phi = wx * (phi_adj.values @ window.quad_weights
+                         + spec.alpha_f * phi)
+        grad_g = wx * (g_riesz + spec.alpha_g * g)
+        out.append((J, np.concatenate([grad_phi, grad_g])))
+    return out
 
-    p = adjoint_solve(ctx.dop, r_T, None, r_G, window)
-    phi_adj, g_riesz = adjoint_gradients(p)
-    grad_phi = wx * (phi_adj.values @ window.quad_weights + spec.alpha_f * phi)
-    grad_g = wx * (g_riesz + spec.alpha_g * g)
-    return J, np.concatenate([grad_phi, grad_g])
+
+def _observations(ctx: LabContext, state, source_sum):
+    """observation_matrix, plus the snapshots and traces of the extra
+    columns (state, constant source_sum), shapes (nx+1, m), that ride in
+    its march."""
+    domain, window = ctx.domain, ctx.window
+    n = domain.nx + 1
+    eye, zero = np.eye(n), np.zeros((n, n))
+    # f^n + f^{n+1} of the unit sources, the same at every level
+    sources = np.hstack([2.0 * eye, zero, source_sum])
+    snapshots, traces = observed_march(ctx.dop, window,
+                                       np.hstack([zero, eye, state]),
+                                       lambda level: sources)
+    ww = window.window_weights
+    obs = np.vstack([np.sqrt(domain.quad_weights)[:, None]
+                     * snapshots[:2 * n].T,
+                     (np.sqrt(ww)[None, :, None]
+                      * traces[:2 * n].transpose(1, 2, 0)).reshape(-1, 2 * n)])
+    return obs, snapshots[2 * n:], traces[2 * n:]
 
 
 def observation_matrix(ctx: LabContext) -> np.ndarray:
@@ -138,17 +191,8 @@ def observation_matrix(ctx: LabContext) -> np.ndarray:
     which stops at the last trace level, and each equals forward_solve of
     its pair bit for bit.
     """
-    domain, window = ctx.domain, ctx.window
-    n = domain.nx + 1
-    eye, zero = np.eye(n), np.zeros((n, n))
-    # f^n + f^{n+1} of the unit sources, the same at every level
-    source_sum = np.hstack([2.0 * eye, zero])
-    snapshots, traces = observed_march(ctx.dop, window, np.hstack([zero, eye]),
-                                       lambda level: source_sum)
-    ww = window.window_weights
-    return np.vstack([np.sqrt(domain.quad_weights)[:, None] * snapshots.T,
-                      (np.sqrt(ww)[None, :, None]
-                       * traces.transpose(1, 2, 0)).reshape(-1, 2 * n)])
+    none = np.zeros((ctx.domain.nx + 1, 0))
+    return _observations(ctx, none, none)[0]
 
 
 def observed_vector(data: MeasurementData, ctx: LabContext) -> np.ndarray:
@@ -159,26 +203,22 @@ def observed_vector(data: MeasurementData, ctx: LabContext) -> np.ndarray:
                            (np.sqrt(ww)[None, :] * data.lateral_trace).ravel()])
 
 
-def minimize(spec: InverseProblemSpec, data: MeasurementData,
-             ctx: LabContext, *, _obs=None) -> ReconstructionResult:
-    """Minimize the Tikhonov objective by one least-squares solve.
-
-    The minimizer of ||A x - b||, where A stacks the observation matrix
-    (_obs when the caller already has it) on diag(sqrt(alpha wx)) and b is
-    the observed data over zeros, is certified by one PDE objective and
-    gradient evaluation: converged reports the Euclidean gradient norm at
-    most grad_tol, and a non-finite objective raises RuntimeError.
-    Deterministic: no randomness anywhere.
-    """
-    obs = observation_matrix(ctx) if _obs is None else _obs
+def _least_squares(spec: InverseProblemSpec, data: MeasurementData,
+                   ctx: LabContext, obs: np.ndarray) -> np.ndarray:
+    """The minimizer of ||A x - b||: A stacks obs on diag(sqrt(alpha wx)),
+    b the observed data on zeros."""
     wx = ctx.domain.quad_weights
     tikhonov = np.sqrt(np.concatenate([spec.alpha_f * wx, spec.alpha_g * wx]))
     design = np.vstack([obs, np.diag(tikhonov)])
     target = np.concatenate([observed_vector(data, ctx),
                              np.zeros(tikhonov.size)])
     # 0.0 + turns a -0.0 entry into 0.0, so a zero estimate prints as 0.0
-    x = 0.0 + scipy.linalg.lstsq(design, target, lapack_driver="gelsd")[0]
-    J, grad = objective_and_gradient(spec, x, data, ctx)
+    return 0.0 + scipy.linalg.lstsq(design, target, lapack_driver="gelsd")[0]
+
+
+def _certified(spec: InverseProblemSpec, x: np.ndarray, J: float, grad,
+               ctx: LabContext) -> ReconstructionResult:
+    """The result of the solution x with its certificate (J, grad)."""
     if not math.isfinite(J):
         raise RuntimeError(f"non-finite objective at the least-squares "
                            f"solution: J={J!r} (max |param| = "
@@ -187,6 +227,24 @@ def minimize(spec: InverseProblemSpec, data: MeasurementData,
     phi, g = unpack_params(x, ctx)
     return ReconstructionResult(phi, g, J, grad_norm <= spec.grad_tol, 1,
                                 grad_norm)
+
+
+def minimize(spec: InverseProblemSpec, data: MeasurementData,
+             ctx: LabContext, *, _obs=None) -> ReconstructionResult:
+    """Minimize the Tikhonov objective by one least-squares solve.
+
+    The minimizer of ||A x - b||, where A stacks the observation matrix
+    (_obs when the caller already has it) on diag(sqrt(alpha wx)) and b is
+    the observed data over zeros, is certified by objective_and_gradient,
+    one forward and one adjoint march: converged reports the Euclidean
+    gradient norm at most grad_tol, and a non-finite objective raises
+    RuntimeError. recover runs the same solve and certificate for all its
+    levels at once. Deterministic: no randomness anywhere.
+    """
+    obs = observation_matrix(ctx) if _obs is None else _obs
+    x = _least_squares(spec, data, ctx, obs)
+    return _certified(spec, x, *objective_and_gradient(spec, x, data, ctx),
+                      ctx)
 
 
 def synthesize_data(pair, spec: InverseProblemSpec,
@@ -261,10 +319,13 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
 
     Level i has noise eps_i, seed spec.seed XOR i and weights (alpha_f,
     alpha_g) * eps_i^2; a level whose square overflows is refused. Every
-    level is checked before the truth pair passes the gate and is solved
-    and measured once; each level adds its noise to that measurement and
-    calls minimize with the one observation matrix. Returns (level spec,
-    ReconstructionResult, RateRow) per level.
+    level is checked before the truth pair passes the gate. The truth is
+    then measured once, in the march of the observation matrix; each
+    level adds its noise to that measurement and is solved against the one
+    matrix, and one forward and one adjoint march certify all the
+    solutions (module docstring). A non-finite objective is refused at the
+    first level that has one. Returns (level spec, ReconstructionResult,
+    RateRow) per level.
     """
     specs = []
     for level, eps in enumerate(map(float, noise_list)):
@@ -279,13 +340,19 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
     phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
     pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
                                 g=g_truth)
-    clean = measure(forward_solve(ctx.dop, pair.f, pair.g, ctx.window))
-    obs = observation_matrix(ctx)
+    # the truth rides in the basis march: f^n + f^{n+1} of its time-constant
+    # source is phi + phi, as forward_solve forms it from pair.f
+    obs, snapshots, traces = _observations(ctx, pair.g[:, None],
+                                           (phi_truth + phi_truth)[:, None])
+    clean = measurement_data(snapshots[0], traces[0], ctx.domain, ctx.window)
+    datas = [_add_noise(clean, level_spec, ctx) for level_spec in specs]
+    xs = [_least_squares(level_spec, data, ctx, obs)
+          for level_spec, data in zip(specs, datas)]
     wx = ctx.domain.quad_weights
     levels = []
-    for level_spec in specs:
-        data = _add_noise(clean, level_spec, ctx)
-        res = minimize(level_spec, data, ctx, _obs=obs)
+    for level_spec, data, x, (J, grad) in zip(
+            specs, datas, xs, _certificates(specs, xs, datas, ctx)):
+        res = _certified(level_spec, x, J, grad, ctx)
         levels.append((level_spec, res, RateRow(
             level_spec.noise_level, level_spec.alpha_f,
             rel_error(res.phi_est, phi_truth, wx),

@@ -129,21 +129,46 @@ class DiscreteOperator:
 def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOperator:
     """Sample coefficients and build the banded map with no-flux walls.
 
-    Raises ValueError naming the first offending grid point if the
-    ellipticity bound fails there.
+    Raises ValueError naming the coefficient and the first grid point where
+    a sample is not finite, the first grid point where the ellipticity
+    bound fails, or the first row whose bands overflow.
     """
     x = domain.points
     a = _sample_coefficient(op.a, x)
     b = _sample_coefficient(op.b, x)
     c = _sample_coefficient(op.c, x)
 
-    bad = np.flatnonzero(a < ELLIPTICITY_LOWER_BOUND)
+    for name, vals in (("a", a), ("b", b), ("c", c)):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"coefficient {name} is not finite at "
+                             f"x={float(x[i])!r}: {name}={float(vals[i])!r}")
+    # written so that a nan sample fails it too
+    bad = np.flatnonzero(~(a >= ELLIPTICITY_LOWER_BOUND))
     if bad.size:
         i = int(bad[0])
         raise ValueError(
-            f"ellipticity violated at x={x[i]!r}: a={a[i]!r} < "
+            f"ellipticity violated at x={float(x[i])!r}: a={float(a[i])!r} < "
             f"bound {ELLIPTICITY_LOWER_BOUND!r}")
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = _bands(domain, a, b, c)
+    bad = np.flatnonzero(~np.all(np.isfinite(bands), axis=0))
+    if bad.size:
+        raise ValueError(f"operator bands overflow at x={float(x[bad[0]])!r}: "
+                         f"the coefficients are too large for the step "
+                         f"h={domain.h!r}")
+    lower, diag, upper, adj_lower, adj_upper = bands
+    self_adjoint = bool(np.all(b == 0.0))
+    return DiscreteOperator(domain=domain, c=c,
+                            lower=lower, diag=diag, upper=upper,
+                            adj_lower=adj_lower, adj_diag=diag.copy(),
+                            adj_upper=adj_upper, self_adjoint=self_adjoint)
+
+
+def _bands(domain: SpatialDomain, a, b, c) -> np.ndarray:
+    """Rows lower, diag, upper, adj_lower, adj_upper of the operator."""
     h = domain.h
     n = domain.nx
     a_half = 0.5 * (a[:-1] + a[1:])
@@ -168,10 +193,4 @@ def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOp
     adj_lower = np.zeros(n + 1)
     adj_upper[:-1] = lower[1:] * w[1:] / w[:-1]
     adj_lower[1:] = upper[:-1] * w[:-1] / w[1:]
-    adj_diag = diag.copy()
-
-    self_adjoint = bool(np.all(b == 0.0))
-    return DiscreteOperator(domain=domain, c=c,
-                            lower=lower, diag=diag, upper=upper,
-                            adj_lower=adj_lower, adj_diag=adj_diag,
-                            adj_upper=adj_upper, self_adjoint=self_adjoint)
+    return np.array([lower, diag, upper, adj_lower, adj_upper])

@@ -29,10 +29,12 @@ One level loop, _march, serves every march. cn_march runs levels 1..nt
 from u^0 = g with kappa (f^{n-1} + f^n) as the source of level n, for one
 column or m at once: LAPACK applies the factors to each column with the
 arithmetic of a single right-hand side, so every column equals its own
-forward_solve bit for bit. adjoint_solve runs levels nt..1 from a zero
-state with the weighted payloads s[:, m] as sources. Its first level
-equals solving s[:, nt] bit for bit: the band product of zero is +-0.0,
-and adding +-0.0 changes no entry of s, which is built by adding onto
+forward_solve bit for bit. adjoint_march runs levels nt..1 from a zero
+state with the weighted payloads of m columns as sources, s[j][:, m] at
+level m for column j, and so equals adjoint_solve of each payload bit for
+bit; adjoint_solve is its one-column case. Its first level equals solving
+s[j][:, nt] bit for bit: the band product of zero is +-0.0, and adding
++-0.0 changes no entry of s, which adjoint_sources builds by adding onto
 +0.0 and so never holds -0.0.
 
 The loop allocates nothing per level: each march keeps two work buffers
@@ -173,14 +175,33 @@ def adjoint_solve(dop: DiscreteOperator,
                   interior_source: SpaceTimeField | None,
                   boundary_source: np.ndarray | None,
                   window: TimeWindow) -> SpaceTimeField:
-    """Backward multiplier field for the payload functional.
+    """Backward multiplier field for the payload functional: the one-column
+    case of adjoint_march on the weighted payload of adjoint_sources.
+
+    Column 0 of the result is not a solver level: it stores the derivative
+    of the functional with respect to the initial value, finished without a
+    solve.
+    """
+    s = adjoint_sources(dop, terminal_payload, interior_source,
+                        boundary_source, window)
+    return SpaceTimeField(adjoint_march(dop, window, s[None])[0], dop.domain,
+                          window)
+
+
+def adjoint_sources(dop: DiscreteOperator,
+                    terminal_payload: np.ndarray | None,
+                    interior_source: SpaceTimeField | None,
+                    boundary_source: np.ndarray | None,
+                    window: TimeWindow) -> np.ndarray:
+    """The payloads weighted into per-level adjoint sources, shape
+    (nx+1, nt+1).
 
     terminal_payload pairs with u(., T) in L2(Omega) at the snapshot level;
     interior_source pairs with u in L2(Q); boundary_source has one row per
     observed endpoint (domain.gamma order) over the lateral window levels and
-    pairs in the window trace product. Column 0 of the result is not a solver
-    level: it stores the derivative of the functional with respect to the
-    initial value, finished without a solve.
+    pairs in the window trace product. The sources are built by adding onto
+    +0.0, so no entry is -0.0; a payload that is not finite, or overflows
+    once weighted, is refused.
     """
     domain = dop.domain
     nx, nt = domain.nx, window.nt
@@ -210,19 +231,33 @@ def adjoint_solve(dop: DiscreteOperator,
     if not np.all(np.isfinite(s)):
         raise ValueError("adjoint payload is not finite, or overflows once "
                          "weighted")
+    return s
 
+
+def adjoint_march(dop: DiscreteOperator, window: TimeWindow,
+                  sources: np.ndarray) -> np.ndarray:
+    """Multiplier fields of m weighted payloads under one factorization.
+
+    sources has shape (m, nx+1, nt+1), one adjoint_sources array per
+    column, and the result has the same shape: result[j] is the multiplier
+    field of sources[j], C-contiguous like a field of its own, so that
+    products with it take the path they take for one column. Each column
+    equals the march of its payload alone bit for bit (module docstring).
+    """
+    m, rows, _ = sources.shape
+    nt = window.nt
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa,
-                           "adjoint", nt)
-    p = np.empty_like(s)
+                           "adjoint", nt, m)
+    p = np.empty(sources.shape)
 
-    def store(m, state):
-        p[:, m] = state
+    def store(level, state):
+        p[:, :, level] = state.T
 
-    last = _march(lu, plus, np.zeros(nx + 1), range(nt, 0, -1), store,
-                  lambda m, out: s[:, m], "adjoint")
-    p[:, 0] = s[:, 0] + band_mv(plus, last)
-    return SpaceTimeField(p, dop.domain, window)
+    last = _march(lu, plus, np.zeros((rows, m)), range(nt, 0, -1), store,
+                  lambda level, out: sources[:, :, level].T, "adjoint")
+    p[:, :, 0] = sources[:, :, 0] + band_mv(plus, last).T
+    return p
 
 
 def adjoint_gradients(p: SpaceTimeField) -> tuple[SpaceTimeField, np.ndarray]:

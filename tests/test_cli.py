@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from parastab import cli, inverse, probes
+from parastab import cli, inverse, probes, solver
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
@@ -271,6 +271,29 @@ def test_exit_one_on_usage_and_validation(tmp_path, capsys):
         "usage error: unrecognized arguments: --max_iters 300"
 
 
+def test_the_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # the parser is built once per process; a usage error between two
+    # identical runs must not change the second one
+    assert cli._build_parser() is cli._build_parser()
+    good = ["forward", "--nx", "8", "--nt", "8", "--g", "eigenmode:2"]
+    bad = ["forward", "--nx", "8", "--no_such_key", "1"]
+    seen = []
+    for i, argv in enumerate([good, bad, good]):
+        out = tmp_path / str(i)
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        stdout = [line.replace(str(out), "OUT")
+                  for line in captured.out.splitlines()
+                  if not line.startswith("elapsed_seconds:")]
+        artifacts = ({name: read(out / name)
+                      for name in sorted(os.listdir(out))}
+                     if out.exists() else None)
+        seen.append((code, stdout, captured.err, artifacts))
+    assert seen[0] == seen[2] and seen[0][0] == 0 and seen[0][3]
+    assert seen[1] == (1, [], "usage error: unrecognized arguments: "
+                       "--no_such_key 1\n", None)
+
+
 @pytest.mark.parametrize("argv", [
     # forward draws nothing at random
     ["forward", "--seed", "1"],
@@ -513,15 +536,18 @@ def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
     assert "summary.converged=false" in lines
 
 
+# (marches, levels): the observation march of the basis pairs with the
+# truth riding along, to the end of the lateral window (96 levels), one
+# forward march of every level's estimate (96) and one adjoint march of
+# all their residuals (128)
 @pytest.mark.parametrize("argv, marches, solves", [
-    (["reconstruct", "--noise", "0.01"], (2, 1), 1),
-    (["rate", "--noise", "0.1,0.01,0.001"], (4, 3), 3),
+    (["reconstruct", "--noise", "0.01"], (3, 96 + 96 + 128), 1),
+    (["rate", "--noise", "0.1,0.01,0.001"], (3, 96 + 96 + 128), 3),
 ])
 def test_readme_inverse_jobs_solve_the_truth_once(tmp_path, monkeypatch,
                                                   argv, marches, solves):
-    # forward marches: the truth once, then one certificate per level;
-    # a driver that solved the truth or built the observation matrix
-    # again per level would add to these counts
+    # a driver that marched the truth on its own, or certified each noise
+    # level with marches of its own, would add to these counts
     calls = Counter()
 
     def counted(key, fn):
@@ -530,18 +556,18 @@ def test_readme_inverse_jobs_solve_the_truth_once(tmp_path, monkeypatch,
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(solver, "_march", counted("march", solver._march))
+    monkeypatch.setattr(solver, "solve_banded",
+                        counted("level", solver.solve_banded))
     for module in (cli, inverse):
-        for name in ("forward_solve", "adjoint_solve", "observed_march",
-                     "make_admissible_pair"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, "make_admissible_pair",
+                            counted("make_admissible_pair",
+                                    module.make_admissible_pair))
     monkeypatch.setattr(scipy.linalg, "lstsq",
                         counted("lstsq", scipy.linalg.lstsq))
     assert main([*argv, *README_INVERSE, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"forward_solve": marches[0], "adjoint_solve": marches[1],
-                     "lstsq": solves, "observed_march": 1,
-                     "make_admissible_pair": 1}
+    assert calls == {"march": marches[0], "level": marches[1],
+                     "lstsq": solves, "make_admissible_pair": 1}
 
 
 def test_reconstruct_of_zero_data_keeps_them_unperturbed(tmp_path):

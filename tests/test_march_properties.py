@@ -6,7 +6,9 @@ march's step matrix once, and allocate fresh arrays at every level. The
 factored marches, which work in place, must match them bit for bit and
 leave the caller's arrays untouched, and the discrete duality identity must
 hold to round-off, for random a > 0, b and c on random grids and either
-observed boundary set.
+observed boundary set. The batched adjoint march and the batched
+certificate of the inverse layer must equal their one-column cases bit
+for bit.
 """
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from parastab.inverse import (InverseProblemSpec, _certificates,
+                              objective_and_gradient)
 from parastab.lab import make_context
-from parastab.measurement import observed_march
+from parastab.measurement import MeasurementData, observed_march
 from parastab.mesh import SpaceTimeField
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator, band_mv, column_bands
-from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
+from parastab.solver import (adjoint_gradients, adjoint_march,
+                             adjoint_solve, adjoint_sources, cn_march,
                              forward_solve)
 from test_solver import functional_value
 
@@ -257,3 +262,121 @@ def test_band_product_matches_per_column_products_bitwise(problem, m,
             except FloatingPointError as exc:
                 faults.append(str(exc))
     assert faults[0] == faults[1]
+
+
+def column_payloads(ctx, rng, m):
+    """m random payload triples (r_T, r_Q, r_G); some parts are left out,
+    and a terminal payload may be all -0.0."""
+    nx, nt = ctx.domain.nx, ctx.window.nt
+    sl = ctx.window.window_slice
+    out = []
+    for _ in range(m):
+        r_T, r_Q, r_G = (rng.standard_normal(nx + 1),
+                         rng.standard_normal((nx + 1, nt + 1)),
+                         rng.standard_normal((len(ctx.domain.gamma),
+                                              sl.stop - sl.start)))
+        keep = rng.random(3) < 0.7
+        if rng.random() < 0.2:
+            r_T = np.full(nx + 1, -0.0)
+        out.append((r_T if keep[0] else None,
+                    r_Q if keep[1] else None,
+                    r_G if keep[2] else None))
+    return out
+
+
+def one_adjoint(ctx, r_T, r_Q, r_G):
+    field = None if r_Q is None else SpaceTimeField(r_Q, ctx.domain,
+                                                    ctx.window)
+    return adjoint_solve(ctx.dop, r_T, field, r_G, ctx.window)
+
+
+def batched_adjoint(ctx, columns):
+    return adjoint_march(ctx.dop, ctx.window, np.stack([
+        adjoint_sources(ctx.dop, r_T, None if r_Q is None else SpaceTimeField(
+            r_Q, ctx.domain, ctx.window), r_G, ctx.window)
+        for r_T, r_Q, r_G in columns]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(1, 6))
+def test_batched_adjoint_columns_match_adjoint_solve_bitwise(problem, m):
+    ctx, seed = problem
+    columns = column_payloads(ctx, np.random.default_rng(seed), m)
+    p = batched_adjoint(ctx, columns)
+    assert p.shape == (m, ctx.domain.nx + 1, ctx.window.nt + 1)
+    for p_j, column in zip(p, columns):
+        assert p_j.flags.c_contiguous
+        assert same_bits(p_j, one_adjoint(ctx, *column).values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(1, 6))
+def test_duality_identity_holds_per_batched_adjoint_column(problem, m):
+    ctx, seed = problem
+    rng = np.random.default_rng(seed)
+    columns = column_payloads(ctx, rng, m)
+    window, zeros = ctx.window, np.zeros
+    nx, nt, n_gamma = ctx.domain.nx, window.nt, len(ctx.domain.gamma)
+    sl = window.window_slice
+    for p_j, (r_T, r_Q, r_G) in zip(batched_adjoint(ctx, columns), columns):
+        f = SpaceTimeField(rng.standard_normal((nx + 1, nt + 1)), ctx.domain,
+                           window)
+        g = rng.standard_normal(nx + 1)
+        direct = functional_value(
+            ctx, forward_solve(ctx.dop, f, g, window),
+            zeros((nx + 1, nt + 1)) if r_Q is None else r_Q,
+            zeros(nx + 1) if r_T is None else r_T,
+            zeros((n_gamma, sl.stop - sl.start)) if r_G is None else r_G)
+        phi, g_grad = adjoint_gradients(SpaceTimeField(p_j, ctx.domain,
+                                                       window))
+        paired = (l2_spacetime_inner(f.values, phi.values, ctx.domain, window)
+                  + l2_space_inner(g, g_grad, ctx.domain))
+        assert paired == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+def reference_certificate(spec, params, data, ctx):
+    """The objective and gradient from a full forward solve and one adjoint
+    solve, level by level."""
+    window, domain = ctx.window, ctx.domain
+    n = domain.nx + 1
+    phi, g = params[:n].copy(), params[n:].copy()
+    f = SpaceTimeField(phi[:, None] * np.ones(window.nt + 1), domain, window)
+    u = forward_solve(ctx.dop, f, g, window)
+    wx, ww = domain.quad_weights, window.window_weights
+    r_T = u.values[:, window.snapshot_index] - data.final_snapshot
+    r_G = u.values[np.array(domain.gamma_indices), window.window_slice] \
+        - data.lateral_trace
+    J = 0.5 * float(np.sum(wx * r_T ** 2))
+    J += 0.5 * float(np.sum(ww[None, :] * r_G ** 2))
+    J += 0.5 * spec.alpha_f * float(np.sum(wx * phi ** 2))
+    J += 0.5 * spec.alpha_g * float(np.sum(wx * g ** 2))
+    phi_adj, g_riesz = adjoint_gradients(adjoint_solve(ctx.dop, r_T, None,
+                                                       r_G, window))
+    grad_phi = wx * (phi_adj.values @ window.quad_weights + spec.alpha_f * phi)
+    grad_g = wx * (g_riesz + spec.alpha_g * g)
+    return J, np.concatenate([grad_phi, grad_g])
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(1, 5))
+def test_batched_certificate_matches_each_level_bitwise(problem, levels):
+    ctx, seed = problem
+    rng = np.random.default_rng(seed)
+    n, sl = ctx.domain.nx + 1, ctx.window.window_slice
+    specs, params, datas = [], [], []
+    for _ in range(levels):
+        specs.append(InverseProblemSpec(alpha_f=float(rng.uniform(0.0, 10.0)),
+                                        alpha_g=float(rng.uniform(0.0, 10.0))))
+        params.append(rng.standard_normal(2 * n))
+        # the certificate reads the snapshot and the trace, not their norms
+        datas.append(MeasurementData(
+            rng.standard_normal(n),
+            rng.standard_normal((len(ctx.domain.gamma), sl.stop - sl.start)),
+            0.0, 0.0, 0.0))
+    batched = _certificates(specs, params, datas, ctx)
+    for (J, grad), spec, x, data in zip(batched, specs, params, datas):
+        J_one, grad_one = objective_and_gradient(spec, x, data, ctx)
+        J_ref, grad_ref = reference_certificate(spec, x, data, ctx)
+        assert same_bits(np.float64(J), np.float64(J_one))
+        assert same_bits(np.float64(J), np.float64(J_ref))
+        assert same_bits(grad, grad_one) and same_bits(grad, grad_ref)

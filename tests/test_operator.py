@@ -1,7 +1,12 @@
 """Operator assembly checked against an independently built dense matrix
-and the closed-form discrete eigenpairs of the constant-coefficient case."""
+and the closed-form discrete eigenpairs of the constant-coefficient case,
+and its refusals checked over coefficients of any magnitude."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parastab.mesh import SpatialDomain
 from parastab.operator import (EllipticOperator, assemble_operator, band_mv,
@@ -123,3 +128,77 @@ def test_reaction_max_reports_peak_zeroth_order_coefficient():
     dom = SpatialDomain(0.0, 1.0, 16)
     dop = assemble_operator(dom, EllipticOperator(c=lambda x: 1.0 - x))
     assert dop.reaction_max == pytest.approx(1.0)
+
+
+@st.composite
+def coefficient_samples(draw):
+    """A grid and samples of a, b, c: each a scalar or one value per point,
+    of magnitude 1e-300 to 1e308, with nan or inf at random points."""
+    nx = draw(st.integers(8, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for name in "abc":
+        # half the draws within a factor 1e8 of overflow, where the bands
+        # of the finest grids overflow
+        exponent = draw(st.floats(-300.0, 308.0) | st.floats(300.0, 308.0))
+        size = None if draw(st.booleans()) else nx + 1
+        vals = 10.0 ** (exponent - rng.uniform(0.0, 1.0, size))
+        negative = rng.random(size) < (0.1 if name == "a" else 0.5)
+        vals = np.broadcast_to(np.where(negative, -vals, vals),
+                               nx + 1).copy()
+        if draw(st.integers(0, 4)) == 0:
+            vals[rng.integers(nx + 1)] = draw(st.sampled_from(
+                [np.nan, np.inf, -np.inf]))
+        samples.append(vals if size else vals[0])
+    return SpatialDomain(0.0, 1.0, nx), samples
+
+
+def expected_refusal(dom, a, b, c):
+    """The gate's message, or None, from the dense definition."""
+    x = dom.points
+    for name, vals in zip("abc", (a, b, c)):
+        bad = [i for i, v in enumerate(vals) if not math.isfinite(v)]
+        if bad:
+            return (f"coefficient {name} is not finite at "
+                    f"x={float(x[bad[0]])!r}: {name}={float(vals[bad[0]])!r}")
+    bad = [i for i, v in enumerate(a) if not v >= 1e-10]
+    if bad:
+        return (f"ellipticity violated at x={float(x[bad[0]])!r}: "
+                f"a={float(a[bad[0]])!r} < bound 1e-10")
+    by_point = [dict(zip(x, vals)).__getitem__ for vals in (a, b, c)]
+    w = dom.quad_weights
+    with np.errstate(all="ignore"):
+        dense = dense_from_definition(dom, *by_point)
+        adj_dense = (dense.T * w[None, :]) / w[:, None]
+    bad = np.flatnonzero(~(np.all(np.isfinite(dense), axis=1)
+                           & np.all(np.isfinite(adj_dense), axis=1)))
+    if bad.size:
+        return (f"operator bands overflow at x={float(x[bad[0]])!r}: the "
+                f"coefficients are too large for the step h={dom.h!r}")
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_samples())
+def test_assembly_refuses_exactly_the_operators_it_cannot_build(case):
+    dom, (a, b, c) = case
+    expected = expected_refusal(dom, *(np.broadcast_to(v, dom.points.shape)
+                                       for v in (a, b, c)))
+    with np.errstate(all="raise"):
+        try:
+            dop = assemble_operator(dom, EllipticOperator(a=a, b=b, c=c))
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+    assert expected is None
+    bands = (dop.lower, dop.diag, dop.upper, dop.adj_lower, dop.adj_upper)
+    assert all(np.all(np.isfinite(band)) for band in bands)
+    # duality: the adjoint bands are the transpose in the trapezoid
+    # product, w_i A*_{i,i+1} = w_{i+1} A_{i+1,i}, exactly up to the
+    # rounding of a subnormal entry
+    w = dom.quad_weights / dom.h
+    assert np.array_equal(dop.adj_diag, dop.diag)
+    assert np.allclose(w[:-1] * dop.adj_upper[:-1], w[1:] * dop.lower[1:],
+                       rtol=1e-15, atol=1e-307)
+    assert np.allclose(w[1:] * dop.adj_lower[1:], w[:-1] * dop.upper[:-1],
+                       rtol=1e-15, atol=1e-307)

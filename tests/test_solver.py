@@ -18,7 +18,8 @@ from parastab.mesh import (SpaceTimeField, field_from_function, sample_spatial,
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
 from parastab.probes import _source_combined_norms
-from parastab.solver import (adjoint_gradients, adjoint_solve, cn_march,
+from parastab.solver import (adjoint_gradients, adjoint_march,
+                             adjoint_solve, adjoint_sources, cn_march,
                              forward_solve, solve_banded, time_derivative,
                              time_shift)
 
@@ -320,11 +321,18 @@ def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
     forward_solve(ctx.dop, zero_field(ctx.domain, w), np.ones(17), w)
     assert calls == [(17,)] * w.nt
     calls.clear()
+    # the adjoint solve is the one-column case of the batched march
     adjoint_solve(ctx.dop, np.ones(17), None, None, w)
-    assert calls == [(17,)] * w.nt
+    assert calls == [(17, 1)] * w.nt
     calls.clear()
     observed_march(ctx.dop, w, np.ones((17, 3)))
     assert calls == [(17, 3)] * (w.window_slice.stop - 1)
+    for m in (1, 2, 5):
+        calls.clear()
+        sources = np.stack([adjoint_sources(ctx.dop, np.full(17, j + 1.0),
+                                            None, None, w) for j in range(m)])
+        adjoint_march(ctx.dop, w, sources)
+        assert calls == [(17, m)] * w.nt
 
 
 def test_a_march_of_no_columns_makes_no_lapack_solve():
