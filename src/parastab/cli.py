@@ -425,9 +425,8 @@ def _run_reconstruct(typed):
                              (phi_true, g_true), ctx)[0]
     summary = {"eps": row.eps, "alpha_f": spec.alpha_f,
                "alpha_g": spec.alpha_g, "final_objective": res.final_objective,
-               "iterations": res.iterations, "converged": res.converged,
-               "grad_norm": res.grad_norm, "err_f": row.err_f,
-               "err_g": row.err_g,
+               "converged": res.converged, "grad_norm": res.grad_norm,
+               "err_f": row.err_f, "err_g": row.err_g,
                "combined_norm_noisy": row.combined_norm_noisy}
     return ({"reconstruction.csv": (write_reconstruction_csv,
                                     ctx.domain.points, phi_true, g_true,

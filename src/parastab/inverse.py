@@ -72,11 +72,20 @@ class InverseProblemSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha_f < 0.0 or self.alpha_g < 0.0:
-            raise ValueError("regularization weights must be nonnegative")
-        if self.noise_level < 0.0:
+        # the noise first: recover scales each level's weights by its square
+        eps = self.noise_level
+        if not math.isfinite(eps):
+            raise ValueError(f"noise level {eps!r} is not finite")
+        if not eps >= 0.0:
             raise ValueError("noise level must be nonnegative")
-        if self.grad_tol <= 0.0:
+        for name in ("alpha_f", "alpha_g"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"regularization weight {name} = {value!r} "
+                                 f"is not finite")
+        if not (self.alpha_f >= 0.0 and self.alpha_g >= 0.0):
+            raise ValueError("regularization weights must be nonnegative")
+        if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
 
 
@@ -86,7 +95,6 @@ class ReconstructionResult:
     g_est: np.ndarray
     final_objective: float
     converged: bool
-    iterations: int        # least-squares solves made: always 1
     grad_norm: float       # Euclidean norm of the final gradient
 
 
@@ -128,11 +136,9 @@ def _certificates(specs, params, datas, ctx: LabContext) -> list:
     bit-identical to its own evaluation."""
     window, domain = ctx.window, ctx.domain
     phis, gs = zip(*(unpack_params(x, ctx) for x in params))
-    # f^n + f^{n+1} of the time-constant sources, the same at every level
     phi_cols = np.stack(phis, axis=1)
-    source_sum = phi_cols + phi_cols
     snapshots, traces = observed_march(ctx.dop, window, np.stack(gs, axis=1),
-                                       lambda level: source_sum)
+                                       lambda level: phi_cols)
     wx = domain.quad_weights
     ww = window.window_weights
     values, payloads = [], []
@@ -160,15 +166,14 @@ def _certificates(specs, params, datas, ctx: LabContext) -> list:
     return out
 
 
-def _observations(ctx: LabContext, state, source_sum):
+def _observations(ctx: LabContext, state, source):
     """observation_matrix, plus the snapshots and traces of the extra
-    columns (state, constant source_sum), shapes (nx+1, m), that ride in
-    its march."""
+    columns that ride in its march: initial values state and time-constant
+    source samples source, both shaped (nx+1, m)."""
     domain, window = ctx.domain, ctx.window
     n = domain.nx + 1
     eye, zero = np.eye(n), np.zeros((n, n))
-    # f^n + f^{n+1} of the unit sources, the same at every level
-    sources = np.hstack([2.0 * eye, zero, source_sum])
+    sources = np.hstack([eye, zero, source])
     snapshots, traces = observed_march(ctx.dop, window,
                                        np.hstack([zero, eye, state]),
                                        lambda level: sources)
@@ -225,24 +230,23 @@ def _certified(spec: InverseProblemSpec, x: np.ndarray, J: float, grad,
                            f"{float(np.max(np.abs(x)))!r})")
     grad_norm = float(np.linalg.norm(grad))
     phi, g = unpack_params(x, ctx)
-    return ReconstructionResult(phi, g, J, grad_norm <= spec.grad_tol, 1,
+    return ReconstructionResult(phi, g, J, grad_norm <= spec.grad_tol,
                                 grad_norm)
 
 
 def minimize(spec: InverseProblemSpec, data: MeasurementData,
-             ctx: LabContext, *, _obs=None) -> ReconstructionResult:
+             ctx: LabContext) -> ReconstructionResult:
     """Minimize the Tikhonov objective by one least-squares solve.
 
-    The minimizer of ||A x - b||, where A stacks the observation matrix
-    (_obs when the caller already has it) on diag(sqrt(alpha wx)) and b is
-    the observed data over zeros, is certified by objective_and_gradient,
-    one forward and one adjoint march: converged reports the Euclidean
-    gradient norm at most grad_tol, and a non-finite objective raises
-    RuntimeError. recover runs the same solve and certificate for all its
-    levels at once. Deterministic: no randomness anywhere.
+    The minimizer of ||A x - b||, where A stacks the observation matrix on
+    diag(sqrt(alpha wx)) and b is the observed data over zeros, is
+    certified by objective_and_gradient, one forward and one adjoint
+    march: converged reports the Euclidean gradient norm at most grad_tol,
+    and a non-finite objective raises RuntimeError. recover runs the same
+    solve and certificate for all its levels at once. Deterministic: no
+    randomness anywhere.
     """
-    obs = observation_matrix(ctx) if _obs is None else _obs
-    x = _least_squares(spec, data, ctx, obs)
+    x = _least_squares(spec, data, ctx, observation_matrix(ctx))
     return _certified(spec, x, *objective_and_gradient(spec, x, data, ctx),
                       ctx)
 
@@ -294,7 +298,6 @@ class RateRow:
     err_g: float
     combined_norm_clean: float
     combined_norm_noisy: float
-    iters: int
     converged: bool
     grad_norm: float
 
@@ -340,10 +343,8 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
     phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
     pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
                                 g=g_truth)
-    # the truth rides in the basis march: f^n + f^{n+1} of its time-constant
-    # source is phi + phi, as forward_solve forms it from pair.f
     obs, snapshots, traces = _observations(ctx, pair.g[:, None],
-                                           (phi_truth + phi_truth)[:, None])
+                                           phi_truth[:, None])
     clean = measurement_data(snapshots[0], traces[0], ctx.domain, ctx.window)
     datas = [_add_noise(clean, level_spec, ctx) for level_spec in specs]
     xs = [_least_squares(level_spec, data, ctx, obs)
@@ -357,8 +358,7 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
             level_spec.noise_level, level_spec.alpha_f,
             rel_error(res.phi_est, phi_truth, wx),
             rel_error(res.g_est, g_truth, wx), clean.combined_norm,
-            data.combined_norm, res.iterations, res.converged,
-            res.grad_norm)))
+            data.combined_norm, res.converged, res.grad_norm)))
     return levels
 
 

@@ -54,15 +54,16 @@ def measure(u: SpaceTimeField) -> MeasurementData:
 
 
 def observed_march(dop: DiscreteOperator, window: TimeWindow,
-                   state: np.ndarray, source_sum=None):
+                   state: np.ndarray, source=None):
     """Snapshots and lateral traces of the m columns of one forward march.
 
-    state holds u^0 of every column, shape (nx+1, m), and source_sum is as
-    in cn_march. The march stops at the end of the lateral window, the last
-    level measured. The results are indexed by column first: snapshots of
-    shape (m, nx+1) and traces of shape (m, observed endpoints, window
-    levels), so each column's pair is contiguous like the one measure
-    copies out of a full field. With m = 0 both are empty.
+    state holds u^0 of every column, shape (nx+1, m), and source(n) returns
+    the samples f^n of every column, as cn_march takes them. The march
+    stops at the end of the lateral window, the last level measured. The
+    results are indexed by column first: snapshots of shape (m, nx+1) and
+    traces of shape (m, observed endpoints, window levels), so each
+    column's pair is contiguous like the one measure copies out of a full
+    field. With m = 0 both are empty.
     """
     domain = dop.domain
     i_T, sl = window.snapshot_index, window.window_slice
@@ -78,5 +79,5 @@ def observed_march(dop: DiscreteOperator, window: TimeWindow,
             traces[:, :, n - sl.start] = u[gamma].T
 
     record(0, state)
-    cn_march(dop, window, state, record, source_sum, _last_level=sl.stop - 1)
+    cn_march(dop, window, state, record, source, _last_level=sl.stop - 1)
     return snapshots, traces

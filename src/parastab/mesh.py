@@ -249,10 +249,6 @@ def field_from_function(domain: SpatialDomain, window: TimeWindow, fn) -> SpaceT
                           domain, window)
 
 
-def zero_field(domain: SpatialDomain, window: TimeWindow) -> SpaceTimeField:
-    return SpaceTimeField(np.zeros((domain.nx + 1, window.nt + 1)), domain, window)
-
-
 def sample_spatial(domain: SpatialDomain, fn) -> np.ndarray:
     """Sample fn(x) on the spatial grid as a plain array."""
     return np.asarray(fn(domain.points), dtype=float) + np.zeros(domain.nx + 1)

@@ -82,10 +82,10 @@ def _member(i: int, level: int, fn, *args, **kwargs):
                          f"{exc}") from None
 
 
-def _combined_norms(c, level: int, state, source_sum=None) -> list:
+def _combined_norms(c, level: int, state, source=None) -> list:
     """Combined norm of each column of one shared march (observed_march),
     refused in member order when it overflows."""
-    snapshots, traces = observed_march(c.dop, c.window, state, source_sum)
+    snapshots, traces = observed_march(c.dop, c.window, state, source)
     return [_member(i, level, measurement_data, snapshot, trace, c.domain,
                     c.window).combined_norm
             for i, (snapshot, trace) in enumerate(zip(snapshots, traces))]
@@ -119,20 +119,15 @@ def _source_combined_norms(c, level: int, family) -> list:
     The members are sampled again rather than kept from the gate, which
     holds one field at a time, and only at the times the march reads: up
     to the end of the window. The samples are stored space-contiguous per
-    time and member, so f^n + f^{n+1} of every member lands in one buffer
-    whose transpose is the F-ordered (nx+1, m) state layout of the march.
+    time and member, so the samples f^n of every member, transposed, are
+    the F-ordered (nx+1, m) state layout of the march.
     """
     times = c.window.times[:c.window.window_slice.stop]
     src = np.empty((times.size, len(family), c.domain.nx + 1))
     for i, (_, fn) in enumerate(family):
         src[:, i] = sample_space_time(c.domain, times, fn).T
-    total = np.empty(src.shape[1:])
-
-    def source_sum(n):
-        return np.add(src[n], src[n + 1], out=total).T
-
     state = np.zeros((c.domain.nx + 1, len(family)))
-    return _combined_norms(c, level, state, source_sum)
+    return _combined_norms(c, level, state, lambda n: src[n].T)
 
 
 def source_stability_probe(family, ctx, levels: int) -> ProbeReport:

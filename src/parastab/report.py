@@ -84,10 +84,10 @@ def write_probe_csv(path: str, rows) -> None:
 
 def write_rate_csv(path: str, rows) -> None:
     header = ["eps", "alpha", "err_f", "err_g", "combined_norm_clean",
-              "combined_norm_noisy", "iters", "converged", "grad_norm"]
+              "combined_norm_noisy", "converged", "grad_norm"]
     _write_table(path, header,
                 [(r.eps, r.alpha, r.err_f, r.err_g, r.combined_norm_clean,
-                  r.combined_norm_noisy, r.iters, r.converged, r.grad_norm)
+                  r.combined_norm_noisy, r.converged, r.grad_norm)
                  for r in rows])
 
 

@@ -26,16 +26,17 @@ solve performs, so the iterates are bit-identical to it. A zero pivot is
 reported at the first level the march solves.
 
 One level loop, _march, serves every march. cn_march runs levels 1..nt
-from u^0 = g with kappa (f^{n-1} + f^n) as the source of level n, for one
-column or m at once: LAPACK applies the factors to each column with the
-arithmetic of a single right-hand side, so every column equals its own
-forward_solve bit for bit. adjoint_march runs levels nt..1 from a zero
-state with the weighted payloads of m columns as sources, s[j][:, m] at
-level m for column j, and so equals adjoint_solve of each payload bit for
-bit; adjoint_solve is its one-column case. Its first level equals solving
-s[j][:, nt] bit for bit: the band product of zero is +-0.0, and adding
-+-0.0 changes no entry of s, which adjoint_sources builds by adding onto
-+0.0 and so never holds -0.0.
+from u^0 = g, for one column or m at once, and alone forms the source of
+level n, kappa (f^{n-1} + f^n), from the samples f^n its callers hand it.
+LAPACK applies the factors to each column with the arithmetic of a single
+right-hand side, so every column equals its own forward_solve bit for bit.
+adjoint_march runs levels nt..1 from a zero state with the weighted
+payloads of m columns as sources, s[j][:, m] at level m for column j, and
+so equals adjoint_solve of each payload bit for bit; adjoint_solve is
+its one-column case. Its first level equals solving s[j][:, nt] bit for
+bit: the band product of zero is +-0.0, and adding +-0.0 changes no entry
+of s, which adjoint_sources builds by adding onto +0.0 and so never holds
+-0.0.
 
 The loop allocates nothing per level: each march keeps two work buffers
 and one scratch array shaped like its state, forms the band product in
@@ -129,24 +130,24 @@ def forward_solve(dop: DiscreteOperator, f: SpaceTimeField | None,
         raise ValueError(f"initial value shape {g.shape}, expected {(nx + 1,)}")
     u = np.empty((nx + 1, window.nt + 1))
     u[:, 0] = g
-    source_sum = None
+    source = None
     if f is not None:
         if f.values.shape != u.shape:
             raise ValueError("source field grid does not match the window")
-        fv, total = f.values, np.empty(nx + 1)
+        fv = f.values
 
-        def source_sum(n):
-            return np.add(fv[:, n], fv[:, n + 1], out=total)
+        def source(n):
+            return fv[:, n]
 
     def record(n, state):
         u[:, n] = state
 
-    cn_march(dop, window, g, record, source_sum)
+    cn_march(dop, window, g, record, source)
     return SpaceTimeField(u, dop.domain, window)
 
 
 def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
-             record, source_sum=None, *, _last_level=None) -> None:
+             record, source=None, *, _last_level=None) -> None:
     """The forward Crank-Nicolson march from u^0 = state.
 
     state has shape (nx+1,), or (nx+1, m) to march m columns under one
@@ -155,19 +156,22 @@ def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
     n = 1..last, where last is nt unless _last_level stops the march
     earlier (callers that only measure stop at the end of the lateral
     window); u^n is a work buffer that later levels overwrite, so record
-    copies what it keeps. source_sum(n), when given, returns
-    f^n + f^{n+1} shaped like the state.
+    copies what it keeps. source(n), when given, returns the sample f^n
+    shaped like the state, for n = 0..last; level n adds
+    kappa (f^{n-1} + f^n).
     """
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
                            1, state.shape[1] if state.ndim == 2 else 1)
     last = window.nt if _last_level is None else _last_level
-    source = None
-    if source_sum is not None:
-        def source(n, out):
-            return np.multiply(kappa, source_sum(n - 1), out=out)
+    level_source = None
+    if source is not None:
+        def level_source(n, out):
+            np.add(source(n - 1), source(n), out=out)
+            return np.multiply(kappa, out, out=out)
 
-    _march(lu, plus, state, range(1, last + 1), record, source, "forward")
+    _march(lu, plus, state, range(1, last + 1), record, level_source,
+           "forward")
 
 
 def adjoint_solve(dop: DiscreteOperator,

@@ -18,7 +18,7 @@ from parastab.decompose import check_log_convexity_and_w_bound
 from parastab.inverse import (InverseProblemSpec, objective_and_gradient,
                               rate_experiment, synthesize_data)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
-from parastab.mesh import SpaceTimeField, sample_spatial, zero_field
+from parastab.mesh import SpaceTimeField, sample_spatial
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
 from parastab.probes import (FLAG_EXPECTED_FAILURE, initial_eigenmode_family,
@@ -126,7 +126,7 @@ def test_criterion_04_carleman_sweep():
     v = time_derivative(time_shift(u))
     cfg = WeightConfig()    # exp_weighted boundary, p = 0
     w = eval_weights(1.0, ctx.window, ctx.domain)
-    fz = zero_field(ctx.domain, v.window)
+    fz = SpaceTimeField(np.zeros_like(v.values), v.domain, v.window)
     rows = constant_sweep(v, fz, w, cfg, dop=ctx.dop)
     stat = sweep_statistic(rows)
     scaled = constant_sweep(SpaceTimeField(4.0 * v.values, v.domain,

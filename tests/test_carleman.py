@@ -7,7 +7,7 @@ from parastab.carleman import (FLAG_DEGENERATE, FLAG_OK, FLAG_VIOLATION,
                                default_s_values, empirical_s_threshold,
                                sweep_statistic)
 from parastab.lab import make_context
-from parastab.mesh import SpaceTimeField, field_from_function, sample_spatial, zero_field
+from parastab.mesh import SpaceTimeField, field_from_function, sample_spatial
 from parastab.solver import forward_solve, time_derivative, time_shift
 from parastab.weights import WeightConfig, eval_weights
 
@@ -22,13 +22,18 @@ def eigen_setup():
     return ctx, u, v, w
 
 
+def zeros(domain, window):
+    return SpaceTimeField(np.zeros((domain.nx + 1, window.nt + 1)), domain,
+                          window)
+
+
 def _octave(s):
     return WeightConfig(s_values=(s, 8.0 * s))
 
 
 def test_zero_solution_gives_zero_sides(eigen_setup):
     ctx, _, v, w = eigen_setup
-    z = zero_field(ctx.domain, v.window)
+    z = zeros(ctx.domain, v.window)
     for row in constant_sweep(z, z, w, _octave(1.0)):
         assert row.lhs == 0.0 and row.rhs == 0.0
 
@@ -40,7 +45,7 @@ def test_sides_positive_for_eigenmode(eigen_setup):
         assert np.isfinite(row.lhs) and row.lhs > 0.0
         assert np.isfinite(row.rhs) and row.rhs > 0.0
     # no source and an all-zero source are the same audit, bit for bit
-    fz = zero_field(ctx.domain, v.window)
+    fz = zeros(ctx.domain, v.window)
     assert constant_sweep(v, fz, w, WeightConfig()) == rows
 
 
@@ -55,7 +60,7 @@ def test_sweep_refuses_the_solve_frame(eigen_setup):
 def test_quadratic_scaling_is_exact(eigen_setup):
     ctx, _, v, w = eigen_setup
     cfg = WeightConfig(s_values=default_s_values(w))
-    fz = zero_field(ctx.domain, v.window)
+    fz = zeros(ctx.domain, v.window)
     doubled = SpaceTimeField(2.0 * v.values, v.domain, v.window)
     for a, b in zip(constant_sweep(v, fz, w, cfg),
                     constant_sweep(doubled, fz, w, cfg)):
@@ -67,7 +72,7 @@ def test_quadratic_scaling_is_exact(eigen_setup):
 def test_p_one_variant_finite(eigen_setup):
     ctx, _, v, w = eigen_setup
     cfg = WeightConfig(s_values=default_s_values(w), p=1)
-    for row in constant_sweep(v, zero_field(ctx.domain, v.window), w, cfg):
+    for row in constant_sweep(v, zeros(ctx.domain, v.window), w, cfg):
         assert row.p == 1
         assert np.isfinite(row.lhs) and np.isfinite(row.rhs)
         assert row.lhs > 0 and row.rhs > 0
@@ -76,7 +81,7 @@ def test_p_one_variant_finite(eigen_setup):
 def test_literal_mode_truncates_but_stays_finite(eigen_setup):
     ctx, _, v, w = eigen_setup
     s = default_s_values(w)[0]
-    fz = zero_field(ctx.domain, v.window)
+    fz = zeros(ctx.domain, v.window)
     exp_rows = constant_sweep(v, fz, w, WeightConfig(
         s_values=(s, 8.0 * s), boundary_weighting="exp_weighted"))
     lit_rows = constant_sweep(v, fz, w, WeightConfig(
@@ -90,7 +95,7 @@ def test_literal_mode_truncates_but_stays_finite(eigen_setup):
 
 def test_sweep_ratios_bounded_for_eigenmode(eigen_setup):
     ctx, _, v, w = eigen_setup
-    rows = constant_sweep(v, zero_field(ctx.domain, v.window), w,
+    rows = constant_sweep(v, zeros(ctx.domain, v.window), w,
                           WeightConfig(), dop=ctx.dop)
     assert len(rows) == 4
     assert all(r.flag == FLAG_OK for r in rows)
@@ -103,20 +108,20 @@ def test_sweep_ratios_bounded_for_eigenmode(eigen_setup):
 
 def test_empirical_s_threshold_from_sweep(eigen_setup):
     ctx, _, v, w = eigen_setup
-    rows = constant_sweep(v, zero_field(ctx.domain, v.window), w,
+    rows = constant_sweep(v, zeros(ctx.domain, v.window), w,
                           WeightConfig())
     s1 = empirical_s_threshold(rows)
     assert s1 == max(rows[0].s, 2.0 * max(r.ratio for r in rows))
     assert np.isfinite(s1) and s1 > 0.0
     # a sweep with no clean rows certifies nothing
-    z = zero_field(ctx.domain, v.window)
+    z = zeros(ctx.domain, v.window)
     assert np.isnan(empirical_s_threshold(constant_sweep(z, z, w,
                                                          WeightConfig())))
 
 
 def test_sweep_ratio_scale_invariant_bitwise(eigen_setup):
     ctx, _, v, w = eigen_setup
-    fz = zero_field(ctx.domain, v.window)
+    fz = zeros(ctx.domain, v.window)
     cfg = WeightConfig()
     base = constant_sweep(v, fz, w, cfg)
     scaled_v = SpaceTimeField(4.0 * v.values, v.domain, v.window)
@@ -127,7 +132,7 @@ def test_sweep_ratio_scale_invariant_bitwise(eigen_setup):
 
 def test_degenerate_rows_marked(eigen_setup):
     ctx, _, v, w = eigen_setup
-    z = zero_field(ctx.domain, v.window)
+    z = zeros(ctx.domain, v.window)
     rows = constant_sweep(z, z, w, WeightConfig())
     assert all(r.flag == FLAG_DEGENERATE for r in rows)
     assert all(np.isnan(r.ratio) for r in rows)
@@ -165,21 +170,21 @@ def test_solution_does_not_warn(eigen_setup):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        constant_sweep(v, zero_field(ctx.domain, v.window), w,
+        constant_sweep(v, zeros(ctx.domain, v.window), w,
                        WeightConfig(), dop=ctx.dop)
 
 
 def test_sweep_span_and_frame_validation(eigen_setup):
     ctx, _, v, w = eigen_setup
-    fz = zero_field(ctx.domain, v.window)
+    fz = zeros(ctx.domain, v.window)
     with pytest.raises(ValueError, match="factor 8"):
         constant_sweep(v, fz, w, WeightConfig(s_values=(1.0, 2.0, 4.0)))
     other = make_context(nx=24, nt=60)
-    stranger = zero_field(other.domain, other.window.shifted())
+    stranger = zeros(other.domain, other.window.shifted())
     with pytest.raises(ValueError, match="frame"):
         constant_sweep(stranger, None, w, _octave(1.0))
     with pytest.raises(ValueError, match="source grid"):
-        constant_sweep(v, zero_field(other.domain, v.window), w, _octave(1.0))
+        constant_sweep(v, zeros(other.domain, v.window), w, _octave(1.0))
 
 
 def test_non_finite_row_is_refused_naming_s(eigen_setup):

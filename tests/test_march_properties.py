@@ -62,15 +62,16 @@ def reference_forward(dop, f, g, window):
     return u
 
 
-def reference_columns(dop, window, state, source_sum, last):
-    """Levels 0..last of a batched march, each column marched on its own."""
+def reference_columns(dop, window, state, source, last):
+    """Levels 0..last of a batched march, each column marched on its own,
+    from the source samples source(n) = f^n."""
     kappa = 0.5 * window.k
     ab, plus = _reference_matrices(dop.lower, dop.diag, dop.upper, kappa)
     levels = [np.array(state)]
     for n in range(last):
         rhs = np.stack([_reference_mv(plus, col) for col in levels[-1].T], 1)
-        if source_sum is not None:
-            rhs += kappa * source_sum(n)
+        if source is not None:
+            rhs += kappa * (source(n) + source(n + 1))
         levels.append(np.stack([_reference_step(ab, col) for col in rhs.T],
                                1))
     return levels
@@ -175,14 +176,15 @@ def same_bits(a, b):
 @st.composite
 def batched_marches(draw):
     """A random context, m columns of u^0 in C or F order, one of them
-    possibly all +0.0 or all -0.0, and optionally level-varying source sums
-    in C order or as the F-ordered transpose of space-contiguous samples
-    (the stability probe's layout)."""
+    possibly all +0.0 or all -0.0, and optionally source samples: level-
+    varying in C order or as the F-ordered transpose of space-contiguous
+    samples (the stability probe's layout), or one array at every level
+    (the time-constant sources of the inverse layer)."""
     ctx, seed = draw(problems())
     m = draw(st.integers(1, 8))
     state_order = draw(st.sampled_from("CF"))
     zero_column = draw(st.sampled_from([None, 0.0, -0.0]))
-    source = draw(st.sampled_from([None, "C", "F"]))
+    source = draw(st.sampled_from([None, "C", "F", "constant"]))
     return ctx, seed, m, state_order, zero_column, source
 
 
@@ -195,17 +197,22 @@ def test_batched_march_matches_per_column_reference_bitwise(case):
     state = np.asarray(rng.standard_normal((nx + 1, m)), order=state_order)
     if zero_column is not None:
         state[:, rng.integers(m)] = zero_column
-    source_sum, samples = None, None
+    sample, samples = None, None
     if source == "C":
         samples = rng.standard_normal((window.nt + 1, nx + 1, m))
 
-        def source_sum(n):
-            return samples[n] + samples[n + 1]
+        def sample(n):
+            return samples[n]
     elif source == "F":
         samples = rng.standard_normal((window.nt + 1, m, nx + 1))
 
-        def source_sum(n):
-            return (samples[n] + samples[n + 1]).T
+        def sample(n):
+            return samples[n].T
+    elif source == "constant":
+        samples = rng.standard_normal((nx + 1, m))
+
+        def sample(n):
+            return samples
     state_before = state.copy()
     samples_before = None if samples is None else samples.copy()
 
@@ -214,13 +221,12 @@ def test_batched_march_matches_per_column_reference_bitwise(case):
     def record(n, u):
         recorded[n] = u.copy()
 
-    cn_march(ctx.dop, window, state, record, source_sum)
-    reference = reference_columns(ctx.dop, window, state, source_sum,
-                                  window.nt)
+    cn_march(ctx.dop, window, state, record, sample)
+    reference = reference_columns(ctx.dop, window, state, sample, window.nt)
     assert sorted(recorded) == list(range(1, window.nt + 1))
     assert all(same_bits(recorded[n], reference[n]) for n in recorded)
 
-    snapshots, traces = observed_march(ctx.dop, window, state, source_sum)
+    snapshots, traces = observed_march(ctx.dop, window, state, sample)
     sl, gamma = window.window_slice, list(ctx.domain.gamma_indices)
     assert same_bits(snapshots, reference[window.snapshot_index].T)
     assert same_bits(traces, np.stack(

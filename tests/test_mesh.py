@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from parastab import mesh
 from parastab.mesh import (SpatialDomain, TimeWindow, field_from_function,
-                           make_time_window, sample_spatial, zero_field)
+                           make_time_window, sample_spatial)
 
 
 def test_spatial_domain_basics():
@@ -103,7 +103,6 @@ def test_field_shape_and_sampling():
     fld = field_from_function(dom, win, lambda x, t: x * t)
     assert fld.values.shape == (17, win.nt + 1)
     assert fld.values[3, 5] == pytest.approx(dom.points[3] * win.times[5])
-    assert np.all(zero_field(dom, win).values == 0.0)
     g = sample_spatial(dom, lambda x: 2.0)
     assert g.shape == (17,) and np.all(g == 2.0)
 

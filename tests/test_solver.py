@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from parastab import solver
 from parastab.lab import make_context
 from parastab.measurement import observed_march
-from parastab.mesh import (SpaceTimeField, field_from_function, sample_spatial,
-                           zero_field)
+from parastab.mesh import SpaceTimeField, field_from_function, sample_spatial
 from parastab.norms import l2_space_inner, l2_spacetime_inner
 from parastab.operator import EllipticOperator
 from parastab.probes import _source_combined_norms
@@ -133,8 +132,10 @@ def test_stopped_march_is_a_prefix_of_the_full_one():
         levels.append(n)
         assert np.array_equal(state, full[:, n])
 
-    cn_march(ctx.dop, ctx.window, g, record,
-             lambda n: f.values[:, n] + f.values[:, n + 1], _last_level=last)
+    # exactly the samples f^0..f^last, so a read past the last level raises
+    samples = list(f.values[:, :last + 1].T)
+    cn_march(ctx.dop, ctx.window, g, record, samples.__getitem__,
+             _last_level=last)
     assert levels == list(range(1, last + 1)) and last < ctx.window.nt
 
 
@@ -175,7 +176,8 @@ def test_time_derivative_second_order_on_eigenmode():
 def test_forward_rejects_mismatched_source_grid():
     ctx = make_context(nx=16, nt=24)
     other = make_context(nx=16, nt=48)
-    f = zero_field(other.domain, other.window)
+    f = SpaceTimeField(np.zeros((17, other.window.nt + 1)), other.domain,
+                       other.window)
     with pytest.raises(ValueError):
         forward_solve(ctx.dop, f, None, ctx.window)
 
@@ -304,7 +306,8 @@ def test_mismatched_shapes_are_refused(solve, message):
     ctx = make_context(nx=16, nt=24)
     other = make_context(nx=16, nt=48)
     with pytest.raises(ValueError, match=message):
-        solve(ctx, zero_field(other.domain, other.window))
+        solve(ctx, SpaceTimeField(np.zeros((17, other.window.nt + 1)),
+                                  other.domain, other.window))
 
 
 def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
@@ -318,7 +321,8 @@ def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
         calls.append(rhs.shape)
         return solve_banded(lu, rhs)
     monkeypatch.setattr(solver, "solve_banded", counted)
-    forward_solve(ctx.dop, zero_field(ctx.domain, w), np.ones(17), w)
+    forward_solve(ctx.dop, SpaceTimeField(np.zeros((17, w.nt + 1)),
+                                          ctx.domain, w), np.ones(17), w)
     assert calls == [(17,)] * w.nt
     calls.clear()
     # the adjoint solve is the one-column case of the batched march
