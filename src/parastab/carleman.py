@@ -96,8 +96,10 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
                          "measurement window of these weights")
     if f is not None and f.values.shape != u.values.shape:
         raise ValueError("source grid does not match the solution grid")
+    uv = u.values
+    ut = fd_first(uv, window.k, axis=1)
     if dop is not None:
-        rel = equation_residual(u, f, dop)
+        rel = equation_residual(u, ut, f, dop)
         if rel > RESIDUAL_WARN_TOL:
             warnings.warn(f"field does not satisfy the evolution equation on "
                           f"its frame (relative residual {rel:.2e}); the audit "
@@ -112,8 +114,7 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
     rho = weights.rho1_shift[:, interior]
     theta = weights.theta1_shift[:, interior]
 
-    uv = u.values
-    ut = fd_first(uv, k, axis=1)[:, interior]
+    ut = ut[:, interior]
     ux = fd_first(uv, h, axis=0)[:, interior]
     uxx = fd_second(uv, h, axis=0)[:, interior]
     uu = uv[:, interior]

@@ -278,9 +278,13 @@ def check_work_budget(sub: str, typed: dict) -> None:
     """Refuse a config whose largest float64 array would hold more than
     MAX_ARRAY_ENTRIES entries, before anything is allocated or marched.
 
-    The candidates are the (nx+1, nt+1) field and, for the source probe,
-    the nx+1 by last+1 by m samples of its family up to the end of the
-    lateral window. A probe is sized at its finest level; there the field
+    The candidates are the (nx+1, nt+1) field; for a stability probe, the
+    (nx+1, m) state of its family march and the (m, 2, window levels)
+    traces it records, and for the source probe the nx+1 by last+1 by m
+    samples of its family up to the end of the lateral window; for an
+    inversion, the (3n + 2L) x 2n least-squares design matrix (n = nx+1,
+    L window levels) and the (levels, nx+1, nt+1) certificate payloads of
+    its noise levels. A probe is sized at its finest level; there the field
     also bounds the work of the initial probe, which marches every member
     through it without holding it. Sizes that are invalid for other
     reasons are left to the checks that name them.
@@ -292,11 +296,22 @@ def check_work_budget(sub: str, typed: dict) -> None:
     if sub == "stability-probe":
         factor = 2 ** min(max(typed["levels"] - 1, 0), 64)
     rows = factor * max(typed["nx"], 0) + 1
-    shapes = {"field": (rows, factor * window.nt + 1)}
-    if sub == "stability-probe" and typed["kind"] == "source":
-        last = factor * (window.window_slice.stop - 1)
-        shapes["source probe samples"] = (rows, last + 1,
-                                          _family_size(typed))
+    columns = factor * window.nt + 1
+    sl = window.window_slice
+    trace_levels = factor * (sl.stop - 1 - sl.start) + 1
+    shapes = {"field": (rows, columns)}
+    # an unknown kind is left to the handler, which names it
+    if sub == "stability-probe" and typed["kind"] in _DEFAULT_MEMBERS:
+        members = _family_size(typed)
+        shapes["probe state"] = (rows, members)
+        shapes["probe traces"] = (members, 2, trace_levels)
+        if typed["kind"] == "source":
+            last = factor * (sl.stop - 1)
+            shapes["source probe samples"] = (rows, last + 1, members)
+    elif sub in ("reconstruct", "rate"):
+        shapes["design matrix"] = (3 * rows + 2 * trace_levels, 2 * rows)
+        levels = 1 if sub == "reconstruct" else len(typed["noise"])
+        shapes["certificate payloads"] = (levels, rows, columns)
     name, shape = max(shapes.items(), key=lambda item: math.prod(item[1]))
     entries = math.prod(shape)
     if entries > MAX_ARRAY_ENTRIES:

@@ -37,7 +37,6 @@ class DecompositionResiduals:
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    total: SpaceTimeField        # vartheta = u_t
     sourced: SpaceTimeField      # w, driven by f_t from rest
     source_free: SpaceTimeField  # z = vartheta - w
     residuals: DecompositionResiduals
@@ -57,21 +56,21 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     if f is not None and f.values.shape != u.values.shape:
         raise ValueError("source grid does not match the solution grid")
 
-    rel = equation_residual(u, f, dop)
+    vartheta = time_derivative(u).values
+    rel = equation_residual(u, vartheta, f, dop)
     if rel > RESIDUAL_WARN_TOL:
         warnings.warn(f"field does not solve the evolution equation "
                       f"(relative residual {rel:.2e}); the split residuals "
                       f"report the mismatch, not a certificate",
                       stacklevel=2)
 
-    vartheta = time_derivative(u)
     ft = None if f is None else time_derivative(f)
     if ft is None or not np.any(ft.values):
         w = SpaceTimeField(np.zeros_like(u.values), domain, window)
     else:
         w = forward_solve(dop, ft, None, window)
     del ft  # freed before z and its stencils, so the peak does not grow
-    z = SpaceTimeField(vartheta.values - w.values, domain, window)
+    z = SpaceTimeField(vartheta - w.values, domain, window)
 
     # columns whose centered stencil touches the frame ends are excluded:
     # the end columns of vartheta are one-sided estimates, and differencing
@@ -84,8 +83,7 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     terminal_rhs = dop.apply(u.values[:, i_T]) + f_T - w.values[:, i_T]
     terminal = float(np.max(np.abs(z.values[:, i_T] - terminal_rhs)))
 
-    return Decomposition(vartheta, w, z,
-                         DecompositionResiduals(evolution, terminal))
+    return Decomposition(w, z, DecompositionResiduals(evolution, terminal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +131,7 @@ def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
                                   times, empty, empty, math.nan, math.nan,
                                   *_w_ratio(w, f, window, C0, omega, times))
 
-    norms = _column_norms(z, i_T + 1)
+    norms = l2_space(z.values[:, :i_T + 1], z.domain)
     n0, nT = norms[0], norms[-1]
     degenerate = (nT == 0.0) and (n0 > 0.0)
     if degenerate:
@@ -158,20 +156,12 @@ def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
                               max_violation, min_d2, ratio_sup, bound_ok)
 
 
-def _column_norms(field: SpaceTimeField, stop: int) -> np.ndarray:
-    """l2_space of the columns 0..stop-1 of field, bit for bit, in one
-    reduction: each row of the time-major copy is summed like the 1-D
-    snapshot l2_space sums."""
-    cols = np.ascontiguousarray(field.values[:, :stop].T)
-    return np.sqrt(np.sum(field.domain.quad_weights * cols * cols, axis=1))
-
-
 def _w_ratio(w, f, window, C0, omega, times):
     """sup_t ||w(t)|| / ||f(.,T)|| and whether C0 t e^(omega t) dominates it."""
     i_T = window.snapshot_index
     if w is None:
         return 0.0, True
-    w_norms = _column_norms(w, i_T + 1)
+    w_norms = l2_space(w.values[:, :i_T + 1], w.domain)
     fT_norm = l2_space(f.values[:, i_T], w.domain) if f is not None else 0.0
     if fT_norm == 0.0:
         if float(np.max(w_norms)) == 0.0:

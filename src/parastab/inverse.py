@@ -87,6 +87,9 @@ class InverseProblemSpec:
             raise ValueError("regularization weights must be nonnegative")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got "
+                             f"{self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +180,18 @@ def _observations(ctx: LabContext, state, source):
     snapshots, traces = observed_march(ctx.dop, window,
                                        np.hstack([zero, eye, state]),
                                        lambda level: sources)
-    ww = window.window_weights
-    obs = np.vstack([np.sqrt(domain.quad_weights)[:, None]
-                     * snapshots[:2 * n].T,
-                     (np.sqrt(ww)[None, :, None]
-                      * traces[:2 * n].transpose(1, 2, 0)).reshape(-1, 2 * n)])
-    return obs, snapshots[2 * n:], traces[2 * n:]
+    return (_weighted_rows(snapshots[:2 * n], traces[:2 * n], ctx),
+            snapshots[2 * n:], traces[2 * n:])
+
+
+def _weighted_rows(snapshots, traces, ctx: LabContext) -> np.ndarray:
+    """Snapshots (m, nx+1) and traces (m, endpoints, levels) as m columns of
+    rows: the snapshot times sqrt(wx), then each endpoint's trace times
+    sqrt(ww)."""
+    ww = ctx.window.window_weights
+    return np.vstack([np.sqrt(ctx.domain.quad_weights)[:, None] * snapshots.T,
+                      (np.sqrt(ww)[None, :, None]
+                       * traces.transpose(1, 2, 0)).reshape(-1, len(traces))])
 
 
 def observation_matrix(ctx: LabContext) -> np.ndarray:
@@ -202,10 +211,8 @@ def observation_matrix(ctx: LabContext) -> np.ndarray:
 
 def observed_vector(data: MeasurementData, ctx: LabContext) -> np.ndarray:
     """The data in the row order and weighting of observation_matrix."""
-    ww = ctx.window.window_weights
-    return np.concatenate([np.sqrt(ctx.domain.quad_weights)
-                           * data.final_snapshot,
-                           (np.sqrt(ww)[None, :] * data.lateral_trace).ravel()])
+    return _weighted_rows(data.final_snapshot[None],
+                          np.atleast_2d(data.lateral_trace)[None], ctx)[:, 0]
 
 
 def _least_squares(spec: InverseProblemSpec, data: MeasurementData,
@@ -321,14 +328,14 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
     """Recover (phi, g) = truth from its data at each noise level.
 
     Level i has noise eps_i, seed spec.seed XOR i and weights (alpha_f,
-    alpha_g) * eps_i^2; a level whose square overflows is refused. Every
-    level is checked before the truth pair passes the gate. The truth is
-    then measured once, in the march of the observation matrix; each
-    level adds its noise to that measurement and is solved against the one
-    matrix, and one forward and one adjoint march certify all the
-    solutions (module docstring). A non-finite objective is refused at the
-    first level that has one. Returns (level spec, ReconstructionResult,
-    RateRow) per level.
+    alpha_g) * eps_i^2; a level whose square or weights overflow is
+    refused by name. Every level is checked before the truth pair passes
+    the gate. The truth is then measured once, in the march of the
+    observation matrix; each level adds its noise to that measurement and
+    is solved against the one matrix, and one forward and one adjoint
+    march certify all the solutions (module docstring). A non-finite
+    objective is refused at the first level that has one. Returns (level
+    spec, ReconstructionResult, RateRow) per level.
     """
     specs = []
     for level, eps in enumerate(map(float, noise_list)):
@@ -337,9 +344,18 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
         except OverflowError:
             raise ValueError(f"noise level {eps!r} is too large: its square "
                              f"overflows") from None
+        weights = {name: getattr(spec, name) * scale
+                   for name in ("alpha_f", "alpha_g")}
+        for name, weight in weights.items():
+            # an infinite eps is left to the spec, which names it
+            if math.isinf(weight) and not math.isinf(scale):
+                base = name.replace("alpha", "alpha0")
+                raise ValueError(f"base weight {base} = "
+                                 f"{getattr(spec, name)!r} is too large for "
+                                 f"noise level {eps!r}: {base} * eps^2 "
+                                 f"overflows")
         specs.append(replace(spec, noise_level=eps, seed=spec.seed ^ level,
-                             alpha_f=spec.alpha_f * scale,
-                             alpha_g=spec.alpha_g * scale))
+                             **weights))
     phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
     pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
                                 g=g_truth)

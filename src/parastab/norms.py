@@ -38,10 +38,14 @@ def _h2_line_sq(values: np.ndarray, step: float, weights: np.ndarray) -> float:
     return float(np.sum(weights * total))
 
 
-def l2_space(q, domain: SpatialDomain) -> float:
-    """L2(Omega) norm of a spatial snapshot."""
+def l2_space(q, domain: SpatialDomain):
+    """L2(Omega) norm of a snapshot (nx+1,), or the array of the norms of
+    the columns of (nx+1, m); each column is summed as one contiguous line,
+    so its norm equals that column's own norm bit for bit."""
     q = np.asarray(q, dtype=float)
-    return float(np.sqrt(l2_space_inner(q, q, domain)))
+    lines = np.ascontiguousarray(q.T)
+    norms = np.sqrt(np.sum(domain.quad_weights * lines * lines, axis=-1))
+    return float(norms) if q.ndim == 1 else norms
 
 
 def l2_spacetime(q, domain: SpatialDomain, window: TimeWindow) -> float:

@@ -91,7 +91,8 @@ class DiscreteOperator:
 
     Bands follow the row convention: row i couples to q_{i-1} with lower[i],
     to q_i with diag[i], and to q_{i+1} with upper[i]; lower[0] and upper[nx]
-    are zero padding.
+    are zero padding. The adjoint bands are adj_lower, diag and adj_upper:
+    the transpose keeps the diagonal.
     """
 
     domain: SpatialDomain
@@ -100,7 +101,6 @@ class DiscreteOperator:
     diag: np.ndarray
     upper: np.ndarray
     adj_lower: np.ndarray
-    adj_diag: np.ndarray
     adj_upper: np.ndarray
     self_adjoint: bool
 
@@ -163,8 +163,8 @@ def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOp
     self_adjoint = bool(np.all(b == 0.0))
     return DiscreteOperator(domain=domain, c=c,
                             lower=lower, diag=diag, upper=upper,
-                            adj_lower=adj_lower, adj_diag=diag.copy(),
-                            adj_upper=adj_upper, self_adjoint=self_adjoint)
+                            adj_lower=adj_lower, adj_upper=adj_upper,
+                            self_adjoint=self_adjoint)
 
 
 def _bands(domain: SpatialDomain, a, b, c) -> np.ndarray:

@@ -251,7 +251,7 @@ def adjoint_march(dop: DiscreteOperator, window: TimeWindow,
     m, rows, _ = sources.shape
     nt = window.nt
     kappa = 0.5 * window.k
-    lu, plus = _cn_factors(dop.adj_lower, dop.adj_diag, dop.adj_upper, kappa,
+    lu, plus = _cn_factors(dop.adj_lower, dop.diag, dop.adj_upper, kappa,
                            "adjoint", nt, m)
     p = np.empty(sources.shape)
 
@@ -297,14 +297,15 @@ def time_derivative(field: SpaceTimeField) -> SpaceTimeField:
     return SpaceTimeField(dv, field.domain, field.window)
 
 
-def equation_residual(u: SpaceTimeField, f: SpaceTimeField | None,
+def equation_residual(u: SpaceTimeField, ut: np.ndarray,
+                      f: SpaceTimeField | None,
                       dop: DiscreteOperator) -> float:
-    """Relative max-norm residual of u_t = Au + f on u's own frame.
+    """Relative max-norm residual of u_t = Au + f on u's own frame, with
+    ut the caller's time_derivative values of u.
 
     Only interior time columns count: the one-sided time stencils at the
     frame ends are not part of the claim.
     """
-    ut = fd_first(u.values, u.window.k, axis=1)
     res = ut - dop.apply(u.values)
     if f is not None:
         res = res - f.values

@@ -1,6 +1,7 @@
 """CLI tests: config resolution, artifacts, exit codes, reproducibility."""
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -686,12 +687,26 @@ def test_probe_past_the_work_budget_is_refused_before_any_allocation(
     ("stability-probe", ["--kind", "initial", "--levels", "8"]),
     ("stability-probe", ["--levels", "1000000"]),
     ("rate", ["--nt", "10000000"]),
+    # never run: each would exhaust memory in an array beside the field
+    # (the probe traces, the design matrix, the certificate payloads)
+    ("stability-probe",
+     ["--kind", "initial", "--members", "1000000", "--levels", "3"]),
+    ("reconstruct", ["--nx", "4000", "--nt", "8"]),
+    ("rate", [*README_INVERSE, "--noise", ",".join(
+        repr(0.1 - 1e-6 * i) for i in range(20000))]),
 ])
 def test_grids_past_the_work_budget_are_refused(sub, argv):
     _, typed = resolve_config(sub, {k[2:]: v for k, v in
                                     zip(argv[::2], argv[1::2])}, None)
-    with pytest.raises(ValueError, match="above the work budget"):
+    with pytest.raises(ValueError) as info:
         cli.check_work_budget(sub, typed)
+    # one line naming the array and its shape
+    found = re.fullmatch(r"the [a-z ]+ of shape \(([\d, ]+)\) would hold "
+                         r"(\d+) float64 entries \(.* GiB\), above the work "
+                         r"budget of 67108864", str(info.value))
+    assert found
+    shape, entries = found.groups()
+    assert math.prod(map(int, shape.split(", "))) == int(entries) > 2 ** 26
 
 
 @pytest.mark.parametrize("sub, argv", [
@@ -701,6 +716,10 @@ def test_grids_past_the_work_budget_are_refused(sub, argv):
     ("stability-probe", ["--kind", "source", "--levels", "3"]),
     ("stability-probe", ["--kind", "initial", "--levels", "3"]),
     ("rate", []),
+    ("stability-probe", ["--kind", "initial", "--members", "8",
+                         "--levels", "3"]),
+    ("rate", [*README_INVERSE, "--noise", "0.1,0.01,0.001"]),
+    ("reconstruct", [*README_INVERSE, "--noise", "0.01"]),
 ])
 def test_readme_and_benchmark_grids_fit_the_work_budget(sub, argv):
     _, typed = resolve_config(sub, {k[2:]: v for k, v in
@@ -718,6 +737,23 @@ def test_noise_level_whose_square_overflows_is_refused(tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: noise level 1e+308 is too large: its square overflows"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct", "--alpha0_f", "1e300", "--noise", "1e5"],
+     "error: base weight alpha0_f = 1e+300 is too large for noise level "
+     "100000.0: alpha0_f * eps^2 overflows"),
+    (["rate", "--alpha0_g", "1e300", "--noise", "1e5,1,0.1"],
+     "error: base weight alpha0_g = 1e+300 is too large for noise level "
+     "100000.0: alpha0_g * eps^2 overflows"),
+])
+def test_weight_product_that_overflows_is_refused_by_its_inputs(
+        tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    rc = main([*argv, "--nx", "8", "--nt", "8", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not os.path.exists(out)
 
 
 def test_default_sweep_without_weight_amplitude_is_refused(tmp_path, capsys):

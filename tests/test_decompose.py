@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from parastab import decompose
-from parastab.decompose import (_column_norms,
-                                check_log_convexity_and_w_bound,
+from parastab.decompose import (check_log_convexity_and_w_bound,
                                 decompose_time_derivative)
 from parastab.lab import make_context
 from parastab.mesh import SpaceTimeField, field_from_function
 from parastab.norms import l2_space
 from parastab.operator import EllipticOperator
-from parastab.solver import forward_solve
+from parastab.solver import forward_solve, time_derivative
 
 
 def heat_eigenmode_context(nx: int, nt: int):
@@ -32,7 +31,7 @@ def test_zero_source_gives_zero_sourced_part():
     ctx, u = heat_eigenmode_context(24, 48)
     d = decompose_time_derivative(u, None, ctx)
     assert np.array_equal(d.sourced.values, np.zeros_like(u.values))
-    assert np.array_equal(d.source_free.values, d.total.values)
+    assert np.array_equal(d.source_free.values, time_derivative(u).values)
 
 
 def test_splitting_identity_is_bit_exact_with_source():
@@ -41,7 +40,8 @@ def test_splitting_identity_is_bit_exact_with_source():
                             lambda x, t: np.exp(t) * (2.0 + np.cos(np.pi * x)))
     u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
     d = decompose_time_derivative(u, f, ctx)
-    assert np.array_equal(d.total.values - d.sourced.values, d.source_free.values)
+    assert np.array_equal(time_derivative(u).values - d.sourced.values,
+                          d.source_free.values)
 
 
 def test_residuals_shrink_at_second_order():
@@ -243,8 +243,8 @@ def test_column_norms_match_the_snapshot_norm_bitwise(seed):
     shape = (ctx.domain.nx + 1, ctx.window.nt + 1)
     values = rng.standard_normal(shape) \
         * 10.0 ** rng.uniform(-200.0, 200.0, size=(1, shape[1]))
-    field = SpaceTimeField(values, ctx.domain, ctx.window)
     stop = int(rng.integers(1, shape[1] + 1))
     with np.errstate(over="ignore"):
         expected = [l2_space(values[:, j], ctx.domain) for j in range(stop)]
-        assert np.array_equal(_column_norms(field, stop), expected)
+        assert np.array_equal(l2_space(values[:, :stop], ctx.domain),
+                              expected)

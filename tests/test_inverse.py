@@ -58,6 +58,7 @@ def test_spec_validation():
          "^noise level inf is not finite$"),
         ({"grad_tol": 0.0}, "^grad_tol must be positive$"),
         ({"grad_tol": math.nan}, "^grad_tol must be positive$"),
+        ({"seed": -1}, "^noise seed must be nonnegative, got -1$"),
     ]:
         with pytest.raises(ValueError, match=message):
             InverseProblemSpec(**fields)

@@ -88,7 +88,7 @@ def reference_adjoint(dop, r_T, r_Q, r_G, window):
     for row, gi in zip(r_G, domain.gamma_indices):
         s[gi, sl] += window.window_weights * row / wx[gi]
     kappa = 0.5 * window.k
-    ab, plus = _reference_matrices(dop.adj_lower, dop.adj_diag,
+    ab, plus = _reference_matrices(dop.adj_lower, dop.diag,
                                    dop.adj_upper, kappa)
     p = np.empty_like(s)
     p[:, nt] = _reference_step(ab, s[:, nt])

@@ -191,7 +191,7 @@ def singular_context():
     zero = np.zeros(17)
     diag = np.full(17, 1.0 / kappa)
     dop = dataclasses.replace(ctx.dop, lower=zero, diag=diag, upper=zero,
-                              adj_lower=zero, adj_diag=diag, adj_upper=zero)
+                              adj_lower=zero, adj_upper=zero)
     return dop, ctx.window
 
 
