@@ -21,7 +21,8 @@ a separate discretization of the continuous adjoint equation.
 Each march factors the constant matrix (I - kappa A), or its adjoint, once
 with LAPACK's tridiagonal LU (dgttrf, partial pivoting) and builds the
 explicit bands of (I + kappa A) once; every level then only applies the
-stored factors (dgttrs). The arithmetic is the one a per-level tridiagonal
+stored factors (dgttrs). Both routines are scipy's compiled wrappers,
+which parastab.lapack loads without importing scipy.linalg. The arithmetic is the one a per-level tridiagonal
 solve performs, so the iterates are bit-identical to it. A zero pivot is
 reported at the first level the march solves.
 
@@ -56,8 +57,8 @@ zero right-hand sides.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from .lapack import dgttrf, dgttrs
 from .mesh import SpaceTimeField, TimeWindow
 from .operator import DiscreteOperator, band_mv, column_bands
 from .stencils import fd_first

@@ -8,9 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from parastab import cli, inverse, probes, solver
+from parastab import cli, inverse, lapack, probes, solver
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
@@ -578,8 +577,7 @@ def test_readme_inverse_jobs_solve_the_truth_once(tmp_path, monkeypatch,
         monkeypatch.setattr(module, "make_admissible_pair",
                             counted("make_admissible_pair",
                                     module.make_admissible_pair))
-    monkeypatch.setattr(scipy.linalg, "lstsq",
-                        counted("lstsq", scipy.linalg.lstsq))
+    monkeypatch.setattr(lapack, "lstsq", counted("lstsq", lapack.lstsq))
     assert main([*argv, *README_INVERSE, "--out", str(tmp_path / "o")]) == 0
     assert calls == {"march": marches[0], "level": marches[1],
                      "lstsq": solves, "make_admissible_pair": 1}
