@@ -40,14 +40,13 @@ from .lab import (DEFAULT_C0, DEFAULT_DELTA0, DEFAULT_DELTA1, DEFAULT_M0,
                   DEFAULT_NT, DEFAULT_NX, DEFAULT_T, benchmark_initial,
                   benchmark_source, make_context)
 from .measurement import measure
-from .mesh import SpaceTimeField, field_from_function, make_time_window
+from .mesh import field_from_function, make_time_window
 from .probes import (initial_eigenmode_family, initial_stability_probe,
                      source_eigenmode_family, source_stability_probe)
-from .report import (MANIFEST_NAME, RunReport, fmt, write_field_csv,
-                     write_manifest, write_probe_csv, write_profile_csv,
-                     write_rate_csv, write_reconstruction_csv,
-                     write_sweep_csv)
-from .config import parse_config_file
+from .report import (MANIFEST_NAME, fmt, write_field_csv, write_manifest,
+                     write_probe_csv, write_profile_csv, write_rate_csv,
+                     write_reconstruction_csv, write_sweep_csv)
+from .config import config_hash, parse_config_file
 from .solver import forward_solve, time_derivative, time_shift
 from .weights import EXP_WEIGHTED, LITERAL_TRUNCATED, WeightConfig, \
     check_weight_bounds, eval_weights
@@ -66,14 +65,14 @@ _DEFAULT_MEMBERS = {"source": 6, "initial": 8}
 MAX_ARRAY_ENTRIES = 2 ** 26
 
 # (key, kind, default) per subcommand; kinds: int, float, floats, str, bool
-_SHARED = [
+_GRID = [
     ("nx", "int", DEFAULT_NX),
     ("nt", "int", DEFAULT_NT),
     ("T", "float", DEFAULT_T),
     ("delta0", "float", DEFAULT_DELTA0),
     ("delta1", "float", DEFAULT_DELTA1),
-    ("C0", "float", DEFAULT_C0),
 ]
+_SHARED = _GRID + [("C0", "float", DEFAULT_C0)]
 
 # the base weights alpha0_f/alpha0_g are InverseProblemSpec's alpha_f/alpha_g
 _RECON_COMMON = [
@@ -103,7 +102,10 @@ _TABLES = {
         ("levels", "int", 2), ("normalized", "bool", True),
         ("f", "str", ""), ("M0", "float", DEFAULT_M0)],
     "decompose": _SHARED + [("f", "str", "zero"), ("g", "str", "eigenmode:1")],
-    "reconstruct": _SHARED + _RECON_COMMON + [("noise", "float", 0.01)],
+    # the time-constant truth source needs no rate budget: reconstruct
+    # takes no C0; rate keeps it while the benchmark's inverse workload
+    # passes --C0 (ROADMAP item 2)
+    "reconstruct": _GRID + _RECON_COMMON + [("noise", "float", 0.01)],
     "rate": _SHARED + _RECON_COMMON + [
         ("noise", "floats", (1e-1, 1e-2, 1e-3))],
 }
@@ -188,7 +190,8 @@ def resolve_config(sub: str, flag_values: dict, config_path: str | None):
 def _context(typed: dict):
     return make_context(nx=typed["nx"], nt=typed["nt"], T=typed["T"],
                         delta0=typed["delta0"], delta1=typed["delta1"],
-                        C0=typed["C0"], M0=typed.get("M0", DEFAULT_M0))
+                        C0=typed.get("C0", DEFAULT_C0),
+                        M0=typed.get("M0", DEFAULT_M0))
 
 
 def _parse_eigenmode(desc: str):
@@ -259,13 +262,6 @@ def source_member(desc: str, ctx):
     return member
 
 
-def source_descriptor(desc: str, ctx) -> SpaceTimeField | None:
-    member = source_member(desc, ctx)
-    if member is None:
-        return None
-    return field_from_function(ctx.domain, ctx.window, member)
-
-
 def _family_size(typed: dict) -> int:
     """Members of a stability-probe family: one for a custom --f source,
     else --members, where 0 picks the kind's default."""
@@ -327,7 +323,9 @@ def _flag_has_violation(rows) -> bool:
 def _solve_descriptors(typed):
     """Context, admissible pair and forward solution of the --f/--g names."""
     ctx = _context(typed)
-    f = source_descriptor(typed["f"], ctx)
+    member = source_member(typed["f"], ctx)
+    f = (None if member is None
+         else field_from_function(ctx.domain, ctx.window, member))
     g = spatial_profile(typed["g"], ctx.domain)
     pair = make_admissible_pair(ctx, f=f, g=g)
     return ctx, pair, forward_solve(ctx.dop, pair.f, pair.g, ctx.window)
@@ -411,8 +409,8 @@ def _run_decompose(typed):
     # a degenerate run still carries a nan chord of matching length
     report = check_log_convexity_and_w_bound(dec.source_free, dec.sourced,
                                              pair.f, ctx)
-    summary = {"residual_evolution": dec.residuals.evolution,
-               "residual_terminal": dec.residuals.terminal,
+    summary = {"residual_evolution": dec.residual_evolution,
+               "residual_terminal": dec.residual_terminal,
                "checked": report.checked,
                "degenerate": report.degenerate,
                "max_violation": report.max_violation,
@@ -527,12 +525,11 @@ def run_cli(argv=None) -> int:
         notes = tuple(dict.fromkeys(
             f"{w.category.__name__}: {' '.join(str(w.message).split())}"
             for w in caught))
-        report = RunReport(config=cfg, artifacts=tuple(artifacts),
-                           summary=summary, warnings=notes)
-        write_manifest(os.path.join(outdir, MANIFEST_NAME), report)
+        write_manifest(os.path.join(outdir, MANIFEST_NAME), cfg, artifacts,
+                       summary, notes)
 
         print(f"subcommand: {sub}")
-        print(f"config_sha256: {report.sha256}")
+        print(f"config_sha256: {config_hash(cfg)}")
         for name in artifacts:
             print(f"artifact: {os.path.join(outdir, name)}")
         print(f"artifact: {os.path.join(outdir, MANIFEST_NAME)}")

@@ -6,7 +6,9 @@ For u solving u_t = Au + f, u(.,0) = g, set vartheta = u_t. Then
 w solves w_t = Aw + f_t, w(.,0) = 0, and z = vartheta - w solves the
 source-free equation z_t = Az with z(.,0) = Ag + f(.,0). The split is
 computed forward only; the backward terminal-value problem for z is
-ill-posed and is verified here as a residual identity instead.
+ill-posed and is verified here as a residual identity instead. A
+Decomposition holds w and z with the residuals of that identity and of
+the source-free evolution of z.
 """
 from __future__ import annotations
 
@@ -23,23 +25,20 @@ from .solver import (RESIDUAL_WARN_TOL, equation_residual, forward_solve,
                      time_derivative)
 
 
-@dataclass(frozen=True)
-class DecompositionResiduals:
-    """Max-norm checks of the two identities behind the split; the third,
-    vartheta = w + z, holds bit for bit because z is defined as vartheta - w.
-
-    evolution: max |z_t - Az| over interior time nodes (z is source-free).
-    terminal: max |z(.,T) - (Au(.,T) + f(.,T) - w(.,T))|.
-    """
-    evolution: float
-    terminal: float
-
-
 @dataclass(frozen=True, eq=False)
 class Decomposition:
+    """The split u_t = w + z and the max-norm checks of the two identities
+    behind it; the third, vartheta = w + z, holds bit for bit because z is
+    defined as vartheta - w.
+
+    residual_evolution: max |z_t - Az| over interior time nodes (z is
+    source-free).
+    residual_terminal: max |z(.,T) - (Au(.,T) + f(.,T) - w(.,T))|.
+    """
     sourced: SpaceTimeField      # w, driven by f_t from rest
     source_free: SpaceTimeField  # z = vartheta - w
-    residuals: DecompositionResiduals
+    residual_evolution: float
+    residual_terminal: float
 
 
 def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
@@ -47,7 +46,7 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     """Split u_t = w + z with w sourced by f_t and z source-free.
 
     Warns when u does not satisfy the evolution equation for f on its
-    grid; the residual report then quantifies the mismatch rather than
+    grid; the two residuals then quantify the mismatch rather than
     certifying the split.
     """
     domain, window, dop = ctx.domain, ctx.window, ctx.dop
@@ -83,7 +82,7 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     terminal_rhs = dop.apply(u.values[:, i_T]) + f_T - w.values[:, i_T]
     terminal = float(np.max(np.abs(z.values[:, i_T] - terminal_rhs)))
 
-    return Decomposition(w, z, DecompositionResiduals(evolution, terminal))
+    return Decomposition(w, z, evolution, terminal)
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,12 +111,6 @@ def unpack_params(params: np.ndarray, ctx: LabContext):
     return params[:n_space].copy(), params[n_space:].copy()
 
 
-def _source_field(phi, ctx) -> SpaceTimeField:
-    # a product, not phi + 0.0, so a -0.0 entry of phi stays -0.0
-    return SpaceTimeField(phi[:, None] * np.ones(ctx.window.nt + 1),
-                          ctx.domain, ctx.window)
-
-
 def objective_and_gradient(spec: InverseProblemSpec, params: np.ndarray,
                            data: MeasurementData, ctx: LabContext):
     """Value and exact Euclidean gradient of the Tikhonov objective.
@@ -329,14 +323,20 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
 
     Level i has noise eps_i, seed spec.seed XOR i and weights (alpha_f,
     alpha_g) * eps_i^2; a level whose square or weights overflow is
-    refused by name. Every level is checked before the truth pair passes
-    the gate. The truth is then measured once, in the march of the
-    observation matrix; each level adds its noise to that measurement and
-    is solved against the one matrix, and one forward and one adjoint
-    march certify all the solutions (module docstring). A non-finite
-    objective is refused at the first level that has one. Returns (level
-    spec, ReconstructionResult, RateRow) per level.
+    refused by name. The noise comes from noise_list alone, so a base spec
+    with nonzero noise_level is refused, and so is an empty list. Every
+    level is checked before the truth pair passes the gate. The truth is
+    then measured once, in the march of the observation matrix; each level
+    adds its noise to that measurement and is solved against the one
+    matrix, and one forward and one adjoint march certify all the
+    solutions (module docstring). A non-finite objective is refused at the
+    first level that has one. Returns (level spec, ReconstructionResult,
+    RateRow) per level.
     """
+    if spec.noise_level != 0.0:
+        raise ValueError(f"the base spec has noise level "
+                         f"{spec.noise_level!r}: recover takes its noise "
+                         f"levels from noise_list")
     specs = []
     for level, eps in enumerate(map(float, noise_list)):
         try:
@@ -356,9 +356,13 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
                                  f"overflows")
         specs.append(replace(spec, noise_level=eps, seed=spec.seed ^ level,
                              **weights))
+    if not specs:
+        raise ValueError("need at least one noise level")
     phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
-    pair = make_admissible_pair(ctx, f=_source_field(phi_truth, ctx),
-                                g=g_truth)
+    # a product, not phi + 0.0, so a -0.0 entry of phi stays -0.0
+    f_truth = SpaceTimeField(phi_truth[:, None] * np.ones(ctx.window.nt + 1),
+                             ctx.domain, ctx.window)
+    pair = make_admissible_pair(ctx, f=f_truth, g=g_truth)
     obs, snapshots, traces = _observations(ctx, pair.g[:, None],
                                            phi_truth[:, None])
     clean = measurement_data(snapshots[0], traces[0], ctx.domain, ctx.window)

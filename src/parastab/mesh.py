@@ -3,12 +3,15 @@
 Downstream code never interpolates in time: the snapshot time T and the
 lateral-window edges T - delta1, T + delta1 must be grid points, and
 ``make_time_window`` bumps the requested step count upward until they are.
+A TimeWindow finds those three grid levels once, when it is built, and
+keeps them as ``snapshot_index`` and ``window_slice``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +49,14 @@ def _check_horizon(T: float, delta0: float, delta1: float) -> None:
         raise ValueError(
             f"need 0 < delta1 <= min(delta0, T), got delta1={delta1} "
             f"with T={T}, delta0={delta0}")
+
+
+def _check_nt(nt) -> None:
+    """Refuse a step count that is not an integer of at least 2."""
+    if not isinstance(nt, numbers.Integral):
+        raise ValueError(f"nt must be an integer, got {nt!r}")
+    if nt < 2:
+        raise ValueError(f"nt must be at least 2, got {nt}")
 
 
 def _check_step(t_end: float, nt: int) -> None:
@@ -117,23 +128,33 @@ class TimeWindow:
     half-width of the lateral observation window (T - delta1, T + delta1).
     Constraint: 0 < delta1 <= min(delta0, T), and T - delta1, T, T + delta1
     all land on the grid (use make_time_window to round nt up until they do).
+    Their levels are fixed here: snapshot_index is the level of T and
+    window_slice the inclusive level range of the lateral window, as a
+    python slice.
     """
 
     T: float
     delta0: float
     delta1: float
     nt: int
+    snapshot_index: int = field(init=False, compare=False, repr=False)
+    window_slice: slice = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_horizon(self.T, self.delta0, self.delta1)
-        if self.nt < 2:
-            raise ValueError(f"nt must be at least 2, got {self.nt}")
+        _check_nt(self.nt)
         _check_step(self.t_end, self.nt)
+        levels = []
         for t in (self.T - self.delta1, self.T, self.T + self.delta1):
-            if _grid_index(t, self.k, self.nt) is None:
+            idx = _grid_index(t, self.k, self.nt)
+            if idx is None:
                 raise ValueError(
                     f"t={t} is not a grid point for nt={self.nt}; "
                     f"build windows with make_time_window")
+            levels.append(idx)
+        lo, i_T, hi = levels
+        object.__setattr__(self, "snapshot_index", i_T)
+        object.__setattr__(self, "window_slice", slice(lo, hi + 1))
 
     @property
     def t_end(self) -> float:
@@ -151,23 +172,6 @@ class TimeWindow:
     def quad_weights(self) -> np.ndarray:
         """Trapezoid weights including k over the full (0, T+delta0) grid."""
         return _trapezoid_weights(self.nt + 1, self.k)
-
-    def index_of(self, t: float) -> int:
-        idx = _grid_index(t, self.k, self.nt)
-        if idx is None:
-            raise ValueError(f"t={t} is not on the time grid (k={self.k})")
-        return idx
-
-    @property
-    def snapshot_index(self) -> int:
-        return self.index_of(self.T)
-
-    @property
-    def window_slice(self) -> slice:
-        """Inclusive index range of the lateral window, as a python slice."""
-        lo = self.index_of(self.T - self.delta1)
-        hi = self.index_of(self.T + self.delta1)
-        return slice(lo, hi + 1)
 
     @property
     def window_weights(self) -> np.ndarray:
@@ -187,9 +191,11 @@ class TimeWindow:
 
 
 def make_time_window(T: float, delta0: float, delta1: float, nt: int) -> TimeWindow:
-    """Smallest step count >= nt that puts T-delta1, T, T+delta1 on the grid."""
+    """Smallest step count >= nt that puts T-delta1, T, T+delta1 on the grid;
+    nt must be an integer of at least 2."""
     _check_horizon(T, delta0, delta1)
-    start = max(int(nt), 2)
+    _check_nt(nt)
+    start = int(nt)
     stop = start * _NT_SEARCH_FACTOR + 1
     t_end = T + delta0
     _check_step(t_end, start)

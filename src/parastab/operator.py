@@ -186,11 +186,10 @@ def _bands(domain: SpatialDomain, a, b, c) -> np.ndarray:
     # diag = c - (lower + upper) keeps constants in the kernel to round-off.
     diag = c - (lower + upper)
 
-    w = np.ones(n + 1)
-    w[0] = 0.5
-    w[-1] = 0.5
+    # h cancels: the trapezoid weight ratios are exactly 2, 1 and 0.5
+    wx = domain.quad_weights
     adj_upper = np.zeros(n + 1)
     adj_lower = np.zeros(n + 1)
-    adj_upper[:-1] = lower[1:] * w[1:] / w[:-1]
-    adj_lower[1:] = upper[:-1] * w[:-1] / w[1:]
+    adj_upper[:-1] = lower[1:] * (wx[1:] / wx[:-1])
+    adj_lower[1:] = upper[:-1] * (wx[:-1] / wx[1:])
     return np.array([lower, diag, upper, adj_lower, adj_upper])

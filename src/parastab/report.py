@@ -10,10 +10,10 @@ whole file is never held as one string. All-float tables (the forward
 field, the decompose profile, the reconstruction) are spelled in repr over
 Python floats, rows that mix floats with integers, booleans or labels
 (sweep, probe and rate tables) through fmt.
+The manifest is written from the run's parts as they are: the config
+mapping, artifact names, summary numbers and warning texts.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,40 +106,24 @@ def write_profile_csv(path: str, times, z_norms, chord) -> None:
                  _float_rows(_float_columns(times, z_norms, chord)), repr)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """What a run leaves behind: identity, files, numbers and the text of
-    the warnings it raised, in the order first raised."""
-    config: dict
-    artifacts: tuple
-    summary: dict
-    warnings: tuple = ()
-
-    @property
-    def echo(self) -> str:
-        return canonical_echo(self.config)
-
-    @property
-    def sha256(self) -> str:
-        return config_hash(self.config)
-
-
-def write_manifest(path: str, report: RunReport) -> None:
-    """Record the run identity, its artifacts, the summary numbers and
-    one warning.<k> line per warning raised.
+def write_manifest(path: str, config: dict, artifacts, summary: dict,
+                   warnings) -> None:
+    """Record what a run leaves behind: its identity (the config hash and
+    echo), its artifact names, the summary numbers and one warning.<k>
+    line per warning text, in the order the warnings were first raised.
 
     Nothing wall-clock enters it, so two identical runs emit identical
     bytes. The echoed config between the begin/end markers parses back to
     the mapping that produced the run.
     """
-    lines = [f"config_sha256={report.sha256}", "config_begin"]
-    lines.extend(report.echo.splitlines())
+    lines = [f"config_sha256={config_hash(config)}", "config_begin"]
+    lines.extend(canonical_echo(config).splitlines())
     lines.append("config_end")
-    for name in report.artifacts:
+    for name in artifacts:
         lines.append(f"artifact={name}")
-    for key in sorted(report.summary):
-        lines.append(f"summary.{key}={fmt(report.summary[key])}")
-    for k, text in enumerate(report.warnings):
+    for key in sorted(summary):
+        lines.append(f"summary.{key}={fmt(summary[key])}")
+    for k, text in enumerate(warnings):
         lines.append(f"warning.{k}={text}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -299,6 +299,8 @@ def test_the_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
     ["forward", "--seed", "1"],
     # alpha0_f and alpha0_g are the one way to set the base weights
     ["rate", "--alpha0", "2"],
+    # the time-constant truth source needs no rate budget
+    ["reconstruct", "--C0", "0"],
 ])
 def test_removed_keys_are_usage_errors(tmp_path, capsys, argv):
     rc = main([*argv, "--out", str(tmp_path / "o")])
@@ -318,6 +320,20 @@ def test_a_forward_config_with_a_seed_is_refused(tmp_path, capsys):
         "error: unknown config key: seed"]
 
 
+def test_a_reconstruct_config_with_a_rate_budget_is_refused(tmp_path,
+                                                            capsys):
+    # a manifest echo saved before reconstruct lost C0
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("subcommand=reconstruct\nC0=2.0\n")
+    out = tmp_path / "o"
+    rc = main(["reconstruct", *FAST, "--config", str(cfg_file),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown config key: C0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["decompose", "--g", "eigenmode:3:1e154"],
      "error: overflow encountered in "),
@@ -333,6 +349,9 @@ def test_a_forward_config_with_a_seed_is_refused(tmp_path, capsys):
     (["stability-probe", "--kind", "source", "--f", "eigenmode:1:inf"],
      "error: family member 0 at mesh level 0: field contains non-finite "
      "values"),
+    # the later --nt wins; it used to run as --nt 2
+    (["forward", "--nt", "-5"], "error: nt must be at least 2, got -5"),
+    (["reconstruct", "--nt", "0"], "error: nt must be at least 2, got 0"),
 ])
 def test_a_refused_run_creates_no_output_directory(tmp_path, capsys, argv,
                                                    message):

@@ -75,9 +75,9 @@ INERT = {
         "false", "it selects between the initial-value families only"),
     ("stability-probe", "f", _INITIAL): (
         "eigenmode:2", "a custom family is a source family"),
-    ("reconstruct", "C0", ()): (
-        "0", "a time-constant source needs no budget, so the gate never "
-             "refuses the truth pair"),
+    ("reconstruct", "alpha0_f", ("--noise", "0")): (
+        "10", "recover scales the base weight by eps^2, so it drives every "
+              "run with noise"),
     ("rate", "C0", ()): (
         "0", "a time-constant source needs no budget, so the gate never "
              "refuses the truth pair; the benchmark's inverse workload "

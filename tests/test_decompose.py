@@ -52,8 +52,8 @@ def test_residuals_shrink_at_second_order():
     for nx, nt in ((24, 48), (48, 96), (96, 192)):
         ctx, u = heat_eigenmode_context(nx, nt)
         d = decompose_time_derivative(u, None, ctx)
-        evo.append(d.residuals.evolution)
-        term.append(d.residuals.terminal)
+        evo.append(d.residual_evolution)
+        term.append(d.residual_terminal)
     assert 8.5 < evo[0] / evo[2] < 19.0
     assert evo[0] > evo[1] > evo[2]
     for a, b in zip(term, term[1:]):
@@ -68,7 +68,7 @@ def test_sourced_residuals_shrink():
                                 lambda x, t: np.exp(t) * (2.0 + np.cos(np.pi * x)))
         u = forward_solve(ctx.dop, f, np.cos(np.pi * ctx.domain.points), ctx.window)
         d = decompose_time_derivative(u, f, ctx)
-        vals.append((d.residuals.evolution, d.residuals.terminal))
+        vals.append((d.residual_evolution, d.residual_terminal))
     assert vals[0][0] / vals[1][0] > 2.5
     assert 3.4 < vals[0][1] / vals[1][1] < 4.6
 

@@ -303,6 +303,7 @@ def test_one_level_recover_replays_synthesize_and_minimize_bitwise():
     ([1e308], "square overflows"),
     ([0.1, math.inf], "^noise level inf is not finite$"),
     ([math.nan], "^noise level nan is not finite$"),
+    ([], "^need at least one noise level$"),
 ])
 def test_recover_checks_every_level_before_the_gate(noise, message):
     # the truth overflows the gate, so only an earlier check can answer
@@ -311,6 +312,15 @@ def test_recover_checks_every_level_before_the_gate(noise, message):
         recover(InverseProblemSpec(), noise, (1e160 * phi, g), CTX)
     with pytest.raises(ValueError, match="overflows: its L2"):
         recover(InverseProblemSpec(), [0.1], (1e160 * phi, g), CTX)
+
+
+def test_recover_refuses_a_base_spec_with_noise():
+    # it would be replaced by the listed levels without a word
+    phi, g = truth_arrays(CTX)
+    with pytest.raises(ValueError, match="^the base spec has noise level "
+                       "0.5: recover takes its noise levels from "
+                       "noise_list$"):
+        recover(InverseProblemSpec(noise_level=0.5), [0.1], (phi, g), CTX)
 
 
 def test_rate_experiment_validates_noise_list():

@@ -90,11 +90,16 @@ def test_a_step_whose_square_underflows_is_refused(horizon):
         TimeWindow(T=horizon, delta0=horizon, delta1=horizon, nt=2)
 
 
-def test_index_of_rejects_off_grid_times():
-    win = make_time_window(1.0, 0.5, 0.25, 60)
-    assert win.index_of(1.0) == win.snapshot_index
-    with pytest.raises(ValueError):
-        win.index_of(1.0 + 0.37 * win.k)
+@pytest.mark.parametrize("nt, message", [
+    (-5, "nt must be at least 2, got -5"), (0, "nt must be at least 2, got 0"),
+    (1, "nt must be at least 2, got 1"),
+    (2.7, "nt must be an integer, got 2.7"),
+    (8.0, "nt must be an integer, got 8.0")])
+def test_a_step_count_below_two_or_not_an_integer_is_refused(nt, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_time_window(1.0, 0.5, 0.25, nt)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeWindow(T=1.0, delta0=0.5, delta1=0.25, nt=nt)
 
 
 def test_field_shape_and_sampling():
@@ -119,9 +124,8 @@ def test_field_rejects_nonfinite():
 def _reference_nt(T, delta0, delta1, nt):
     """The one-by-one search: first count >= nt whose grid holds all three
     measurement times, or None within the search ceiling."""
-    start = max(int(nt), 2)
     t_end = T + delta0
-    for cand in range(start, start * mesh._NT_SEARCH_FACTOR + 1):
+    for cand in range(nt, nt * mesh._NT_SEARCH_FACTOR + 1):
         k = t_end / cand
         if all(mesh._grid_index(t, k, cand) is not None
                for t in (T - delta1, T, T + delta1)):
@@ -137,7 +141,7 @@ _HORIZON = st.one_of(st.floats(0.01, 10.0),
 @settings(max_examples=150, deadline=None)
 @given(T=_HORIZON, delta0=_HORIZON, share=st.one_of(
     st.floats(0.01, 1.0), st.integers(1, 8).map(lambda n: n / 8)),
-    nt=st.integers(-3, 300))
+    nt=st.integers(2, 300))
 def test_blocked_window_search_matches_the_scalar_search(T, delta0, share,
                                                          nt):
     delta1 = share * min(T, delta0)
@@ -145,5 +149,16 @@ def test_blocked_window_search_matches_the_scalar_search(T, delta0, share,
     if expected is None:
         with pytest.raises(ValueError, match="no step count"):
             make_time_window(T, delta0, delta1, nt)
-    else:
-        assert make_time_window(T, delta0, delta1, nt).nt == expected
+        return
+    win = make_time_window(T, delta0, delta1, nt)
+    assert win.nt == expected
+    # the levels fixed at construction are the scalar search's
+    lo, i_T, hi = (mesh._grid_index(t, win.k, win.nt)
+                   for t in (T - delta1, T, T + delta1))
+    assert win.snapshot_index == i_T
+    assert win.window_slice == slice(lo, hi + 1)
+    # and they take no part in equality, hashing or repr
+    again = TimeWindow(T=T, delta0=delta0, delta1=delta1, nt=win.nt)
+    assert again == win and hash(again) == hash(win)
+    assert repr(win) == (f"TimeWindow(T={T!r}, delta0={delta0!r}, "
+                         f"delta1={delta1!r}, nt={win.nt!r})")
