@@ -70,11 +70,22 @@ def default_s_values(weights: CarlemanWeights) -> tuple:
     return (s0, 2.0 * s0, 4.0 * s0, 8.0 * s0)
 
 
-def _exp_factor(theta_int: np.ndarray, s: float) -> np.ndarray:
-    """e^{2 s theta} on interior nodes, underflowed to an exact zero."""
-    expo = 2.0 * s * theta_int
-    return np.exp(expo, out=np.zeros_like(expo),
-                  where=expo >= UNDERFLOW_EXPONENT)
+def _exp_factor(theta_int: np.ndarray, s: float, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """e^{2 s theta} on interior nodes, underflowed to an exact zero,
+    written into out; scratch, shaped like out, is overwritten."""
+    expo = np.multiply(2.0 * s, theta_int, out=scratch)
+    out.fill(0.0)
+    return np.exp(expo, out=out, where=expo >= UNDERFLOW_EXPONENT)
+
+
+def _power(base: np.ndarray, exponent: int, out: np.ndarray) -> np.ndarray:
+    """base ** exponent written into out. The in-place operator dispatches
+    as base ** exponent does (numpy computes ** 2 as a square and ** -1 as
+    a reciprocal), so out holds the bits of the expression."""
+    np.copyto(out, base)
+    out **= exponent
+    return out
 
 
 def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
@@ -88,6 +99,10 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
     powers of s rho and e^{2 s theta} are. A row with a non-finite side, or
     a clean row with a non-finite quotient, is refused: typically (s rho)^m
     has overflowed where e^{2 s theta} underflows.
+
+    The derivatives of u are dropped once squared, and every s reuses four
+    interior-sized buffers, each product formed in the order the written
+    quadrature reads, so the rows have the bits of the unbuffered sums.
     """
     s_values = config.s_values or default_s_values(weights)
     window = weights.shifted_window
@@ -114,12 +129,21 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
     rho = weights.rho1_shift[:, interior]
     theta = weights.theta1_shift[:, interior]
 
+    # the squares of the interior values of u_t, u_x and u, with u_t^2 +
+    # u_xx^2 in u_t^2's buffer once its boundary rows are kept
+    gamma = domain.gamma_indices
     ut = ut[:, interior]
+    ut2 = ut * ut
+    del ut
+    ut2_gamma = ut2[list(gamma)]
     ux = fd_first(uv, h, axis=0)[:, interior]
+    ux2 = ux * ux
+    del ux
     uxx = fd_second(uv, h, axis=0)[:, interior]
+    time_sq = np.add(ut2, uxx * uxx, out=ut2)
+    del ut2, uxx
     uu = uv[:, interior]
-    ut2, ux2, uu2 = ut * ut, ux * ux, uu * uu
-    time_sq = ut2 + uxx * uxx
+    uu2 = uu * uu
     src_sq = None if f is None else np.square(f.values[:, interior])
     # the boundary term over Gamma x (frame interior); the literal mode
     # drops e^{2 s theta} and keeps only nodes with l1(t) >= 4 k t_end
@@ -131,20 +155,31 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
         bw = wt
 
     p = config.p
+    sr, ef, acc, term = (np.empty_like(wxt) for _ in range(4))
     rows = []
     for s in s_values:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            sr = s * rho
-            ef = _exp_factor(theta, s)
-            dens = (sr ** (p - 1) * time_sq
-                    + sr ** (p + 1) * ux2
-                    + sr ** (p + 3) * uu2)
-            lhs = float(np.sum(wxt * dens * ef))
-            rhs = 0.0 if f is None else float(
-                np.sum(wxt * sr ** p * src_sq * ef))
-            for gi in domain.gamma_indices:
+            np.multiply(s, rho, out=sr)
+            _exp_factor(theta, s, ef, acc)
+            # dens = sr^(p-1) time_sq + sr^(p+1) ux2 + sr^(p+3) uu2
+            dens = _power(sr, p - 1, acc)
+            dens *= time_sq
+            dens += np.multiply(_power(sr, p + 1, term), ux2, out=term)
+            dens += np.multiply(_power(sr, p + 3, term), uu2, out=term)
+            # lhs = sum(wxt * dens * ef)
+            np.multiply(wxt, dens, out=dens)
+            dens *= ef
+            lhs = float(np.sum(dens))
+            rhs = 0.0
+            if f is not None:
+                # sum(wxt * sr^p * src_sq * ef)
+                prod = np.multiply(wxt, _power(sr, p, acc), out=acc)
+                prod *= src_sq
+                prod *= ef
+                rhs = float(np.sum(prod))
+            for j, gi in enumerate(gamma):
                 srg = sr[gi]
-                dens_g = (srg ** p * ut2[gi] + srg ** (p + 1) * ux2[gi]
+                dens_g = (srg ** p * ut2_gamma[j] + srg ** (p + 1) * ux2[gi]
                           + srg ** (p + 3) * uu2[gi])
                 rhs += float(np.sum(bw * dens_g if literal
                                     else bw * dens_g * ef[gi]))

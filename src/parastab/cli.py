@@ -351,6 +351,7 @@ def _run_carleman_audit(typed):
     v = time_derivative(time_shift(u))
     companion = (None if pair.f is None
                  else time_derivative(time_shift(pair.f)))
+    del u, pair  # the full-frame fields are not needed past this point
     wcfg = WeightConfig(s_values=typed["s"], p=typed["p"],
                         boundary_weighting=_BOUNDARY_MODES[typed["boundary"]])
     weights = eval_weights(typed["lambda"], ctx.window, ctx.domain)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SpaceTimeField
+from .mesh import SpaceTimeField, blocked_max
 from .norms import l2_space
 from .stencils import fd_first
 from .solver import (RESIDUAL_WARN_TOL, equation_residual, forward_solve,
@@ -55,6 +55,16 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
     if f is not None and f.values.shape != u.values.shape:
         raise ValueError("source grid does not match the solution grid")
 
+    # w first, so that f_t is freed before vartheta is formed: besides f and
+    # u, at most two fields are alive at once, f_t and w while w is
+    # marched, then w and vartheta, which becomes z
+    ft = None if f is None else time_derivative(f)
+    if ft is None or not np.any(ft.values):
+        w = SpaceTimeField(np.zeros_like(u.values), domain, window)
+    else:
+        w = forward_solve(dop, ft, None, window)
+    del ft
+
     vartheta = time_derivative(u).values
     rel = equation_residual(u, vartheta, f, dop)
     if rel > RESIDUAL_WARN_TOL:
@@ -62,20 +72,22 @@ def decompose_time_derivative(u: SpaceTimeField, f: SpaceTimeField | None,
                       f"(relative residual {rel:.2e}); the split residuals "
                       f"report the mismatch, not a certificate",
                       stacklevel=2)
-
-    ft = None if f is None else time_derivative(f)
-    if ft is None or not np.any(ft.values):
-        w = SpaceTimeField(np.zeros_like(u.values), domain, window)
-    else:
-        w = forward_solve(dop, ft, None, window)
-    del ft  # freed before z and its stencils, so the peak does not grow
-    z = SpaceTimeField(vartheta - w.values, domain, window)
+    z = SpaceTimeField(np.subtract(vartheta, w.values, out=vartheta),
+                       domain, window)
+    del vartheta
 
     # columns whose centered stencil touches the frame ends are excluded:
     # the end columns of vartheta are one-sided estimates, and differencing
-    # them again is only first-order accurate there
-    zt = fd_first(z.values, window.k, axis=1)
-    evolution = float(np.max(np.abs((zt - dop.apply(z.values))[:, 2:-2])))
+    # them again is only first-order accurate there. Each block of columns
+    # takes its centered z_t from the block widened by one column per side.
+    zv, k = z.values, window.k
+
+    def block_evolution(sl):
+        zt = fd_first(zv[:, sl.start - 1:sl.stop + 1], k, axis=1)[:, 1:-1]
+        zt -= dop.apply(zv[:, sl])
+        return np.max(np.abs(zt, out=zt))
+
+    evolution = float(blocked_max(block_evolution, 2, window.nt - 1))
 
     i_T = window.snapshot_index
     f_T = f.values[:, i_T] if f is not None else 0.0

@@ -48,7 +48,7 @@ from .admissible import make_admissible_pair
 from .lab import LabContext
 from .measurement import MeasurementData, measure, measurement_data, \
     observed_march
-from .mesh import SpaceTimeField
+from .mesh import SpaceTimeField, check_integer
 # adjoint_solve is not called here; the benchmark tracer wraps it by this
 # module's name
 from .solver import adjoint_gradients, adjoint_march, adjoint_solve, \
@@ -87,6 +87,7 @@ class InverseProblemSpec:
             raise ValueError("regularization weights must be nonnegative")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
+        check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"noise seed must be nonnegative, got "
                              f"{self.seed!r}")

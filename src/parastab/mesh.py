@@ -26,6 +26,32 @@ _NT_SEARCH_FACTOR = 16
 # blocks; the largest keeps each temporary array near 1.5 MB.
 _NT_BLOCK_FIRST = 8
 _NT_BLOCK_MAX = 2 ** 16
+# Columns per block of a blocked pass over a field (column_blocks): a block
+# of a 257-row field is 131 kB, where the field of the 256/2048 grid is
+# 4.2 MB.
+_BLOCK_COLUMNS = 64
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer; numpy integers count, bools
+    do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def column_blocks(start: int, stop: int):
+    """Slices that cover the columns start..stop-1 in order, each at most
+    _BLOCK_COLUMNS wide; none when the range is empty."""
+    return (slice(j, min(j + _BLOCK_COLUMNS, stop))
+            for j in range(start, stop, _BLOCK_COLUMNS))
+
+
+def blocked_max(block_max, start: int, stop: int):
+    """np.max of the maxima block_max(sl) over the column_blocks of
+    start..stop-1: the max of the whole range, as a max is exact in any
+    grouping; nan if any block is nan; numpy's zero-size error when the
+    range is empty."""
+    return np.max([block_max(sl) for sl in column_blocks(start, stop)])
 
 
 def _grid_index(value: float, step: float, limit: int) -> int | None:
@@ -53,8 +79,7 @@ def _check_horizon(T: float, delta0: float, delta1: float) -> None:
 
 def _check_nt(nt) -> None:
     """Refuse a step count that is not an integer of at least 2."""
-    if not isinstance(nt, numbers.Integral):
-        raise ValueError(f"nt must be an integer, got {nt!r}")
+    check_integer("nt", nt)
     if nt < 2:
         raise ValueError(f"nt must be at least 2, got {nt}")
 
@@ -91,6 +116,7 @@ class SpatialDomain:
             raise ValueError(
                 f"domain endpoints must be strictly ordered, got "
                 f"({self.x_left}, {self.x_right})")
+        check_integer("nx", self.nx)
         if self.nx < 8:
             raise ValueError(f"nx must be at least 8, got {self.nx}")
         sides = tuple(self.gamma) if not isinstance(self.gamma, str) else (self.gamma,)

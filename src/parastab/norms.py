@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import SpatialDomain, TimeWindow, _trapezoid_weights
+from .mesh import (SpatialDomain, TimeWindow, _trapezoid_weights,
+                   column_blocks)
 from .stencils import fd_first, fd_second
 
 _MIN_H2_POINTS = 5
@@ -24,7 +25,11 @@ def l2_spacetime_inner(a: np.ndarray, b: np.ndarray, domain: SpatialDomain,
                        window: TimeWindow) -> float:
     wx = domain.quad_weights[:, None]
     wt = window.quad_weights[None, :]
-    return float(np.sum(wx * wt * np.asarray(a) * np.asarray(b)))
+    # ((wx * wt) * a) * b in one product buffer
+    prod = wx * wt
+    np.multiply(prod, np.asarray(a), out=prod)
+    np.multiply(prod, np.asarray(b), out=prod)
+    return float(np.sum(prod))
 
 
 def _h2_line_sq(values: np.ndarray, step: float, weights: np.ndarray) -> float:
@@ -41,11 +46,18 @@ def _h2_line_sq(values: np.ndarray, step: float, weights: np.ndarray) -> float:
 def l2_space(q, domain: SpatialDomain):
     """L2(Omega) norm of a snapshot (nx+1,), or the array of the norms of
     the columns of (nx+1, m); each column is summed as one contiguous line,
-    so its norm equals that column's own norm bit for bit."""
+    so its norm equals that column's own norm bit for bit. The lines are
+    laid out a block of columns at a time."""
     q = np.asarray(q, dtype=float)
-    lines = np.ascontiguousarray(q.T)
-    norms = np.sqrt(np.sum(domain.quad_weights * lines * lines, axis=-1))
-    return float(norms) if q.ndim == 1 else norms
+    columns = q.reshape(q.shape[0], -1)
+    norms = np.empty(columns.shape[1])
+    for sl in column_blocks(0, columns.shape[1]):
+        lines = np.ascontiguousarray(columns[:, sl].T)
+        # (weights * lines) * lines
+        sq = domain.quad_weights * lines
+        np.multiply(sq, lines, out=sq)
+        norms[sl] = np.sqrt(np.sum(sq, axis=-1))
+    return float(norms[0]) if q.ndim == 1 else norms
 
 
 def l2_spacetime(q, domain: SpatialDomain, window: TimeWindow) -> float:

@@ -109,15 +109,19 @@ class DiscreteOperator:
 
         Uses the flux-difference form lower*(q_{i-1}-q_i) + upper*(q_{i+1}-q_i)
         + c*q, which annihilates constants exactly when c = 0 instead of
-        leaving the cancellation error of the expanded bands.
+        leaving the cancellation error of the expanded bands. Both flux
+        terms are formed in one difference buffer.
         """
         q = np.asarray(q, dtype=float)
         shape = (-1,) + (1,) * (q.ndim - 1)
         sub, c, sup = (self.lower[1:].reshape(shape), self.c.reshape(shape),
                        self.upper[:-1].reshape(shape))
         out = c * q
-        out[1:] += sub * (q[:-1] - q[1:])
-        out[:-1] += sup * (q[1:] - q[:-1])
+        # out[1:] += sub * (q[:-1] - q[1:]), then the mirrored upper term
+        diff = np.subtract(q[:-1], q[1:])
+        out[1:] += np.multiply(sub, diff, out=diff)
+        np.subtract(q[1:], q[:-1], out=diff)
+        out[:-1] += np.multiply(sup, diff, out=diff)
         return out
 
     @property

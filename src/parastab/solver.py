@@ -59,7 +59,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lapack import dgttrf, dgttrs
-from .mesh import SpaceTimeField, TimeWindow
+from .mesh import SpaceTimeField, TimeWindow, blocked_max
 from .operator import DiscreteOperator, band_mv, column_bands
 from .stencils import fd_first
 
@@ -305,10 +305,20 @@ def equation_residual(u: SpaceTimeField, ut: np.ndarray,
     ut the caller's time_derivative values of u.
 
     Only interior time columns count: the one-sided time stencils at the
-    frame ends are not part of the claim.
+    frame ends are not part of the claim. Both maxima are taken a block of
+    columns at a time (mesh.blocked_max), so no temporary is field-sized.
     """
-    res = ut - dop.apply(u.values)
-    if f is not None:
-        res = res - f.values
-    scale = max(float(np.max(np.abs(ut))), 1e-300)
-    return float(np.max(np.abs(res[:, 1:-1]))) / scale
+    uv = u.values
+    fv = None if f is None else f.values
+
+    def block_residual(sl):
+        # |ut - Au - f| on the columns of sl
+        res = ut[:, sl] - dop.apply(uv[:, sl])
+        if fv is not None:
+            res -= fv[:, sl]
+        return np.max(np.abs(res, out=res))
+
+    nt = ut.shape[1] - 1
+    scale = max(float(blocked_max(lambda sl: np.max(np.abs(ut[:, sl])),
+                                  0, nt + 1)), 1e-300)
+    return float(blocked_max(block_residual, 1, nt)) / scale

@@ -5,6 +5,11 @@ formulas of the same order, so fd_first is exact on quadratics and
 fd_second on cubics. All stencils are written as combinations of
 pairwise differences, which annihilate constant fields bit-exactly
 instead of leaving expansion round-off at the edges.
+
+The interior is computed in the result array itself, one operation at a
+time in the order the formula reads, so a stencil allocates nothing the
+size of its input beyond the result, and every entry has the bits of the
+written expression.
 """
 from __future__ import annotations
 
@@ -17,7 +22,10 @@ def fd_first(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
         raise ValueError("fd_first needs at least 3 points along the axis")
     out = np.empty_like(q)
     two_h = 2.0 * step
-    out[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / two_h
+    # (q[2:] - q[:-2]) / two_h
+    inner = out[..., 1:-1]
+    np.subtract(q[..., 2:], q[..., :-2], out=inner)
+    np.divide(inner, two_h, out=inner)
     out[..., 0] = (4.0 * (q[..., 1] - q[..., 0])
                    - (q[..., 2] - q[..., 0])) / two_h
     out[..., -1] = (4.0 * (q[..., -1] - q[..., -2])
@@ -31,7 +39,12 @@ def fd_second(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
         raise ValueError("fd_second needs at least 4 points along the axis")
     out = np.empty_like(q)
     h2 = step * step
-    out[..., 1:-1] = (q[..., 2:] - 2.0 * q[..., 1:-1] + q[..., :-2]) / h2
+    # (q[2:] - 2.0 * q[1:-1] + q[:-2]) / h2
+    inner = out[..., 1:-1]
+    np.multiply(2.0, q[..., 1:-1], out=inner)
+    np.subtract(q[..., 2:], inner, out=inner)
+    np.add(inner, q[..., :-2], out=inner)
+    np.divide(inner, h2, out=inner)
     out[..., 0] = (2.0 * (q[..., 0] - q[..., 1])
                    - 3.0 * (q[..., 1] - q[..., 2])
                    + (q[..., 2] - q[..., 3])) / h2

@@ -203,7 +203,8 @@ def test_exp_factor_range(eigen_setup):
     ctx, _, v, w = eigen_setup
     s_big = 64.0 / w.M
     from parastab.carleman import _exp_factor
-    ef = _exp_factor(w.theta1_shift[:, 1:-1], s_big)
+    theta = w.theta1_shift[:, 1:-1]
+    ef = _exp_factor(theta, s_big, np.empty_like(theta), np.empty_like(theta))
     assert np.all(ef >= 0.0) and np.all(ef <= 1.0)
     assert np.any(ef == 0.0)     # the clamp engages near the endpoints
     assert np.any(ef > 0.0)

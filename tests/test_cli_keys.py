@@ -75,6 +75,9 @@ INERT = {
         "false", "it selects between the initial-value families only"),
     ("stability-probe", "f", _INITIAL): (
         "eigenmode:2", "a custom family is a source family"),
+    ("stability-probe", "C0", _INITIAL): (
+        "0", "the initial-value family has no source for the rate budget "
+             "to gate"),
     ("reconstruct", "alpha0_f", ("--noise", "0")): (
         "10", "recover scales the base weight by eps^2, so it drives every "
               "run with noise"),
@@ -123,7 +126,14 @@ def test_key_drives_the_run(run, sub, key):
     assert run(sub, *base) != run(sub, *base, f"--{key}", value)
 
 
-@pytest.mark.parametrize("sub, key, base", sorted(INERT))
+def _inert_id(sub, key, base):
+    """Test id of an INERT case from its own fields, e.g.
+    stability-probe-M0-kind-source, so ids do not move with the table."""
+    return "-".join((sub, key, *(tok.lstrip("-") for tok in base)))
+
+
+@pytest.mark.parametrize("sub, key, base", sorted(INERT),
+                         ids=[_inert_id(*case) for case in sorted(INERT)])
 def test_inert_key_drives_nothing(run, sub, key, base):
     value, _ = INERT[(sub, key, base)]
     assert run(sub, *base) == run(sub, *base, f"--{key}", value)

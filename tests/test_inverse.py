@@ -57,9 +57,13 @@ def test_spec_validation():
         ({"grad_tol": 0.0}, "^grad_tol must be positive$"),
         ({"grad_tol": math.nan}, "^grad_tol must be positive$"),
         ({"seed": -1}, "^noise seed must be nonnegative, got -1$"),
+        ({"seed": 2.5}, "^seed must be an integer, got 2.5$"),
+        ({"seed": math.nan}, "^seed must be an integer, got nan$"),
+        ({"seed": True}, "^seed must be an integer, got True$"),
     ]:
         with pytest.raises(ValueError, match=message):
             InverseProblemSpec(**fields)
+    assert InverseProblemSpec(seed=np.int64(3)).seed == 3
 
 
 def test_pack_unpack_roundtrip():

@@ -94,12 +94,30 @@ def test_a_step_whose_square_underflows_is_refused(horizon):
     (-5, "nt must be at least 2, got -5"), (0, "nt must be at least 2, got 0"),
     (1, "nt must be at least 2, got 1"),
     (2.7, "nt must be an integer, got 2.7"),
-    (8.0, "nt must be an integer, got 8.0")])
+    (8.0, "nt must be an integer, got 8.0"),
+    (True, "nt must be an integer, got True")])
 def test_a_step_count_below_two_or_not_an_integer_is_refused(nt, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_time_window(1.0, 0.5, 0.25, nt)
     with pytest.raises(ValueError, match=f"^{message}$"):
         TimeWindow(T=1.0, delta0=0.5, delta1=0.25, nt=nt)
+
+
+@pytest.mark.parametrize("nx, message", [
+    (8.5, "nx must be an integer, got 8.5"),
+    (16.0, "nx must be an integer, got 16.0"),
+    (True, "nx must be an integer, got True"),
+    (float("nan"), "nx must be an integer, got nan")])
+def test_a_cell_count_that_is_not_an_integer_is_refused(nx, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SpatialDomain(0.0, 1.0, nx)
+
+
+def test_numpy_integer_counts_are_accepted():
+    dom = SpatialDomain(0.0, 1.0, np.int64(16))
+    assert dom.points.shape == (17,)
+    win = make_time_window(1.0, 0.5, 0.25, np.int32(24))
+    assert TimeWindow(T=1.0, delta0=0.5, delta1=0.25, nt=np.int64(win.nt)) == win
 
 
 def test_field_shape_and_sampling():

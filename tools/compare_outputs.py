@@ -6,11 +6,12 @@ Usage: python3 tools/compare_outputs.py PARENT CHANGE
 PARENT and CHANGE are checkouts of this repository. Every run in RUNS is
 made once per tree, as `python3 -m parastab.cli ...` in a fresh process
 whose PYTHONPATH starts with that tree's src/: the eight README commands,
-then a fixed corpus of edge and refusal runs. Before comparing, the
-`elapsed_seconds:` line is dropped and the run's output directory is
-spelled OUT. Each exit code, stdout line, stderr line and artifact that
-differs is printed under its run; the exit code is 1 if anything differs,
-0 if every run matches byte for byte and 2 on bad arguments.
+three runs on the benchmark's fine grid, then a fixed corpus of edge and
+refusal runs. Before comparing, the `elapsed_seconds:` line is dropped and
+the run's output directory is spelled OUT. Each exit code, stdout line,
+stderr line and artifact that differs is printed under its run; the exit
+code is 1 if anything differs, 0 if every run matches byte for byte and 2
+on bad arguments.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ _MAX_ARTIFACT_LINES = 12
 _REC_GRID = ("--nx", "32", "--nt", "128", "--T", "0.25", "--delta0", "0.25",
              "--delta1", "0.125")
 _COARSE = ("--nx", "8", "--nt", "8")
+_FINE = ("--nx", "256", "--nt", "2048")
 # a grid that aligns at its requested step count (T - delta1 = 0)
 _ALIGNED = ("--nx", "8", "--T", "0.375", "--delta0", "0.625", "--delta1",
             "0.375")
@@ -45,6 +47,13 @@ RUNS = [
      "--alpha0_g", "1", "--seed", "7"),
     ("stability-probe", "--kind", "source", "--f", "late-onset", "--C0",
      "inf"),
+    # the 256/2048 grid of the benchmark's fine workload, where the
+    # blocked residuals and norms take many column blocks
+    ("decompose", *_FINE, "--f", "benchmark", "--g", "eigenmode:1:1.3"),
+    ("carleman-audit", *_FINE, "--g", "eigenmode:1:1.3", "--s",
+     "0.04,0.08,0.16,0.34"),
+    ("carleman-audit", *_FINE, "--f", "benchmark", "--p", "1",
+     "--boundary", "literal", "--s", "0.04,0.1,0.34"),
     # edge runs
     ("forward", *_COARSE),
     ("forward", *_ALIGNED, "--nt", "8", "--f", "benchmark", "--g", "one"),
