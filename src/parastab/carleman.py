@@ -201,25 +201,22 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
     return rows
 
 
-def sweep_statistic(rows: list[SweepRow]) -> float:
-    """max/median of the finite ratios: the boundedness proxy for the sweep."""
+def sweep_statistic(rows: list[SweepRow]) -> float | None:
+    """max/median of the clean ratios: the boundedness proxy for the sweep;
+    None, undefined, when no row is clean or their median is 0."""
     ratios = np.array([r.ratio for r in rows if r.flag == FLAG_OK])
-    if ratios.size == 0:
-        return float("nan")
-    med = float(np.median(ratios))
-    if med == 0.0:
-        return float("nan")
-    return float(np.max(ratios)) / med
+    med = float(np.median(ratios)) if ratios.size else 0.0
+    return float(np.max(ratios)) / med if med != 0.0 else None
 
 
-def empirical_s_threshold(rows: list[SweepRow]) -> float:
+def empirical_s_threshold(rows: list[SweepRow]) -> float | None:
     """max(s0, 2 C_emp): the smallest s the sweep certifies as admissible.
 
     C_emp is the largest clean audited quotient, standing in for the
     inequality's constant; a diagnostic computed from sweep output, never
-    stored. nan when no row is clean.
+    stored. None, undefined, when no row is clean.
     """
     ratios = [r.ratio for r in rows if r.flag == FLAG_OK]
     if not ratios:
-        return float("nan")
+        return None
     return max(min(r.s for r in rows), 2.0 * max(ratios))

@@ -15,7 +15,10 @@ MAX_ARRAY_ENTRIES is refused before anything is allocated, and a run
 whose arithmetic overflows, divides by zero or makes a nan is refused
 with numpy's message. Exit codes: 0 success, 1 invalid usage or
 configuration, 2 when any emitted row is flagged as an
-estimate-violation candidate, so CI can tell them apart.
+estimate-violation candidate, so CI can tell them apart. A summary
+statistic the inputs leave undefined is left out; any other nan or inf
+in a summary is a fault that refuses the run unless it is flagged, whose
+nan levels are its result.
 """
 from __future__ import annotations
 
@@ -357,6 +360,7 @@ def _run_carleman_audit(typed):
     weights = eval_weights(typed["lambda"], ctx.window, ctx.domain)
     rows = constant_sweep(v, companion, weights, wcfg, dop=ctx.dop)
     summary = {"rows": len(rows), "s0": rows[0].s,
+               "clean_rows": sum(not r.flag for r in rows),
                "max_over_median": sweep_statistic(rows),
                "s1_threshold": empirical_s_threshold(rows),
                "M": weights.M}
@@ -417,9 +421,8 @@ def _run_decompose(typed):
                "max_violation": report.max_violation,
                "min_log_second_difference": report.min_log_second_difference,
                "w_ratio_sup": report.w_ratio_sup,
-               "w_bound_ok": report.w_bound_ok}
-    if report.notice:
-        summary["notice"] = report.notice
+               "w_bound_ok": report.w_bound_ok,
+               "notice": report.notice or None}
     return ({"decompose.csv": (write_profile_csv, report.times, report.norms,
                                report.chord)}, summary, False)
 
@@ -461,10 +464,9 @@ def _run_rate(typed):
             else "fewer than two levels have eps > 0 and err_f > 0"))
     summary = {"levels": len(result.rows),
                "source_slope": result.source_slope,
-               "all_converged": all(r.converged for r in result.rows)}
-    if result.log_products:
-        summary["log_product_min"] = min(result.log_products)
-        summary["log_product_max"] = max(result.log_products)
+               "all_converged": all(r.converged for r in result.rows),
+               "log_product_min": min(result.log_products, default=None),
+               "log_product_max": max(result.log_products, default=None)}
     return {"rate.csv": (write_rate_csv, result.rows)}, summary, False
 
 
@@ -518,6 +520,12 @@ def run_cli(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(over="raise", invalid="raise", divide="raise"):
             artifacts, summary, flagged = _HANDLERS[sub](typed)
+            summary = {k: v for k, v in summary.items() if v is not None}
+            bad = [f"summary.{k} is {fmt(v)}" for k, v in summary.items()
+                   if isinstance(v, float) and not math.isfinite(v)]
+            if bad and not flagged:
+                raise ValueError(f"{bad[0]}: a non-finite summary is not "
+                                 f"a success")
             os.makedirs(outdir, exist_ok=True)
             for name, (writer, *args) in artifacts.items():
                 writer(os.path.join(outdir, name), *args)

@@ -105,7 +105,9 @@ class LogConvexityReport:
     checked is False when the operator has drift (the sharp interpolation
     form needs self-adjointness); notice then says why. degenerate marks
     a vanishing terminal norm with nonvanishing initial norm, where the
-    interpolation bound carries no information.
+    interpolation bound carries no information. Either case leaves
+    max_violation and min_log_second_difference None, undefined; a z norm
+    of 0, whose logarithm is undefined, leaves the latter None too.
     """
     checked: bool
     notice: str
@@ -113,8 +115,8 @@ class LogConvexityReport:
     times: np.ndarray
     norms: np.ndarray
     chord: np.ndarray
-    max_violation: float
-    min_log_second_difference: float
+    max_violation: float | None
+    min_log_second_difference: float | None
     w_ratio_sup: float
     w_bound_ok: bool
 
@@ -139,7 +141,7 @@ def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
     if not ctx.dop.self_adjoint:
         return LogConvexityReport(False, "interpolation bound skipped: the sharp "
                                   "form needs a drift-free operator", False,
-                                  times, empty, empty, math.nan, math.nan,
+                                  times, empty, empty, None, None,
                                   *_w_ratio(w, f, window, C0, omega, times))
 
     norms = l2_space(z.values[:, :i_T + 1], z.domain)
@@ -147,18 +149,16 @@ def check_log_convexity_and_w_bound(z: SpaceTimeField, w: SpaceTimeField | None,
     degenerate = (nT == 0.0) and (n0 > 0.0)
     if degenerate:
         chord = np.full_like(norms, math.nan)
-        max_violation = math.nan
-        min_d2 = math.nan
+        max_violation = None
     else:
         frac = times / T
         chord = n0 ** (1.0 - frac) * nT ** frac
         max_violation = float(np.max(norms - chord))
-        if np.all(norms > 0.0):
-            logn = np.log(norms)
-            d2 = logn[2:] - 2.0 * logn[1:-1] + logn[:-2]
-            min_d2 = float(np.min(d2)) if d2.size else 0.0
-        else:
-            min_d2 = math.nan
+    min_d2 = None
+    if np.all(norms > 0.0):
+        logn = np.log(norms)
+        d2 = logn[2:] - 2.0 * logn[1:-1] + logn[:-2]
+        min_d2 = float(np.min(d2)) if d2.size else 0.0
 
     ratio_sup, bound_ok = _w_ratio(w, f, window, C0, omega, times)
     notice = "" if not degenerate else ("terminal norm vanished while the "

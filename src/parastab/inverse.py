@@ -19,9 +19,10 @@ own. The data depend linearly on the 2(nx+1) unknowns (phi, g), and the
 objective is an exact quadratic. Each noise level is solved once, as the
 SVD least-squares problem of the observation matrix stacked on the
 Tikhonov rows (LAPACK dgelsd through parastab.lapack.lstsq), and the
-solution is certified by one PDE objective and gradient evaluation. The normal equations are avoided because they square
-the condition number: 1.7e3 becomes 3e6 at eps = 1e-3 in the README rate
-run, and at alpha = 0 they lose definiteness.
+solution is certified by one PDE objective and gradient evaluation. The
+normal equations are avoided because they square the condition number:
+1.7e3 becomes 3e6 at eps = 1e-3 in the README rate run, and at alpha = 0
+they lose definiteness.
 
 recover, the one driver of the reconstruct and rate runs, marches three
 times however many levels it has, each march one factorization with one

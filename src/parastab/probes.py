@@ -30,7 +30,8 @@ import numpy as np
 
 from .admissible import make_admissible_pair
 from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION
-from .mesh import field_from_function, sample_space_time, sample_spatial
+from .mesh import (check_integer, field_from_function, sample_space_time,
+                   sample_spatial)
 from .measurement import measurement_data, observed_march
 # unused here, but perfbench/tracer.py wraps these under these module names
 from .admissible import c4_surrogate, check_source_condition  # noqa: F401
@@ -65,7 +66,8 @@ class ProbeReport:
     rows: tuple
     level_max: tuple
     level_median: tuple
-    max_agreement_factor: float
+    # None, undefined, without two adjacent levels that have a positive max
+    max_agreement_factor: float | None
 
 
 def _join(flag: str, token: str) -> str:
@@ -92,6 +94,7 @@ def _combined_norms(c, level: int, state, source=None) -> list:
 
 
 def _contexts(ctx, levels: int):
+    check_integer("levels", levels)
     if levels < 1:
         raise ValueError("need at least one mesh level")
     return [ctx if L == 0 else ctx.refined(2 ** L) for L in range(levels)]
@@ -105,11 +108,9 @@ def _summarize(kind: str, rows, levels: int) -> ProbeReport:
                 and not any(tok in r.flag for tok in _SUMMARY_EXCLUDES)]
         maxes.append(max(vals) if vals else math.nan)
         medians.append(float(np.median(vals)) if vals else math.nan)
-    factor = math.nan
     pairs = [(a, b) for a, b in zip(maxes, maxes[1:])
              if math.isfinite(a) and math.isfinite(b) and min(a, b) > 0.0]
-    if pairs:
-        factor = max(max(a, b) / min(a, b) for a, b in pairs)
+    factor = max((max(a, b) / min(a, b) for a, b in pairs), default=None)
     return ProbeReport(kind, tuple(rows), tuple(maxes), tuple(medians), factor)
 
 

@@ -22,9 +22,10 @@ Each march factors the constant matrix (I - kappa A), or its adjoint, once
 with LAPACK's tridiagonal LU (dgttrf, partial pivoting) and builds the
 explicit bands of (I + kappa A) once; every level then only applies the
 stored factors (dgttrs). Both routines are scipy's compiled wrappers,
-which parastab.lapack loads without importing scipy.linalg. The arithmetic is the one a per-level tridiagonal
-solve performs, so the iterates are bit-identical to it. A zero pivot is
-reported at the first level the march solves.
+which parastab.lapack loads without importing scipy.linalg. The arithmetic
+is the one a per-level tridiagonal solve performs, so the iterates are
+bit-identical to it. A zero pivot is reported at the first level the march
+solves.
 
 One level loop, _march, serves every march. cn_march runs levels 1..nt
 from u^0 = g, for one column or m at once, and alone forms the source of

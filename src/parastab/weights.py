@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GAMMA_RIGHT, SpatialDomain, TimeWindow
+from .mesh import GAMMA_RIGHT, SpatialDomain, TimeWindow, check_integer
 
 EXP_WEIGHTED = "exp_weighted"
 LITERAL_TRUNCATED = "literal_truncated"
@@ -47,6 +47,7 @@ class WeightConfig:
     boundary_weighting: str = EXP_WEIGHTED
 
     def __post_init__(self):
+        check_integer("p", self.p)
         if self.p not in (0, 1):
             raise ValueError("p must be 0 or 1")
         if self.boundary_weighting not in BOUNDARY_MODES:

@@ -45,6 +45,31 @@ def echo_of(outdir):
     return "\n".join(lines[i0 + 1:i1]) + "\n"
 
 
+def _refused(tmp_path, capsys, argv) -> list:
+    """The stderr lines of an in-process run refused with exit 1 and no
+    output directory."""
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
+
+
+def _refused_in_a_child(tmp_path, argv) -> str:
+    """The one stderr line of a run refused with exit 1 and no output
+    directory, made in a child process because pytest would capture the
+    numpy warnings that must not reach stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "parastab.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert not out.exists()
+    return lines[0]
+
+
 def test_parse_config_text_basics():
     text = "# comment\nnx=32\n\n  T = 0.5 \nf=eigenmode:2\n"
     assert parse_config_text(text) == {"nx": "32", "T": "0.5",
@@ -190,6 +215,11 @@ def test_carleman_audit_sweep_rows(tmp_path):
     s_col = [float(r.split(",")[0]) for r in rows[1:]]
     assert s_col == [10.0, 20.0, 40.0, 80.0]
     assert all(r.split(",")[-1] == "degenerate" for r in rows[1:])
+    # with no clean row, the statistics of the clean rows are undefined
+    summary = [line for line in manifest_lines(out) if "summary." in line]
+    assert "summary.clean_rows=0" in summary
+    assert not any("max_over_median" in line or "s1_threshold" in line
+                   for line in summary)
 
 
 def test_carleman_audit_default_sweep_spans_an_octave_triple(tmp_path):
@@ -303,20 +333,15 @@ def test_the_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
     ["reconstruct", "--C0", "0"],
 ])
 def test_removed_keys_are_usage_errors(tmp_path, capsys, argv):
-    rc = main([*argv, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, argv) == [
         f"usage error: unrecognized arguments: {' '.join(argv[1:])}"]
-    assert not (tmp_path / "o").exists()
 
 
 def test_a_forward_config_with_a_seed_is_refused(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("subcommand=forward\nseed=5\n")
-    rc = main(["forward", *FAST, "--config", str(cfg_file),
-               "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "forward", *FAST, "--config", str(cfg_file)]) == [
         "error: unknown config key: seed"]
 
 
@@ -325,13 +350,9 @@ def test_a_reconstruct_config_with_a_rate_budget_is_refused(tmp_path,
     # a manifest echo saved before reconstruct lost C0
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("subcommand=reconstruct\nC0=2.0\n")
-    out = tmp_path / "o"
-    rc = main(["reconstruct", *FAST, "--config", str(cfg_file),
-               "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "reconstruct", *FAST, "--config", str(cfg_file)]) == [
         "error: unknown config key: C0"]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -355,13 +376,9 @@ def test_a_reconstruct_config_with_a_rate_budget_is_refused(tmp_path,
 ])
 def test_a_refused_run_creates_no_output_directory(tmp_path, capsys, argv,
                                                    message):
-    out = tmp_path / "o"
-    rc = main([argv[0], "--nx", "8", "--nt", "8", *argv[1:],
-               "--out", str(out)])
-    assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
+    lines = _refused(tmp_path, capsys,
+                     [argv[0], "--nx", "8", "--nt", "8", *argv[1:]])
     assert len(lines) == 1 and lines[0].startswith(message)
-    assert not out.exists()
 
 
 def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
@@ -384,13 +401,8 @@ def test_solver_failure_takes_the_one_line_error_path(tmp_path, capsys):
     ["carleman-audit", "--s", "nan,1,8"],
 ])
 def test_nan_config_values_are_refused(tmp_path, capsys, argv):
-    rc = main([*argv, *FAST, "--out", str(tmp_path / "n")])
-    assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: invalid value for ")
-    assert "nan" in lines[0]
-    assert not os.path.exists(tmp_path / "n")
+    (line,) = _refused(tmp_path, capsys, [*argv, *FAST])
+    assert line.startswith("error: invalid value for ") and "nan" in line
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -401,18 +413,14 @@ def test_nan_config_values_are_refused(tmp_path, capsys, argv):
 ])
 def test_infinite_inverse_inputs_are_refused_by_name(tmp_path, capsys, argv,
                                                      message):
-    out = tmp_path / "o"
-    rc = main([*argv, "--nx", "8", "--nt", "8", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not out.exists()
+    assert _refused(tmp_path, capsys,
+                    [*argv, "--nx", "8", "--nt", "8"]) == [message]
 
 
 def test_reconstruct_takes_exactly_one_noise_level(tmp_path, capsys):
-    rc = main(["reconstruct", *FAST, "--noise", "0.01,0.5",
-               "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert "noise" in capsys.readouterr().err
+    (line,) = _refused(tmp_path, capsys,
+                       ["reconstruct", *FAST, "--noise", "0.01,0.5"])
+    assert "noise" in line
     cfg, typed = resolve_config("reconstruct", {}, None)
     assert typed["noise"] == 0.01 and cfg["noise"] == "0.01"
 
@@ -420,30 +428,17 @@ def test_reconstruct_takes_exactly_one_noise_level(tmp_path, capsys):
 @pytest.mark.parametrize("amplitude", ["1e160", "1e308"])
 @pytest.mark.parametrize("sub", ["forward", "decompose", "carleman-audit"])
 def test_overflowing_data_is_refused_in_one_line(tmp_path, sub, amplitude):
-    # a child process, because pytest would capture numpy's warnings
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parastab.cli", sub, "--nx", "16", "--nt",
-         "8", "--g", f"eigenmode:1:{amplitude}", "--out",
-         str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: initial value overflows")
+    assert _refused_in_a_child(tmp_path, [
+        sub, "--nx", "16", "--nt", "8", "--g", f"eigenmode:1:{amplitude}"]
+    ).startswith("error: initial value overflows")
 
 
 def test_overflowing_probe_family_is_refused_in_one_line(tmp_path):
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parastab.cli", "stability-probe", "--kind",
-         "source", "--f", "eigenmode:1:1e160", "--nx", "16", "--nt", "8",
-         "--levels", "1", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
+    assert _refused_in_a_child(tmp_path, [
+        "stability-probe", "--kind", "source", "--f", "eigenmode:1:1e160",
+        "--nx", "16", "--nt", "8", "--levels", "1"]) == (
         "error: family member 0 at mesh level 0: source overflows: its "
-        "L2(Q) norm is inf"]
+        "L2(Q) norm is inf")
 
 
 _TINY_WINDOW = ["--T", "1e-5", "--delta0", "1e-5", "--delta1", "5e-06"]
@@ -466,24 +461,13 @@ _TINY_WINDOW = ["--T", "1e-5", "--delta0", "1e-5", "--delta1", "5e-06"]
 def test_overflowing_arithmetic_is_refused_in_one_line(tmp_path, argv,
                                                        message):
     # each exited 0 with an inf or nan summary and raw RuntimeWarning lines
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
-    proc = subprocess.run(
-        [sys.executable, "-m", "parastab.cli", *argv, "--out",
-         str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith(message)
-    assert not (tmp_path / "o" / "manifest.txt").exists()
+    assert _refused_in_a_child(tmp_path, argv).startswith(message)
 
 
 def test_negative_rate_noise_is_refused_in_the_reconstruct_wording(
         tmp_path, capsys):
-    rc = main(["rate", *FAST, "--noise", "0.1,0.01,-1",
-               "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys,
+                    ["rate", *FAST, "--noise", "0.1,0.01,-1"]) == [
         "error: noise level must be nonnegative"]
 
 
@@ -491,13 +475,10 @@ def test_negative_rate_noise_is_refused_in_the_reconstruct_wording(
 def test_negative_member_count_is_refused_in_one_line(tmp_path, capsys, kind,
                                                       members):
     # a negative count used to slice the family to nothing and report nan
-    rc = main(["stability-probe", "--kind", kind, "--members", members,
-               "--nx", "16", "--nt", "8", "--levels", "1",
-               "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "stability-probe", "--kind", kind, "--members", members, "--nx",
+        "16", "--nt", "8", "--levels", "1"]) == [
         f"error: members must be nonnegative, got {members}"]
-    assert not os.path.exists(tmp_path / "o" / "manifest.txt")
 
 
 def test_member_count_zero_is_the_kind_default(tmp_path):
@@ -514,13 +495,11 @@ def test_member_count_zero_is_the_kind_default(tmp_path):
 def test_probe_with_nothing_to_summarize_is_refused(tmp_path, capsys):
     # M0 = 1 puts every initial member over the smoothness cap, so each
     # level's summary would be nan
-    rc = main(["stability-probe", "--kind", "initial", "--M0", "1",
-               "--nx", "8", "--nt", "8", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "stability-probe", "--kind", "initial", "--M0", "1", "--nx", "8",
+        "--nt", "8"]) == [
         "error: mesh level 0 has no row to summarize: every member is "
         "expected_failure or degenerate"]
-    assert not os.path.exists(tmp_path / "o" / "probe.csv")
 
 
 @pytest.mark.parametrize("argv", [
@@ -536,28 +515,20 @@ def test_negative_budgets_are_refused_before_any_march(tmp_path, capsys,
         marches.append(args)
         return observed_march(*args, **kwargs)
     monkeypatch.setattr(probes, "observed_march", counted)
-    rc = main(["stability-probe", *argv, "--nx", "16", "--nt", "8",
-               "--levels", "1", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: C0 and M0 must be nonnegative, got ")
+    (line,) = _refused(tmp_path, capsys, ["stability-probe", *argv, "--nx",
+                                          "16", "--nt", "8", "--levels", "1"])
+    assert line.startswith("error: C0 and M0 must be nonnegative, got ")
     assert marches == []
-    assert not os.path.exists(tmp_path / "o" / "manifest.txt")
 
 
 def test_rate_with_a_nan_source_slope_is_refused(tmp_path, capsys):
     # alpha0_f = alpha0_g = 1e308 leaves every level unconverged, so the slope fit has
     # no point and would read nan
-    out = tmp_path / "o"
-    rc = main(["rate", "--nx", "8", "--nt", "8", "--alpha0_f", "1e308",
-               "--alpha0_g", "1e308", "--noise", "1,0.5,0.25",
-               "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "rate", "--nx", "8", "--nt", "8", "--alpha0_f", "1e308",
+        "--alpha0_g", "1e308", "--noise", "1,0.5,0.25"]) == [
         "error: source slope is nan: the levels eps=1.0,0.5,0.25 did not "
         "converge"]
-    assert not os.path.exists(out / "rate.csv")
 
 
 def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
@@ -633,34 +604,21 @@ def test_reconstruct_is_level_zero_of_rate(tmp_path):
 @pytest.mark.parametrize("horizon", ["1e-200", "1e-320", "5e-324"])
 def test_a_time_step_whose_square_underflows_is_refused_in_one_line(
         tmp_path, horizon):
-    # a child process, because pytest would capture numpy's warnings
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="default")
-    out = tmp_path / "o"
-    proc = subprocess.run(
-        [sys.executable, "-m", "parastab.cli", "forward", "--nx", "8",
-         "--nt", "8", "--T", horizon, "--delta0", horizon, "--delta1",
-         horizon, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("error: time step ")
-    assert lines[0].endswith("its square underflows the smallest normal "
-                             "float")
-    assert not out.exists()
+    line = _refused_in_a_child(tmp_path, [
+        "forward", "--nx", "8", "--nt", "8", "--T", horizon, "--delta0",
+        horizon, "--delta1", horizon])
+    assert line.startswith("error: time step ")
+    assert line.endswith("its square underflows the smallest normal float")
 
 
 @pytest.mark.parametrize("sub", sorted(cli._TABLES))
 def test_every_subcommand_refuses_an_underflowing_step_at_entry(
         tmp_path, capsys, sub):
     # a step of 2e-154 / 8, whose square is subnormal
-    out = tmp_path / "o"
-    rc = main([sub, "--nx", "8", "--nt", "8", "--T", "1e-154", "--delta0",
-               "1e-154", "--delta1", "1e-154", "--out", str(out)])
-    assert rc == 1
-    (line,) = capsys.readouterr().err.splitlines()
+    (line,) = _refused(tmp_path, capsys, [
+        sub, "--nx", "8", "--nt", "8", "--T", "1e-154", "--delta0", "1e-154",
+        "--delta1", "1e-154"])
     assert line.endswith("its square underflows the smallest normal float")
-    assert not out.exists()
 
 
 def test_a_tiny_time_step_with_a_normal_square_still_runs(tmp_path):
@@ -676,10 +634,28 @@ def test_memory_error_takes_the_one_line_error_path(tmp_path, capsys,
     def exhausted(typed):
         raise MemoryError("Unable to allocate 10.7 GiB for an array")
     monkeypatch.setitem(cli._HANDLERS, "forward", exhausted)
-    rc = main(["forward", *FAST, "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, ["forward", *FAST]) == [
         "error: Unable to allocate 10.7 GiB for an array"]
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_a_non_finite_summary_is_reported_only_by_a_flagged_run(
+        tmp_path, capsys, monkeypatch, flagged):
+    # None is an undefined statistic and is left out; nan is a fault
+    summary = {"defined": 1.0, "undefined": None, "fault": math.nan}
+    monkeypatch.setitem(cli._HANDLERS, "forward",
+                        lambda typed: ({}, summary, flagged))
+    if not flagged:
+        assert _refused(tmp_path, capsys, ["forward", *FAST]) == [
+            "error: summary.fault is nan: a non-finite summary is not a "
+            "success"]
+        return
+    out = tmp_path / "o"
+    assert main(["forward", *FAST, "--out", str(out)]) == 2
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("summary.")] == [
+        "summary.defined: 1.0", "summary.fault: nan"]
+    assert "summary.fault=nan" in manifest_lines(out)
 
 
 def test_probe_past_the_work_budget_is_refused_before_any_allocation(
@@ -687,15 +663,12 @@ def test_probe_past_the_work_budget_is_refused_before_any_allocation(
     def no_context(*args, **kwargs):
         raise AssertionError("a context was built")
     monkeypatch.setattr(cli, "make_context", no_context)
-    out = tmp_path / "o"
     # the defaults at 8 levels: the source samples alone take 10.1 GiB
-    rc = main(["stability-probe", "--levels", "8", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys,
+                    ["stability-probe", "--levels", "8"]) == [
         "error: the source probe samples of shape (8193, 27521, 6) would "
         "hold 1352877318 float64 entries (10.1 GiB), above the work budget "
         "of 67108864"]
-    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("sub, argv", [
@@ -750,9 +723,7 @@ def test_readme_and_benchmark_grids_fit_the_work_budget(sub, argv):
 ])
 def test_noise_level_whose_square_overflows_is_refused(tmp_path, capsys,
                                                        argv):
-    rc = main([*argv, "--nx", "8", "--nt", "8", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [*argv, "--nx", "8", "--nt", "8"]) == [
         "error: noise level 1e+308 is too large: its square overflows"]
 
 
@@ -766,19 +737,14 @@ def test_noise_level_whose_square_overflows_is_refused(tmp_path, capsys,
 ])
 def test_weight_product_that_overflows_is_refused_by_its_inputs(
         tmp_path, capsys, argv, message):
-    out = tmp_path / "o"
-    rc = main([*argv, "--nx", "8", "--nt", "8", "--out", str(out)])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not os.path.exists(out)
+    assert _refused(tmp_path, capsys,
+                    [*argv, "--nx", "8", "--nt", "8"]) == [message]
 
 
 def test_default_sweep_without_weight_amplitude_is_refused(tmp_path, capsys):
     # lambda so small that e^{2 lam psi} and e^{lam psi} round alike: M = 0
-    rc = main(["carleman-audit", "--lambda", "1e-300", "--nx", "8", "--nt",
-               "8", "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
+    assert _refused(tmp_path, capsys, [
+        "carleman-audit", "--lambda", "1e-300", "--nx", "8", "--nt", "8"]) == [
         "error: weight amplitude M is 0.0, so there is no default s sweep; "
         "pass s values"]
 
@@ -786,13 +752,10 @@ def test_default_sweep_without_weight_amplitude_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("s", [(), ("--s", "1,2,8")])
 def test_overflowing_weight_amplitude_is_refused(tmp_path, capsys, s):
     # e^{2 lam sup psi} = e^800 is inf: M = inf would make s0 = 0
-    rc = main(["carleman-audit", *FAST, "--lambda", "200", *s,
-               "--out", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: lambda=200.0 overflows the weight "
-                             "amplitude")
+    (line,) = _refused(tmp_path, capsys,
+                       ["carleman-audit", *FAST, "--lambda", "200", *s])
+    assert line.startswith("error: lambda=200.0 overflows the weight "
+                           "amplitude")
 
 
 @pytest.mark.parametrize("s, message", [
@@ -800,13 +763,9 @@ def test_overflowing_weight_amplitude_is_refused(tmp_path, capsys, s):
     ("1e308,1e309", "error: all s values must be positive and finite"),
 ], ids=["overflowing-row", "infinite-s"])
 def test_non_finite_sweep_rows_are_refused(tmp_path, capsys, s, message):
-    out = tmp_path / "o"
-    rc = main(["carleman-audit", *FAST, "--s", s, "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1          # no numpy RuntimeWarning lines either
-    assert err[0].startswith(message)
-    assert not os.path.exists(out / "sweep.csv")
+    # one line: no numpy RuntimeWarning lines either
+    (line,) = _refused(tmp_path, capsys, ["carleman-audit", *FAST, "--s", s])
+    assert line.startswith(message)
 
 
 def test_warnings_go_into_the_manifest(tmp_path, capsys):
@@ -843,10 +802,9 @@ def test_exit_two_flags_violation_and_still_reports(tmp_path):
 
 
 def test_late_onset_needs_an_infinite_budget(tmp_path, capsys):
-    rc = main(["stability-probe", "--kind", "source", "--f", "late-onset",
-               *FAST, "--out", str(tmp_path / "w")])
-    assert rc == 1
-    assert "C0" in capsys.readouterr().err
+    (line,) = _refused(tmp_path, capsys, [
+        "stability-probe", "--kind", "source", "--f", "late-onset", *FAST])
+    assert "C0" in line
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

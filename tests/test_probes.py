@@ -129,6 +129,7 @@ def test_empty_family_marches_nothing():
         rep = probe([], make_context(nx=8, nt=8), levels=2)
         assert rep.rows == ()
         assert all(math.isnan(v) for v in rep.level_max)
+        assert rep.max_agreement_factor is None
 
 
 def test_rows_are_frozen_and_levels_validated():
@@ -139,6 +140,10 @@ def test_rows_are_frozen_and_levels_validated():
     with pytest.raises(ValueError):
         source_stability_probe(source_eigenmode_family(1), probe_context(),
                                levels=0)
+    for levels in (2.5, True):
+        with pytest.raises(ValueError, match="^levels must be an integer"):
+            source_stability_probe(source_eigenmode_family(1),
+                                   probe_context(), levels=levels)
 
 
 _SPIKES = [(5e154, "L2\\(Q\\) norm"), (3e154, "combined norm")]

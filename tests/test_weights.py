@@ -27,6 +27,10 @@ def test_psi_orientation_follows_observed_endpoints():
 def test_weight_config_validation():
     with pytest.raises(ValueError):
         WeightConfig(p=2)
+    for p in (1.0, True):
+        with pytest.raises(ValueError, match="^p must be an integer, got "):
+            WeightConfig(p=p)
+    assert WeightConfig(p=np.int64(1)).p == 1
     with pytest.raises(ValueError):
         WeightConfig(boundary_weighting="raw")
     with pytest.raises(ValueError):

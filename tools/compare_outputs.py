@@ -63,6 +63,12 @@ RUNS = [
      "--s", "1,2,8", "--p", "1"),
     ("stability-probe", "--nx", "16", "--nt", "32", "--kind", "initial",
      "--levels", "1", "--members", "3"),
+    # summary statistics left undefined: one mesh level, a zero z norm and
+    # a sweep whose every row is degenerate
+    ("stability-probe", "--kind", "source", "--levels", "1", "--nx", "16",
+     "--nt", "32"),
+    ("decompose", "--nx", "16", "--nt", "32", "--f", "zero", "--g", "zero"),
+    ("carleman-audit", "--nx", "32", "--nt", "64", "--s", "10,20,40,80"),
     ("rate", *_REC_GRID, "--noise", "0.2,0.05,0.0", "--alpha0_f", "0.5",
      "--seed", "3"),
     ("reconstruct", *_COARSE, "--f", "zero", "--g", "zero"),
