@@ -38,6 +38,16 @@ FLAG_DEGENERATE = "degenerate"
 FLAG_VIOLATION = "violation"
 
 
+def flagged_quotient(num: float, den: float) -> tuple:
+    """(flag, num / den); a zero den is degenerate (nan) when num is 0
+    too, else a violation (inf)."""
+    if den != 0.0:
+        return FLAG_OK, num / den
+    if num == 0.0:
+        return FLAG_DEGENERATE, math.nan
+    return FLAG_VIOLATION, math.inf
+
+
 @dataclass(frozen=True)
 class SweepRow:
     s: float
@@ -183,12 +193,7 @@ def constant_sweep(u: SpaceTimeField, f: SpaceTimeField | None,
                           + srg ** (p + 3) * uu2[gi])
                 rhs += float(np.sum(bw * dens_g if literal
                                     else bw * dens_g * ef[gi]))
-        if rhs == 0.0:
-            flag = FLAG_DEGENERATE if lhs == 0.0 else FLAG_VIOLATION
-            ratio = float("nan") if lhs == 0.0 else float("inf")
-        else:
-            flag = FLAG_OK
-            ratio = lhs / rhs
+        flag, ratio = flagged_quotient(lhs, rhs)
         if not (math.isfinite(lhs) and math.isfinite(rhs)
                 and (flag != FLAG_OK or math.isfinite(ratio))):
             raise ValueError(f"s={s!r} gives a non-finite row (lhs={lhs!r}, "

@@ -10,11 +10,9 @@ identical between runs. Python warnings a completed run raises (such as
 the residual diagnostic of a coarse grid) are listed in the manifest as
 warning.<k> lines and printed as one `warning:` line each on stderr; a
 refused run prints its one `error:` line only and creates no output
-directory; a config whose largest array would pass the work budget
-MAX_ARRAY_ENTRIES is refused before anything is allocated, and a run
-whose arithmetic overflows, divides by zero or makes a nan is refused
-with numpy's message. Exit codes: 0 success, 1 invalid usage or
-configuration, 2 when any emitted row is flagged as an
+directory; a run whose arithmetic overflows, divides by zero or makes a
+nan is refused with numpy's message. Exit codes: 0 success, 1 invalid
+usage or configuration, 2 when any emitted row is flagged as an
 estimate-violation candidate, so CI can tell them apart. A summary
 statistic the inputs leave undefined is left out; any other nan or inf
 in a summary is a fault that refuses the run unless it is flagged, whose
@@ -33,7 +31,8 @@ import warnings
 import numpy as np
 
 from .admissible import make_admissible_pair
-from .carleman import constant_sweep, empirical_s_threshold, sweep_statistic
+from .carleman import (FLAG_VIOLATION, constant_sweep, empirical_s_threshold,
+                       sweep_statistic)
 from .decompose import (check_log_convexity_and_w_bound,
                         decompose_time_derivative)
 from .inverse import InverseProblemSpec, rate_experiment, recover
@@ -43,9 +42,10 @@ from .lab import (DEFAULT_C0, DEFAULT_DELTA0, DEFAULT_DELTA1, DEFAULT_M0,
                   DEFAULT_NT, DEFAULT_NX, DEFAULT_T, benchmark_initial,
                   benchmark_source, make_context)
 from .measurement import measure
-from .mesh import field_from_function, make_time_window
-from .probes import (initial_eigenmode_family, initial_stability_probe,
-                     source_eigenmode_family, source_stability_probe)
+from .mesh import field_from_function
+from .probes import (check_probe_budget, initial_eigenmode_family,
+                     initial_stability_probe, source_eigenmode_family,
+                     source_stability_probe)
 from .report import (MANIFEST_NAME, fmt, write_field_csv, write_manifest,
                      write_probe_csv, write_profile_csv, write_rate_csv,
                      write_reconstruction_csv, write_sweep_csv)
@@ -62,12 +62,8 @@ _BOUNDARY_MODES = {"exp": EXP_WEIGHTED, "literal": LITERAL_TRUNCATED}
 # family size of a stability probe run with --members 0
 _DEFAULT_MEMBERS = {"source": 6, "initial": 8}
 
-# Entries of the largest float64 array a run may allocate (512 MiB). The
-# README grids, the 256/2048 benchmark grid (527k entries) and the probe
-# grids of the benchmark stay far below it.
-MAX_ARRAY_ENTRIES = 2 ** 26
-
 # (key, kind, default) per subcommand; kinds: int, float, floats, str, bool
+# or a tuple of the allowed strings
 _GRID = [
     ("nx", "int", DEFAULT_NX),
     ("nt", "int", DEFAULT_NT),
@@ -94,14 +90,14 @@ _TABLES = {
         ("f", "str", "zero"), ("g", "str", "eigenmode:1"),
         ("lambda", "float", 1.0), ("s", "floats", WeightConfig.s_values),
         ("p", "int", WeightConfig.p),
-        ("boundary", "str",
+        ("boundary", tuple(_BOUNDARY_MODES),
          next(name for name, mode in _BOUNDARY_MODES.items()
               if mode == WeightConfig.boundary_weighting))],
     "stability-probe": _SHARED + [
         # inert; kept while perfbench passes --seed (ROADMAP item 1, part B)
         ("seed", "int", 0),
         # members 0 picks the kind's default in _DEFAULT_MEMBERS
-        ("kind", "str", "source"), ("members", "int", 0),
+        ("kind", tuple(_DEFAULT_MEMBERS), "source"), ("members", "int", 0),
         ("levels", "int", 2), ("normalized", "bool", True),
         ("f", "str", ""), ("M0", "float", DEFAULT_M0)],
     "decompose": _SHARED + [("f", "str", "zero"), ("g", "str", "eigenmode:1")],
@@ -144,6 +140,8 @@ def _parse_value(key: str, kind: str, raw: str):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         text = raw.strip()
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"{raw!r} is not one of {', '.join(kind)}")
         # the manifest echo must parse back: no comment marks, no breaks
         if "#" in text or len(text.splitlines()) > 1:
             raise ValueError(f"{raw!r} cannot be echoed as a config value")
@@ -265,62 +263,8 @@ def source_member(desc: str, ctx):
     return member
 
 
-def _family_size(typed: dict) -> int:
-    """Members of a stability-probe family: one for a custom --f source,
-    else --members, where 0 picks the kind's default."""
-    if typed["kind"] == "source" and typed["f"]:
-        return 1
-    return typed["members"] or _DEFAULT_MEMBERS[typed["kind"]]
-
-
-def check_work_budget(sub: str, typed: dict) -> None:
-    """Refuse a config whose largest float64 array would hold more than
-    MAX_ARRAY_ENTRIES entries, before anything is allocated or marched.
-
-    The candidates are the (nx+1, nt+1) field; for a stability probe, the
-    (nx+1, m) state of its family march and the (m, 2, window levels)
-    traces it records, and for the source probe the nx+1 by last+1 by m
-    samples of its family up to the end of the lateral window; for an
-    inversion, the (3n + 2L) x 2n least-squares design matrix (n = nx+1,
-    L window levels) and the (levels, nx+1, nt+1) certificate payloads of
-    its noise levels. A probe is sized at its finest level; there the field
-    also bounds the work of the initial probe, which marches every member
-    through it without holding it. Sizes that are invalid for other
-    reasons are left to the checks that name them.
-    """
-    window = make_time_window(typed["T"], typed["delta0"], typed["delta1"],
-                              typed["nt"])
-    # level L refines both axes by 2^L; past 2^64 every grid is refused
-    factor = 1
-    if sub == "stability-probe":
-        factor = 2 ** min(max(typed["levels"] - 1, 0), 64)
-    rows = factor * max(typed["nx"], 0) + 1
-    columns = factor * window.nt + 1
-    sl = window.window_slice
-    trace_levels = factor * (sl.stop - 1 - sl.start) + 1
-    shapes = {"field": (rows, columns)}
-    # an unknown kind is left to the handler, which names it
-    if sub == "stability-probe" and typed["kind"] in _DEFAULT_MEMBERS:
-        members = _family_size(typed)
-        shapes["probe state"] = (rows, members)
-        shapes["probe traces"] = (members, 2, trace_levels)
-        if typed["kind"] == "source":
-            last = factor * (sl.stop - 1)
-            shapes["source probe samples"] = (rows, last + 1, members)
-    elif sub in ("reconstruct", "rate"):
-        shapes["design matrix"] = (3 * rows + 2 * trace_levels, 2 * rows)
-        levels = 1 if sub == "reconstruct" else len(typed["noise"])
-        shapes["certificate payloads"] = (levels, rows, columns)
-    name, shape = max(shapes.items(), key=lambda item: math.prod(item[1]))
-    entries = math.prod(shape)
-    if entries > MAX_ARRAY_ENTRIES:
-        raise ValueError(f"the {name} of shape {shape} would hold {entries} "
-                         f"float64 entries ({8 * entries / 2 ** 30:.3g} GiB), "
-                         f"above the work budget of {MAX_ARRAY_ENTRIES}")
-
-
 def _flag_has_violation(rows) -> bool:
-    return any("violation" in r.flag for r in rows)
+    return any(FLAG_VIOLATION in r.flag for r in rows)
 
 
 def _solve_descriptors(typed):
@@ -345,9 +289,6 @@ def _run_forward(typed):
 
 
 def _run_carleman_audit(typed):
-    if typed["boundary"] not in _BOUNDARY_MODES:
-        raise ValueError(f"boundary must be one of "
-                         f"{sorted(_BOUNDARY_MODES)}, got {typed['boundary']!r}")
     ctx, pair, u = _solve_descriptors(typed)
     # the audited field is the time derivative on the shifted frame; it
     # solves the equation with the shifted source's derivative as data
@@ -376,22 +317,25 @@ def _run_stability_probe(typed):
     if typed["members"] < 0:
         raise ValueError(f"members must be nonnegative, got {typed['members']}")
     ctx = _context(typed)
-    kind = typed["kind"]
-    if kind == "source":
+    source = typed["kind"] == "source"
+    # one member for a custom --f source; --members 0 is the kind's default
+    members = (1 if source and typed["f"]
+               else typed["members"] or _DEFAULT_MEMBERS[typed["kind"]])
+    # before the family is made: --members may ask for millions of closures
+    check_probe_budget(ctx, typed["levels"], members, source)
+    if source:
         if typed["f"]:
             member = source_member(typed["f"], ctx)
             if member is None:
                 raise ValueError("custom source family needs a nonzero f")
             family = ((1.0, member),)
         else:
-            family = source_eigenmode_family(_family_size(typed))
+            family = source_eigenmode_family(members)
         report = source_stability_probe(family, ctx, typed["levels"])
-    elif kind == "initial":
-        family = initial_eigenmode_family(_family_size(typed),
+    else:
+        family = initial_eigenmode_family(members,
                                           normalized=typed["normalized"])
         report = initial_stability_probe(family, ctx, typed["levels"])
-    else:
-        raise ValueError(f"kind must be source or initial, got {kind!r}")
     flagged = _flag_has_violation(report.rows)
     # a level whose every row is excluded from the summary reads nan, which
     # is no success to report; a flagged violation still exits 2
@@ -456,10 +400,10 @@ def _run_rate(typed):
     g_true = spatial_profile(typed["g"], ctx.domain)
     result = rate_experiment(_recon_spec(typed), list(typed["noise"]),
                              (phi_true, g_true), ctx)
-    if not math.isfinite(result.source_slope):
+    if result.source_slope is None:
         # the fit takes converged levels with eps > 0 and err_f > 0 only
         stalled = ",".join(fmt(r.eps) for r in result.rows if not r.converged)
-        raise ValueError(f"source slope is {result.source_slope!r}: " + (
+        raise ValueError("source slope is undefined: " + (
             f"the levels eps={stalled} did not converge" if stalled
             else "fewer than two levels have eps > 0 and err_f > 0"))
     summary = {"levels": len(result.rows),
@@ -508,7 +452,6 @@ def run_cli(argv=None) -> int:
                               f"(one of {', '.join(_TABLES)})")
         flag_values = vars(ns)
         cfg, typed = resolve_config(sub, flag_values, flag_values["config"])
-        check_work_budget(sub, typed)
         outdir = flag_values["out"] or os.environ.get(OUT_ENV_VAR,
                                                       DEFAULT_OUT)
 

@@ -36,6 +36,11 @@ Every column equals the march of its pair alone bit for bit, so the
 results are those of solving the truth, and certifying each level, on its
 own. objective_and_gradient and minimize are the one-level cases of the
 same code.
+
+Before its first march, recover holds to the work budget the (3n + eL)
+x 2n design matrix (rows: the n = nx+1 snapshot values, e endpoints times
+L window levels of trace, 2n Tikhonov rows) and the certificate's
+(noise levels, nx+1, nt+1) adjoint payloads.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ from .admissible import make_admissible_pair
 from .lab import LabContext
 from .measurement import MeasurementData, measure, measurement_data, \
     observed_march
-from .mesh import SpaceTimeField, check_integer
+from .mesh import SpaceTimeField, check_array_budget, check_integer
 # adjoint_solve is not called here; the benchmark tracer wraps it by this
 # module's name
 from .solver import adjoint_gradients, adjoint_march, adjoint_solve, \
@@ -308,7 +313,7 @@ class RateRow:
 @dataclass(frozen=True)
 class RateResult:
     rows: tuple
-    source_slope: float
+    source_slope: float | None      # None, undefined (rate_experiment)
     log_products: tuple
 
 
@@ -326,19 +331,24 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
     Level i has noise eps_i, seed spec.seed XOR i and weights (alpha_f,
     alpha_g) * eps_i^2; a level whose square or weights overflow is
     refused by name. The noise comes from noise_list alone, so a base spec
-    with nonzero noise_level is refused, and so is an empty list. Every
-    level is checked before the truth pair passes the gate. The truth is
-    then measured once, in the march of the observation matrix; each level
-    adds its noise to that measurement and is solved against the one
-    matrix, and one forward and one adjoint march certify all the
-    solutions (module docstring). A non-finite objective is refused at the
-    first level that has one. Returns (level spec, ReconstructionResult,
-    RateRow) per level.
+    with nonzero noise_level is refused, and so is an empty list. The work
+    budget (module docstring) and every level are checked before the truth
+    pair passes the gate. The truth is then measured once, in the march of
+    the observation matrix; each level adds its noise to that measurement
+    and is solved against the one matrix, and one forward and one adjoint
+    march certify all the solutions (module docstring). A non-finite
+    objective is refused at the first level that has one. Returns (level
+    spec, ReconstructionResult, RateRow) per level.
     """
     if spec.noise_level != 0.0:
         raise ValueError(f"the base spec has noise level "
                          f"{spec.noise_level!r}: recover takes its noise "
                          f"levels from noise_list")
+    n, sl = ctx.domain.nx + 1, ctx.window.window_slice
+    trace_rows = len(ctx.domain.gamma) * (sl.stop - sl.start)
+    check_array_budget({"design matrix": (3 * n + trace_rows, 2 * n),
+                        "certificate payloads": (len(noise_list), n,
+                                                 ctx.window.nt + 1)})
     specs = []
     for level, eps in enumerate(map(float, noise_list)):
         try:
@@ -391,7 +401,8 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
     The levels must number at least 3 and decrease strictly (recover
     refuses a negative one). Non-converged levels keep their row but are
     excluded from the slope fit. The Lipschitz proxy is the log-log slope
-    of err_f; the logarithmic proxy is the sequence err_g * |ln eps|.
+    of err_f, None when fewer than two converged levels have eps > 0 and
+    err_f > 0; the logarithmic proxy is the sequence err_g * |ln eps|.
     """
     noise_list = [float(e) for e in noise_list]
     if len(noise_list) < 3:
@@ -403,7 +414,7 @@ def rate_experiment(spec: InverseProblemSpec, noise_list, truth,
 
     fit = [(r.eps, r.err_f) for r in rows
            if r.converged and r.eps > 0.0 and r.err_f > 0.0]
-    slope = math.nan
+    slope = None
     if len(fit) >= 2:
         lx = np.log([e for e, _ in fit])
         ly = np.log([v for _, v in fit])

@@ -4,7 +4,8 @@ Everything downstream (probes, decomposition, reconstruction, CLI) takes a
 LabContext so a run is reproducible from the few numbers echoed in reports.
 The elliptic operator is kept alongside its assembled form because probes
 re-assemble it on refined grids. The benchmark pair used throughout the
-docs and tests lives here too.
+docs and tests lives here too. A context holds its (nx+1, nt+1) field to
+the work budget before it assembles the operator, refined ones included.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import SpatialDomain, TimeWindow, make_time_window
+from .mesh import SpatialDomain, TimeWindow, check_array_budget, \
+    make_time_window
 from .operator import DiscreteOperator, EllipticOperator, assemble_operator
 
 DEFAULT_NX = 64
@@ -48,6 +50,8 @@ class LabContext:
     dop: DiscreteOperator = field(init=False)
 
     def __post_init__(self):
+        check_array_budget({"field": (self.domain.nx + 1,
+                                      self.window.nt + 1)})
         if not (self.C0 >= 0.0 and self.M0 >= 0.0):
             raise ValueError(f"C0 and M0 must be nonnegative, got "
                              f"C0={self.C0!r}, M0={self.M0!r}")

@@ -5,6 +5,10 @@ lateral-window edges T - delta1, T + delta1 must be grid points, and
 ``make_time_window`` bumps the requested step count upward until they are.
 A TimeWindow finds those three grid levels once, when it is built, and
 keeps them as ``snapshot_index`` and ``window_slice``.
+
+No float64 array of a run may hold more than MAX_ARRAY_ENTRIES entries: the
+module that decides an array's shape checks it with check_array_budget
+before anything is allocated (lab the field, probes and inverse theirs).
 """
 from __future__ import annotations
 
@@ -26,6 +30,9 @@ _NT_SEARCH_FACTOR = 16
 # blocks; the largest keeps each temporary array near 1.5 MB.
 _NT_BLOCK_FIRST = 8
 _NT_BLOCK_MAX = 2 ** 16
+# The work budget (512 MiB of float64); the README and benchmark grids
+# (at most 527k entries, on 256/2048) stay far below it.
+MAX_ARRAY_ENTRIES = 2 ** 26
 # Columns per block of a blocked pass over a field (column_blocks): a block
 # of a 257-row field is 131 kB, where the field of the 256/2048 grid is
 # 4.2 MB.
@@ -37,6 +44,17 @@ def check_integer(name: str, value) -> None:
     do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_array_budget(shapes: dict) -> None:
+    """Refuse when the largest of the named shapes ({name: shape}) would
+    hold more than MAX_ARRAY_ENTRIES float64 entries, naming it."""
+    name, shape = max(shapes.items(), key=lambda item: math.prod(item[1]))
+    entries = math.prod(shape)
+    if entries > MAX_ARRAY_ENTRIES:
+        raise ValueError(f"the {name} of shape {shape} would hold {entries} "
+                         f"float64 entries ({8 * entries / 2 ** 30:.3g} GiB), "
+                         f"above the work budget of {MAX_ARRAY_ENTRIES}")
 
 
 def column_blocks(start: int, stop: int):

@@ -20,6 +20,11 @@ forward solve bit for bit, so the rows do too.
 A member whose samples are not finite, that the gate refuses, or whose
 measurement overflows, is refused with a ValueError naming the member and
 the mesh level rather than reported as a nan row.
+
+check_probe_budget holds the finest level of m members to the work budget
+before any level is built: its (nx+1, nt+1) field, the (nx+1, m) state of
+the march, the (m, endpoints, window levels) traces and, for the source
+probe, the member samples at every time level up to the window's end.
 """
 from __future__ import annotations
 
@@ -29,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import make_admissible_pair
-from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION
-from .mesh import (check_integer, field_from_function, sample_space_time,
-                   sample_spatial)
+from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION, flagged_quotient
+from .mesh import (check_array_budget, check_integer, field_from_function,
+                   sample_space_time, sample_spatial)
 from .measurement import measurement_data, observed_march
 # unused here, but perfbench/tracer.py wraps these under these module names
 from .admissible import c4_surrogate, check_source_condition  # noqa: F401
@@ -93,10 +98,27 @@ def _combined_norms(c, level: int, state, source=None) -> list:
             for i, (snapshot, trace) in enumerate(zip(snapshots, traces))]
 
 
-def _contexts(ctx, levels: int):
+def check_probe_budget(ctx, levels: int, members: int, source: bool) -> None:
+    """Refuse a probe (the source probe if source) of `members` members
+    whose finest level is past the work budget (module docstring)."""
     check_integer("levels", levels)
     if levels < 1:
         raise ValueError("need at least one mesh level")
+    # level L refines both axes by 2^L; past 2^64 every grid is refused
+    factor = 2 ** min(levels - 1, 64)
+    rows, sl = factor * ctx.domain.nx + 1, ctx.window.window_slice
+    shapes = {"field": (rows, factor * ctx.window.nt + 1),
+              "probe state": (rows, members),
+              "probe traces": (members, len(ctx.domain.gamma),
+                               factor * (sl.stop - 1 - sl.start) + 1)}
+    if source:
+        shapes["source probe samples"] = (rows, factor * (sl.stop - 1) + 1,
+                                          members)
+    check_array_budget(shapes)
+
+
+def _contexts(ctx, levels: int, family, source: bool):
+    check_probe_budget(ctx, levels, len(family), source)
     return [ctx if L == 0 else ctx.refined(2 ** L) for L in range(levels)]
 
 
@@ -140,18 +162,14 @@ def source_stability_probe(family, ctx, levels: int) -> ProbeReport:
     flagged row.
     """
     rows = []
-    for level, c in enumerate(_contexts(ctx, levels)):
+    for level, c in enumerate(_contexts(ctx, levels, family, True)):
         f_norms = [_member(i, level, lambda: make_admissible_pair(
                        c, f=field_from_function(c.domain, c.window, fn)))
                    .f_norm for i, (_, fn) in enumerate(family)]
         combined_norms = _source_combined_norms(c, level, family)
         for i, (param, _) in enumerate(family):
             f_norm, combined = f_norms[i], combined_norms[i]
-            if combined == 0.0:
-                flag = FLAG_DEGENERATE if f_norm == 0.0 else FLAG_VIOLATION
-                value = math.nan if f_norm == 0.0 else math.inf
-            else:
-                flag, value = "", f_norm / combined
+            flag, value = flagged_quotient(f_norm, combined)
             rows.append(ProbeRow(i, float(param), f_norm, combined,
                                  value, level, flag))
     return _summarize("source", rows, levels)
@@ -167,7 +185,7 @@ def initial_stability_probe(family, ctx, levels: int) -> ProbeReport:
     no re-solve) and flagged rescaled.
     """
     rows = []
-    for level, c in enumerate(_contexts(ctx, levels)):
+    for level, c in enumerate(_contexts(ctx, levels, family, False)):
         state = np.empty((c.domain.nx + 1, len(family)))
         g_norms, flags = [], []
         for i, (_, fn) in enumerate(family):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +14,8 @@ from parastab import cli, inverse, lapack, probes, solver
 from parastab.cli import (main, resolve_config, source_member, source_profile,
                           spatial_profile)
 from parastab.config import (canonical_echo, config_hash, parse_config_text)
-from parastab.lab import benchmark_initial, benchmark_source, make_context
+from parastab.lab import (LabContext, benchmark_initial, benchmark_source,
+                          make_context)
 from parastab.measurement import observed_march
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -361,7 +363,7 @@ def test_a_reconstruct_config_with_a_rate_budget_is_refused(tmp_path,
     (["rate", "--noise", "0.1,0.01,-1"],
      "error: noise level must be nonnegative"),
     (["carleman-audit", "--boundary", "nope"],
-     "error: boundary must be one of ['exp', 'literal'], got 'nope'"),
+     "error: invalid value for boundary: 'nope' is not one of exp, literal"),
     (["forward", "--g", "eigenmode:1:2:3"],
      "error: bad eigenmode descriptor: 'eigenmode:1:2:3'"),
     (["stability-probe", "--kind", "source", "--f", "zero"],
@@ -522,13 +524,13 @@ def test_negative_budgets_are_refused_before_any_march(tmp_path, capsys,
 
 
 def test_rate_with_a_nan_source_slope_is_refused(tmp_path, capsys):
-    # alpha0_f = alpha0_g = 1e308 leaves every level unconverged, so the slope fit has
-    # no point and would read nan
+    # alpha0_f = alpha0_g = 1e308 leaves every level unconverged, so the
+    # slope fit has no point and the slope is undefined
     assert _refused(tmp_path, capsys, [
         "rate", "--nx", "8", "--nt", "8", "--alpha0_f", "1e308",
         "--alpha0_g", "1e308", "--noise", "1,0.5,0.25"]) == [
-        "error: source slope is nan: the levels eps=1.0,0.5,0.25 did not "
-        "converge"]
+        "error: source slope is undefined: the levels eps=1.0,0.5,0.25 did "
+        "not converge"]
 
 
 def test_unconverged_reconstruct_reports_its_one_solve(tmp_path):
@@ -658,17 +660,51 @@ def test_a_non_finite_summary_is_reported_only_by_a_flagged_run(
     assert "summary.fault=nan" in manifest_lines(out)
 
 
+# the budget line: one array, its shape and its entries
+_PAST_BUDGET = (r"error: the [a-z ]+ of shape \(([\d, ]+)\) would hold (\d+) "
+                r"float64 entries \(.* GiB\), above the work budget of "
+                r"67108864")
+
+
+def _refused_lean(tmp_path, capsys, monkeypatch, argv,
+                  peak_bytes=2 ** 20) -> list:
+    """_refused of argv, which must build no refined context, run no march
+    and allocate under peak_bytes at its peak (1 MB)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done past the work budget")
+    monkeypatch.setattr(LabContext, "refined", forbidden)
+    monkeypatch.setattr(probes, "observed_march", forbidden)
+    monkeypatch.setattr(inverse, "observed_march", forbidden)
+    cli._build_parser()
+    tracemalloc.start()
+    try:
+        lines = _refused(tmp_path, capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_bytes
+    return lines
+
+
 def test_probe_past_the_work_budget_is_refused_before_any_allocation(
         tmp_path, capsys, monkeypatch):
-    def no_context(*args, **kwargs):
-        raise AssertionError("a context was built")
-    monkeypatch.setattr(cli, "make_context", no_context)
     # the defaults at 8 levels: the source samples alone take 10.1 GiB
-    assert _refused(tmp_path, capsys,
-                    ["stability-probe", "--levels", "8"]) == [
+    assert _refused_lean(tmp_path, capsys, monkeypatch,
+                         ["stability-probe", "--levels", "8"]) == [
         "error: the source probe samples of shape (8193, 27521, 6) would "
         "hold 1352877318 float64 entries (10.1 GiB), above the work budget "
         "of 67108864"]
+
+
+def test_a_family_past_the_work_budget_is_refused_before_it_is_made(
+        tmp_path, capsys, monkeypatch):
+    def no_family(*args, **kwargs):
+        raise AssertionError("the family was made")
+    monkeypatch.setattr(cli, "initial_eigenmode_family", no_family)
+    (line,) = _refused_lean(tmp_path, capsys, monkeypatch, [
+        "stability-probe", "--kind", "initial", "--members", "1000000",
+        "--levels", "3"])
+    assert line.startswith("error: the probe traces of shape (1000000, 2, ")
 
 
 @pytest.mark.parametrize("sub, argv", [
@@ -677,26 +713,27 @@ def test_probe_past_the_work_budget_is_refused_before_any_allocation(
     ("stability-probe", ["--kind", "initial", "--levels", "8"]),
     ("stability-probe", ["--levels", "1000000"]),
     ("rate", ["--nt", "10000000"]),
-    # never run: each would exhaust memory in an array beside the field
-    # (the probe traces, the design matrix, the certificate payloads)
+    # each would exhaust memory in an array beside the field (the probe
+    # traces, the design matrix, the certificate payloads)
     ("stability-probe",
      ["--kind", "initial", "--members", "1000000", "--levels", "3"]),
     ("reconstruct", ["--nx", "4000", "--nt", "8"]),
     ("rate", [*README_INVERSE, "--noise", ",".join(
         repr(0.1 - 1e-6 * i) for i in range(20000))]),
 ])
-def test_grids_past_the_work_budget_are_refused(sub, argv):
-    _, typed = resolve_config(sub, {k[2:]: v for k, v in
-                                    zip(argv[::2], argv[1::2])}, None)
-    with pytest.raises(ValueError) as info:
-        cli.check_work_budget(sub, typed)
-    # one line naming the array and its shape
-    found = re.fullmatch(r"the [a-z ]+ of shape \(([\d, ]+)\) would hold "
-                         r"(\d+) float64 entries \(.* GiB\), above the work "
-                         r"budget of 67108864", str(info.value))
-    assert found
+def test_grids_past_the_work_budget_are_refused(tmp_path, capsys,
+                                                monkeypatch, sub, argv):
+    # parsing the 20,000 noise levels of the last case alone takes 2 MB
+    (line,) = _refused_lean(tmp_path, capsys, monkeypatch, [sub, *argv],
+                            2 ** 20 if len(str(argv)) < 1000 else 2 ** 22)
+    found = re.fullmatch(_PAST_BUDGET, line)
+    assert found, line
     shape, entries = found.groups()
     assert math.prod(map(int, shape.split(", "))) == int(entries) > 2 ** 26
+
+
+class _GateReached(Exception):
+    pass
 
 
 @pytest.mark.parametrize("sub, argv", [
@@ -711,10 +748,38 @@ def test_grids_past_the_work_budget_are_refused(sub, argv):
     ("rate", [*README_INVERSE, "--noise", "0.1,0.01,0.001"]),
     ("reconstruct", [*README_INVERSE, "--noise", "0.01"]),
 ])
-def test_readme_and_benchmark_grids_fit_the_work_budget(sub, argv):
+def test_readme_and_benchmark_grids_fit_the_work_budget(monkeypatch, sub,
+                                                        argv):
+    # each check of the library, up to where the work would begin
     _, typed = resolve_config(sub, {k[2:]: v for k, v in
                                     zip(argv[::2], argv[1::2])}, None)
-    cli.check_work_budget(sub, typed)
+    ctx = cli._context(typed)
+    if sub == "stability-probe":
+        members = typed["members"] or cli._DEFAULT_MEMBERS[typed["kind"]]
+        probes.check_probe_budget(ctx, typed["levels"], members,
+                                  typed["kind"] == "source")
+    elif sub in ("reconstruct", "rate"):
+        def gate(*args, **kwargs):
+            raise _GateReached
+        monkeypatch.setattr(inverse, "make_admissible_pair", gate)
+        noise = [typed["noise"]] if sub == "reconstruct" else typed["noise"]
+        truth = (benchmark_source(ctx.domain.points),
+                 benchmark_initial(ctx.domain.points))
+        with pytest.raises(_GateReached):
+            inverse.recover(cli._recon_spec(typed), noise, truth, ctx)
+
+
+@pytest.mark.parametrize("argv", [
+    ["carleman-audit", "--boundary", "nope"],
+    ["carleman-audit", "--boundary", "EXP"],
+    ["stability-probe", "--kind", "nope", "--levels", "40"],
+    ["stability-probe", "--kind", ""],
+])
+def test_a_junk_kind_or_boundary_is_refused_at_entry(tmp_path, capsys, argv):
+    key, value = argv[1][2:], argv[2]
+    allowed = {"boundary": "exp, literal", "kind": "source, initial"}[key]
+    assert _refused(tmp_path, capsys, [*argv, "--nx", "8", "--nt", "8"]) == [
+        f"error: invalid value for {key}: {value!r} is not one of {allowed}"]
 
 
 @pytest.mark.parametrize("argv", [

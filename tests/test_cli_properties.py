@@ -1,6 +1,7 @@
 """Property tests of the command line: the config echo parses back to the
 run's identity, no argv ends in a traceback, a grid past the work budget
-is refused, and no run reports a non-finite summary value as success."""
+and a value outside a key's allowed set are refused, and no run reports a
+non-finite summary value as success."""
 import contextlib
 import importlib.util
 import io
@@ -29,6 +30,9 @@ _RAW = {
                              " True ", "NO"]),
     "str": _TEXT,
 }
+# the keys whose kind is the tuple of their allowed values
+_CHOICES = {key: kind for table in _TABLES.values() for key, kind, _ in table
+            if isinstance(kind, tuple)}
 
 
 def _echoable(text: str) -> bool:
@@ -42,7 +46,8 @@ def _flags(draw):
     flags = {}
     for key, kind, _ in _TABLES[sub]:
         if draw(st.booleans()):
-            flags[key] = draw(_RAW[kind])
+            flags[key] = draw(st.sampled_from(kind) if key in _CHOICES
+                              else _RAW[kind])
     return sub, flags
 
 
@@ -94,8 +99,8 @@ _JUNK = {
           "1e308,1e309", "1e-300,1e-299,1", "10,20,40,80", "x,1",
           "1e100,1e101,1e103"],
     "p": ["0", "1", "2", "-1", "x"],
-    "boundary": ["exp", "literal", "nope", ""],
-    "kind": ["source", "initial", "both", ""],
+    "boundary": [*_CHOICES["boundary"], "nope", ""],
+    "kind": [*_CHOICES["kind"], "both", ""],
     "members": [str(m) for m in range(-3, 10)],
     "levels": ["1", "2", _OVERSIZED["levels"]],
     "normalized": ["true", "false", "maybe", ""],
@@ -162,6 +167,10 @@ def _check_argv(argv):
     if any(f"--{key}" in argv and argv[argv.index(f"--{key}") + 1] == value
            for key, value in _OVERSIZED.items()):
         assert rc == 1, (argv, out.getvalue())
+    for key, allowed in _CHOICES.items():
+        if f"--{key}" in argv and \
+                argv[argv.index(f"--{key}") + 1].strip() not in allowed:
+            assert rc == 1, (argv, out.getvalue())
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     horizons = {argv[argv.index(f"--{key}") + 1] if f"--{key}" in argv
                 else None for key in ("T", "delta0", "delta1")}

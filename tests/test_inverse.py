@@ -339,6 +339,16 @@ def test_rate_experiment_validates_noise_list():
         rate_experiment(spec, [1e-1, 1e-2, -1.0], (phi, g), CTX)
 
 
+def test_an_undefined_source_slope_is_none():
+    # weights this large leave every level unconverged, so no level is
+    # fitted
+    ctx = make_context(nx=8, nt=8)
+    spec = InverseProblemSpec(alpha_f=1e308, alpha_g=1e308)
+    result = rate_experiment(spec, [1.0, 0.5, 0.25], truth_arrays(ctx), ctx)
+    assert not any(row.converged for row in result.rows)
+    assert result.source_slope is None
+
+
 def test_rate_experiment_deterministic():
     phi, g = truth_arrays(CTX)
     spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-8,

@@ -5,8 +5,10 @@ residual of decompose take their maxima a block of time columns at a time,
 and constant_sweep reuses its per-s buffers. The properties below hold
 each against the full-array formula it replaced, kept here as the oracle,
 bit for bit; the tracemalloc tests pin how much memory the two largest
-passes allocate beyond their inputs.
+passes allocate beyond their inputs, and that a library entry past the
+work budget is refused before it allocates or marches anything.
 """
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,11 +16,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parastab import measurement, solver
 from parastab.carleman import constant_sweep
 from parastab.decompose import decompose_time_derivative
-from parastab.lab import benchmark_initial, make_context
+from parastab.inverse import InverseProblemSpec, recover
+from parastab.lab import LabContext, benchmark_initial, benchmark_source, \
+    make_context
 from parastab.mesh import _BLOCK_COLUMNS, SpaceTimeField, field_from_function
 from parastab.operator import EllipticOperator
+from parastab.probes import (initial_eigenmode_family,
+                             initial_stability_probe, source_eigenmode_family,
+                             source_stability_probe)
 from parastab.solver import (equation_residual, forward_solve,
                              time_derivative, time_shift)
 from parastab.stencils import fd_first, fd_second
@@ -192,3 +200,52 @@ def test_sweep_holds_a_pinned_number_of_shifted_fields(sourced, fields):
     peak = _traced_peak(lambda: constant_sweep(v, fv, weights, config,
                                                dop=ctx.dop))
     assert peak <= fields * v.values.nbytes
+
+
+def _truth(ctx):
+    x = ctx.domain.points
+    return benchmark_source(x), benchmark_initial(x)
+
+
+_SPEC = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
+# the README rate levels, with their 20,000 neighbours
+_NOISE = [0.1 - 1e-6 * i for i in range(20000)]
+# the grid of the README rate command, and one 4000 cells wide
+_README_RATE = make_context(nx=32, nt=128, T=0.25, delta0=0.25, delta1=0.125)
+_WIDE = make_context(nx=4000, nt=8)
+
+
+@pytest.mark.parametrize("call, name, shape", [
+    # nt 1024 is bumped to 1026, one level past what 2^16 rows allow
+    (lambda: make_context(nx=65535, nt=1024), "field", (65536, 1027)),
+    (lambda: source_stability_probe(source_eigenmode_family(6),
+                                    make_context(), 8),
+     "source probe samples", (8193, 27521, 6)),
+    (lambda: initial_stability_probe(initial_eigenmode_family(8, True),
+                                     make_context(), 8),
+     "field", (8193, 33025)),
+    (lambda: recover(_SPEC, _NOISE, _truth(_README_RATE), _README_RATE),
+     "certificate payloads", (20000, 33, 129)),
+    (lambda: recover(_SPEC, [0.01], _truth(_WIDE), _WIDE),
+     "design matrix", (12013, 8002)),
+], ids=["context", "source-probe", "initial-probe", "recover-levels",
+        "recover-wide"])
+def test_a_library_entry_past_the_work_budget_allocates_nothing(
+        monkeypatch, call, name, shape):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work was done past the work budget")
+    monkeypatch.setattr(LabContext, "refined", forbidden)
+    for module in (measurement, solver):
+        monkeypatch.setattr(module, "cn_march", forbidden)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert re.fullmatch(
+        rf"the {name} of shape \({', '.join(map(str, shape))}\) would hold "
+        rf"\d+ float64 entries \(.* GiB\), above the work budget of 67108864",
+        str(info.value))
+    assert peak < 2 ** 20

@@ -82,6 +82,18 @@ RUNS = [
     ("forward", "--nx", "8", "--nt", "8", "--T", "1e-154", "--delta0",
      "1e-154", "--delta1", "1e-154"),
     ("forward", "--nx", "100000", "--nt", "100000"),
+    # past the work budget: each is refused by the module that would make
+    # the array, before anything is allocated
+    ("stability-probe", "--levels", "8"),
+    ("stability-probe", "--kind", "initial", "--members", "1000000",
+     "--levels", "3"),
+    ("reconstruct", "--nx", "4000", "--nt", "8"),
+    ("rate", "--nt", "10000000"),
+    # no level converges, so the source slope is undefined
+    ("rate", *_COARSE, "--alpha0_f", "1e308", "--alpha0_g", "1e308",
+     "--noise", "1,0.5,0.25"),
+    # refused at entry, before the oversized probe could be sized
+    ("stability-probe", *_COARSE, "--kind", "nope", "--levels", "40"),
     ("carleman-audit", *_COARSE, "--boundary", "nope"),
     ("stability-probe", *_COARSE, "--kind", "nope"),
     ("stability-probe", *_COARSE, "--kind", "initial", "--C0", "-1"),
