@@ -37,10 +37,12 @@ results are those of solving the truth, and certifying each level, on its
 own. objective_and_gradient and minimize are the one-level cases of the
 same code.
 
-Before its first march, recover holds to the work budget the (3n + eL)
+Before its first march, a solve holds to the work budget the (3n + eL)
 x 2n design matrix (rows: the n = nx+1 snapshot values, e endpoints times
-L window levels of trace, 2n Tikhonov rows) and the certificate's
-(noise levels, nx+1, nt+1) adjoint payloads.
+L window levels of trace, 2n Tikhonov rows): the march of the observation
+matrix checks it, so minimize and recover share the check, and recover
+checks it once more before its truth gate, together with the
+certificate's (noise levels, nx+1, nt+1) adjoint payloads.
 """
 from __future__ import annotations
 
@@ -170,10 +172,20 @@ def _certificates(specs, params, datas, ctx: LabContext) -> list:
     return out
 
 
+def _check_design_budget(ctx: LabContext) -> None:
+    """Refuse a grid whose (3n + eL) x 2n design matrix, the largest array
+    of a solve, is past the work budget: _least_squares stacks the n
+    snapshot and eL trace rows of the observations on 2n Tikhonov rows."""
+    n, sl = ctx.domain.nx + 1, ctx.window.window_slice
+    trace_rows = len(ctx.domain.gamma) * (sl.stop - sl.start)
+    check_array_budget({"design matrix": (3 * n + trace_rows, 2 * n)})
+
+
 def _observations(ctx: LabContext, state, source):
     """observation_matrix, plus the snapshots and traces of the extra
     columns that ride in its march: initial values state and time-constant
     source samples source, both shaped (nx+1, m)."""
+    _check_design_budget(ctx)
     domain, window = ctx.domain, ctx.window
     n = domain.nx + 1
     eye, zero = np.eye(n), np.zeros((n, n))
@@ -344,11 +356,11 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
         raise ValueError(f"the base spec has noise level "
                          f"{spec.noise_level!r}: recover takes its noise "
                          f"levels from noise_list")
-    n, sl = ctx.domain.nx + 1, ctx.window.window_slice
-    trace_rows = len(ctx.domain.gamma) * (sl.stop - sl.start)
-    check_array_budget({"design matrix": (3 * n + trace_rows, 2 * n),
-                        "certificate payloads": (len(noise_list), n,
-                                                 ctx.window.nt + 1)})
+    # the design matrix is checked again where it is made; checking it
+    # here refuses a wide grid before the truth pair's gate allocates
+    _check_design_budget(ctx)
+    check_array_budget({"certificate payloads": (
+        len(noise_list), ctx.domain.nx + 1, ctx.window.nt + 1)})
     specs = []
     for level, eps in enumerate(map(float, noise_list)):
         try:

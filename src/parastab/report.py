@@ -5,11 +5,13 @@ and nothing time- or host-dependent goes into a file, so a fixed config
 and seed produce byte-identical artifacts. Wall-clock timings belong to
 stdout, never to the report files.
 
-One writer streams every table to the open file a row at a time; the
-whole file is never held as one string. All-float tables (the forward
-field, the decompose profile, the reconstruction) are spelled in repr over
-Python floats, rows that mix floats with integers, booleans or labels
-(sweep, probe and rate tables) through fmt.
+Tables are streamed to the open file; the whole file is never held as
+one string. All-float tables (the forward field, the decompose profile,
+the reconstruction) are written in blocks of at most shortest.CELLS cells
+by the numpy kernel of parastab.shortest, whose bytes equal repr's cell
+for cell (the few cells it does not spell go through repr itself). Rows
+that mix floats with integers, booleans or labels (sweep, probe and rate
+tables) are written a row at a time through fmt.
 The manifest is written from the run's parts as they are: the config
 mapping, artifact names, summary numbers and warning texts.
 """
@@ -34,18 +36,32 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: str, header, rows, cell=fmt) -> None:
-    """Header line, then one line per row, each cell spelled by cell;
-    repr spells a Python float as fmt does."""
+def _write_table(path: str, header, rows) -> None:
+    """Header line, then one line per row, each cell spelled by fmt."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(cell, row)) + "\n")
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
-def _float_rows(table: np.ndarray):
-    """Each row of a 2-D float array as a list of Python floats."""
-    return (row.tolist() for row in table)
+def _write_floats(path: str, header, table: np.ndarray) -> None:
+    """Header line, then the rows of a 2-D float64 table, each cell as
+    repr spells it. Blocks of at most shortest.CELLS cells are whole rows,
+    or parts of one row when a row is longer; one set of working arrays
+    serves every block."""
+    # imported here: runs that write no all-float table (rate, the probes,
+    # the audit) neither compile the kernel nor build its tables
+    from . import shortest
+    nrows, ncols = table.shape
+    rows = max(1, shortest.CELLS // ncols)
+    cols = min(ncols, shortest.CELLS)
+    blocks = shortest.Blocks(max(1, min(rows * cols, table.size)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for r0 in range(0, nrows, rows):
+            for c0 in range(0, ncols, cols):
+                fh.write(blocks.spell(table[r0:r0 + rows, c0:c0 + cols],
+                                      c0 + cols >= ncols))
 
 
 def _float_columns(*columns) -> np.ndarray:
@@ -63,7 +79,7 @@ def write_field_csv(path: str, u) -> None:
     header = [f"h={fmt(domain.h)}", f"k={fmt(window.k)}",
               f"T={fmt(window.T)}", f"delta0={fmt(window.delta0)}",
               f"delta1={fmt(window.delta1)}"]
-    _write_table(path, header, _float_rows(u.values.T), repr)
+    _write_floats(path, header, u.values.T)
 
 
 def write_sweep_csv(path: str, rows) -> None:
@@ -94,16 +110,15 @@ def write_rate_csv(path: str, rows) -> None:
 def write_reconstruction_csv(path: str, x, phi_true, g_true, phi_est,
                              g_est) -> None:
     header = ["x", "phi_true", "g_true", "phi_est", "g_est"]
-    _write_table(path, header, _float_rows(
-        _float_columns(x, phi_true, g_true, phi_est, g_est)), repr)
+    _write_floats(path, header,
+                  _float_columns(x, phi_true, g_true, phi_est, g_est))
 
 
 def write_profile_csv(path: str, times, z_norms, chord) -> None:
     """Per-time table behind the interpolation check; a drift operator
     leaves the norms and chord empty, so its table is the header alone."""
     header = ["t", "z_norm", "chord"]
-    _write_table(path, header,
-                 _float_rows(_float_columns(times, z_norms, chord)), repr)
+    _write_floats(path, header, _float_columns(times, z_norms, chord))
 
 
 def write_manifest(path: str, config: dict, artifacts, summary: dict,

@@ -10,18 +10,20 @@ work budget is refused before it allocates or marches anything.
 """
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parastab import measurement, solver
+from parastab import inverse, measurement, solver
 from parastab.carleman import constant_sweep
 from parastab.decompose import decompose_time_derivative
-from parastab.inverse import InverseProblemSpec, recover
+from parastab.inverse import InverseProblemSpec, minimize, recover
 from parastab.lab import LabContext, benchmark_initial, benchmark_source, \
     make_context
+from parastab.measurement import measurement_data
 from parastab.mesh import _BLOCK_COLUMNS, SpaceTimeField, field_from_function
 from parastab.operator import EllipticOperator
 from parastab.probes import (initial_eigenmode_family,
@@ -248,4 +250,30 @@ def test_a_library_entry_past_the_work_budget_allocates_nothing(
         rf"the {name} of shape \({', '.join(map(str, shape))}\) would hold "
         rf"\d+ float64 entries \(.* GiB\), above the work budget of 67108864",
         str(info.value))
+    assert peak < 2 ** 20
+
+
+def test_minimize_past_the_work_budget_is_refused_as_recover_is(monkeypatch):
+    # minimize builds the design matrix that recover refuses at nx 4000;
+    # both are refused by the one check, before the observation march
+    def forbidden(*args, **kwargs):
+        raise AssertionError("marched past the work budget")
+    monkeypatch.setattr(inverse, "observed_march", forbidden)
+    sl = _WIDE.window.window_slice
+    data = measurement_data(np.zeros(_WIDE.domain.nx + 1),
+                            np.zeros((len(_WIDE.domain.gamma),
+                                      sl.stop - sl.start)),
+                            _WIDE.domain, _WIDE.window)
+    with pytest.raises(ValueError) as refused:
+        recover(_SPEC, [0.01], _truth(_WIDE), _WIDE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            minimize(replace(_SPEC, noise_level=0.01), data, _WIDE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == str(refused.value)
+    assert str(info.value).startswith(
+        "the design matrix of shape (12013, 8002) would hold ")
     assert peak < 2 ** 20

@@ -6,7 +6,7 @@ Usage: python3 tools/compare_outputs.py PARENT CHANGE
 PARENT and CHANGE are checkouts of this repository. Every run in RUNS is
 made once per tree, as `python3 -m parastab.cli ...` in a fresh process
 whose PYTHONPATH starts with that tree's src/: the eight README commands,
-three runs on the benchmark's fine grid, then a fixed corpus of edge and
+four runs on the benchmark's fine grid, then a fixed corpus of edge and
 refusal runs. Before comparing, the `elapsed_seconds:` line is dropped and
 the run's output directory is spelled OUT. Each exit code, stdout line,
 stderr line and artifact that differs is printed under its run; the exit
@@ -54,8 +54,12 @@ RUNS = [
      "0.04,0.08,0.16,0.34"),
     ("carleman-audit", *_FINE, "--f", "benchmark", "--p", "1",
      "--boundary", "literal", "--s", "0.04,0.1,0.34"),
+    # the benchmark's heaviest artifact, the 11.6 MB forward.csv
+    ("forward", *_FINE, "--g", "eigenmode:1:1.3"),
     # edge runs
     ("forward", *_COARSE),
+    # negative cells in e-notation (-1e-07, -6.123233995736766e-24)
+    ("forward", *_COARSE, "--g", "eigenmode:1:-1e-7"),
     ("forward", *_ALIGNED, "--nt", "8", "--f", "benchmark", "--g", "one"),
     ("forward", *_ALIGNED, "--nt", "2"),
     ("decompose", *_COARSE, "--f", "one", "--g", "benchmark"),
