@@ -79,7 +79,6 @@ _RECON_COMMON = [
     ("g", "str", "benchmark"),
     ("alpha0_f", "float", InverseProblemSpec.alpha_f),
     ("alpha0_g", "float", InverseProblemSpec.alpha_g),
-    ("grad_tol", "float", InverseProblemSpec.grad_tol),
     ("seed", "int", InverseProblemSpec.seed),
 ]
 
@@ -374,8 +373,7 @@ def _run_decompose(typed):
 def _recon_spec(typed) -> InverseProblemSpec:
     # the base weights alpha0_f/alpha0_g; recover scales them by eps^2
     return InverseProblemSpec(alpha_f=typed["alpha0_f"],
-                              alpha_g=typed["alpha0_g"],
-                              grad_tol=typed["grad_tol"], seed=typed["seed"])
+                              alpha_g=typed["alpha0_g"], seed=typed["seed"])
 
 
 def _run_reconstruct(typed):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mesh import SpatialDomain, TimeWindow, check_array_budget, \
-    make_time_window
+    check_real, make_time_window
 from .operator import DiscreteOperator, EllipticOperator, assemble_operator
 
 DEFAULT_NX = 64
@@ -52,6 +52,8 @@ class LabContext:
     def __post_init__(self):
         check_array_budget({"field": (self.domain.nx + 1,
                                       self.window.nt + 1)})
+        check_real("C0", self.C0)
+        check_real("M0", self.M0)
         if not (self.C0 >= 0.0 and self.M0 >= 0.0):
             raise ValueError(f"C0 and M0 must be nonnegative, got "
                              f"C0={self.C0!r}, M0={self.M0!r}")

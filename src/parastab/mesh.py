@@ -46,6 +46,17 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Refuse a value that is not a real number or an array of them; numpy
+    numbers count, bools, strings and complex numbers do not."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        got = repr(value) if arr.ndim == 0 else f"an array of {arr.dtype}"
+        raise ValueError(f"{name} must be a real number, got {got}")
+
+
 def check_array_budget(shapes: dict) -> None:
     """Refuse when the largest of the named shapes ({name: shape}) would
     hold more than MAX_ARRAY_ENTRIES float64 entries, naming it."""
@@ -85,6 +96,8 @@ def _grid_index(value: float, step: float, limit: int) -> int | None:
 
 def _check_horizon(T: float, delta0: float, delta1: float) -> None:
     """0 < delta1 <= min(delta0, T), all finite, and so is T + delta0."""
+    for name, v in (("T", T), ("delta0", delta0), ("delta1", delta1)):
+        check_real(name, v)
     for name, v in (("T", T), ("delta0", delta0), ("delta1", delta1),
                     ("T + delta0", T + delta0)):
         if not (math.isfinite(v) and v > 0):
@@ -128,6 +141,8 @@ class SpatialDomain:
     gamma: tuple = (GAMMA_LEFT, GAMMA_RIGHT)
 
     def __post_init__(self):
+        check_real("x_left", self.x_left)
+        check_real("x_right", self.x_right)
         if not (np.isfinite(self.x_left) and np.isfinite(self.x_right)):
             raise ValueError("domain endpoints must be finite")
         if not self.x_right > self.x_left:

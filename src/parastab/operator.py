@@ -16,18 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SpatialDomain
+from .mesh import SpatialDomain, check_real
 
 # a must stay at or above this bound at every grid point
 ELLIPTICITY_LOWER_BOUND = 1e-10
 
 
-def _sample_coefficient(coef, x: np.ndarray) -> np.ndarray:
-    if callable(coef):
-        vals = np.asarray(coef(x), dtype=float)
-    else:
-        vals = np.asarray(coef, dtype=float)
-    return np.broadcast_to(vals, x.shape).astype(float).copy()
+def _sample_coefficient(name: str, coef, x: np.ndarray) -> np.ndarray:
+    """The samples of coefficient name on the grid x: a scalar, a grid
+    array or a callable of x, refused by name unless it gives real
+    numbers of a shape that fits the grid."""
+    vals = coef(x) if callable(coef) else coef
+    check_real(f"coefficient {name}", vals)
+    vals = np.asarray(vals, dtype=float)
+    try:
+        return np.broadcast_to(vals, x.shape).copy()
+    except ValueError:
+        raise ValueError(f"coefficient {name} has shape {vals.shape}, which "
+                         f"does not fit the grid of {x.size} points") from None
 
 
 def column_bands(lower, diag, upper, columns: int = 1):
@@ -138,9 +144,8 @@ def assemble_operator(domain: SpatialDomain, op: EllipticOperator) -> DiscreteOp
     bound fails, or the first row whose bands overflow.
     """
     x = domain.points
-    a = _sample_coefficient(op.a, x)
-    b = _sample_coefficient(op.b, x)
-    c = _sample_coefficient(op.c, x)
+    a, b, c = (_sample_coefficient(name, getattr(op, name), x)
+               for name in ("a", "b", "c"))
 
     for name, vals in (("a", a), ("b", b), ("c", c)):
         bad = np.flatnonzero(~np.isfinite(vals))

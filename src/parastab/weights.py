@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GAMMA_RIGHT, SpatialDomain, TimeWindow, check_integer
+from .mesh import GAMMA_RIGHT, SpatialDomain, TimeWindow, check_integer, \
+    check_real
 
 EXP_WEIGHTED = "exp_weighted"
 LITERAL_TRUNCATED = "literal_truncated"
@@ -52,6 +53,8 @@ class WeightConfig:
             raise ValueError("p must be 0 or 1")
         if self.boundary_weighting not in BOUNDARY_MODES:
             raise ValueError(f"boundary_weighting must be one of {BOUNDARY_MODES}")
+        for s in self.s_values:
+            check_real("s value", s)
         sv = tuple(float(s) for s in self.s_values)
         if not all(0.0 < s < math.inf for s in sv):
             raise ValueError("all s values must be positive and finite")
@@ -103,6 +106,7 @@ def eval_weights(lam: float, window: TimeWindow,
     constant M built from it, overflows is refused: every quadrature
     against such weights would read nan.
     """
+    check_real("lam", lam)
     if not lam > 0:
         raise ValueError("lam must be positive")
     psi = build_psi(domain)

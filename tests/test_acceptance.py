@@ -263,8 +263,7 @@ def test_criterion_09_rate_experiment():
     x = ctx.domain.points
     phi = benchmark_source(x)
     g = benchmark_initial(x)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     result = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), ctx)
 
     converged = all(r.converged for r in result.rows)

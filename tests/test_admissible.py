@@ -102,6 +102,13 @@ def test_admissible_pair_validates_shapes_and_budget_sign():
     # the context itself refuses a negative budget, so no gate sees one
     with pytest.raises(ValueError, match="^C0 and M0 must be nonnegative"):
         make_admissible_pair(replace(ctx, C0=-1.0))
+    # and a budget that is not a real number, by name
+    with pytest.raises(ValueError, match="^C0 must be a real number, got "
+                                         "True$"):
+        make_context(nx=8, nt=8, C0=True)
+    with pytest.raises(ValueError, match="^M0 must be a real number, got "
+                                         "'100'$"):
+        replace(ctx, M0="100")
 
 
 def test_overflowing_source_is_refused_at_the_gate():

@@ -144,9 +144,8 @@ def test_resolve_config_defaults_and_inheritance():
     assert cfg["subcommand"] == "rate"
     assert typed["nx"] == 64
     spec = inverse.InverseProblemSpec()
-    assert (typed["alpha0_f"], typed["alpha0_g"], typed["grad_tol"],
-            typed["seed"]) == (spec.alpha_f, spec.alpha_g, spec.grad_tol,
-                               spec.seed)
+    assert (typed["alpha0_f"], typed["alpha0_g"],
+            typed["seed"]) == (spec.alpha_f, spec.alpha_g, spec.seed)
     cfg2, typed2 = resolve_config("rate", {"alpha0_g": "0.5"}, None)
     assert typed2["alpha0_f"] == 1.0
     assert typed2["alpha0_g"] == 0.5
@@ -178,7 +177,7 @@ def test_resolve_config_rejects_wrong_subcommand(tmp_path):
 def test_resolution_is_idempotent_through_the_echo():
     # resolving the canonical strings again must reproduce them exactly
     cfg, _ = resolve_config("rate", {"noise": "0.2,0.02,0.002",
-                                     "grad_tol": "1e-9"}, None)
+                                     "alpha0_g": "1e-9"}, None)
     again, _ = resolve_config("rate", {k: v for k, v in cfg.items()
                                        if k != "subcommand"}, None)
     assert again == cfg
@@ -333,6 +332,9 @@ def test_the_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
     ["rate", "--alpha0", "2"],
     # the time-constant truth source needs no rate budget
     ["reconstruct", "--C0", "0"],
+    # the certificate's tolerance is relative to the data's gradient at zero
+    ["reconstruct", "--grad_tol", "1e-9"],
+    ["rate", "--grad_tol", "1e-9"],
 ])
 def test_removed_keys_are_usage_errors(tmp_path, capsys, argv):
     assert _refused(tmp_path, capsys, argv) == [
@@ -355,6 +357,17 @@ def test_a_reconstruct_config_with_a_rate_budget_is_refused(tmp_path,
     assert _refused(tmp_path, capsys, [
         "reconstruct", *FAST, "--config", str(cfg_file)]) == [
         "error: unknown config key: C0"]
+
+
+@pytest.mark.parametrize("sub", ["reconstruct", "rate"])
+def test_a_manifest_with_a_gradient_tolerance_is_refused(tmp_path, capsys,
+                                                         sub):
+    # a manifest echo saved while the certificate took an absolute grad_tol
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"subcommand={sub}\ngrad_tol=1e-10\n")
+    assert _refused(tmp_path, capsys, [
+        sub, *FAST, "--config", str(cfg_file)]) == [
+        "error: unknown config key: grad_tol"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -59,8 +59,6 @@ DRIVES = {
     ("reconstruct", "noise"): ("0.1", ()),
     **{("rate", k): v for k, v in _SHARED.items() if k != "C0"},
     **{("rate", k): v for k, v in _RECON.items()},
-    # no level meets so small a tolerance, so the slope fit is refused
-    ("rate", "grad_tol"): ("1e-300", ()),
     ("rate", "noise"): ("0.2,0.02,0.002", ()),
 }
 
@@ -85,8 +83,6 @@ INERT = {
         "0", "a time-constant source needs no budget, so the gate never "
              "refuses the truth pair; the benchmark's inverse workload "
              "passes --C0"),
-    ("reconstruct", "grad_tol", ()): (
-        "1e-300", "it decides summary.converged only, a manifest line"),
 }
 
 

@@ -106,7 +106,6 @@ _JUNK = {
     "normalized": ["true", "false", "maybe", ""],
     "M0": _FLOATS,
     "alpha0_f": _FLOATS, "alpha0_g": _FLOATS,
-    "grad_tol": ["1e-10", "1e-3", "1", "0", "-1", "nan", "inf", "1e-300"],
     "noise": ["0.01", "0", "-0.01", "nan", "inf", "1e308", "0.1,0.01,0.001",
               "0.2,0.05,0", "0.1,0.01", "0.01,0.1,0.001", "x", ""],
 }

@@ -10,8 +10,8 @@ from parastab import inverse, lapack
 from parastab.admissible import make_admissible_pair
 from parastab.inverse import (InverseProblemSpec, minimize,
                               objective_and_gradient, observation_matrix,
-                              rate_experiment, recover, rel_error,
-                              synthesize_data, unpack_params)
+                              observed_vector, rate_experiment, recover,
+                              rel_error, synthesize_data, unpack_params)
 from parastab.lab import benchmark_initial, benchmark_source, make_context
 from parastab.measurement import MeasurementData, measure
 from parastab.mesh import SpaceTimeField
@@ -54,8 +54,10 @@ def test_spec_validation():
         # by its square reports the noise, not the product
         ({"noise_level": math.inf, "alpha_f": math.inf},
          "^noise level inf is not finite$"),
-        ({"grad_tol": 0.0}, "^grad_tol must be positive$"),
-        ({"grad_tol": math.nan}, "^grad_tol must be positive$"),
+        ({"alpha_f": True}, "^alpha_f must be a real number, got True$"),
+        ({"alpha_g": "1"}, "^alpha_g must be a real number, got '1'$"),
+        ({"noise_level": True},
+         "^noise_level must be a real number, got True$"),
         ({"seed": -1}, "^noise seed must be nonnegative, got -1$"),
         ({"seed": 2.5}, "^seed must be an integer, got 2.5$"),
         ({"seed": math.nan}, "^seed must be an integer, got nan$"),
@@ -204,7 +206,7 @@ def test_self_consistency_recovers_truth():
     phi = benchmark_source(x)
     g = np.cos(np.pi * x)
     pair = truth_pair(ctx, phi, g)
-    spec = InverseProblemSpec(alpha_f=1e-10, alpha_g=1e-10, grad_tol=1e-13)
+    spec = InverseProblemSpec(alpha_f=1e-10, alpha_g=1e-10)
     data = synthesize_data(pair, spec, ctx)
     res = minimize(spec, data, ctx)
     wx = ctx.domain.quad_weights
@@ -216,7 +218,7 @@ def test_minimize_is_deterministic_bitwise():
     phi, g = truth_arrays(CTX)
     pair = truth_pair(CTX, phi, g)
     spec = InverseProblemSpec(alpha_f=1e-3, alpha_g=1e-3, noise_level=1e-2,
-                              seed=3, grad_tol=1e-10)
+                              seed=3)
     data = synthesize_data(pair, spec, CTX)
     a = minimize(spec, data, CTX)
     b = minimize(spec, data, CTX)
@@ -235,8 +237,7 @@ def test_alpha_ladder_never_grows_g():
     wx = CTX.domain.quad_weights
     norms = []
     for alpha_g in (1e-4, 1e-2, 1.0):
-        spec = InverseProblemSpec(alpha_f=1e-3, alpha_g=alpha_g,
-                                  grad_tol=1e-10)
+        spec = InverseProblemSpec(alpha_f=1e-3, alpha_g=alpha_g)
         res = minimize(spec, data, CTX)
         norms.append(math.sqrt(float(np.sum(wx * res.g_est ** 2))))
     assert norms[0] >= norms[1] >= norms[2]
@@ -246,8 +247,7 @@ def test_alpha_ladder_never_grows_g():
 def test_rate_experiment_exhibits_stability_split():
     # frozen pipeline output at seed 7: slope 0.823, product spread 2.15
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     assert all(r.converged for r in rr.rows)
     assert 0.6 <= rr.source_slope <= 1.2
@@ -264,8 +264,7 @@ def test_rate_experiment_exhibits_stability_split():
 
 def test_rate_zero_noise_level_reduces_to_minimize():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 0.0], (phi, g), CTX)
     row = rr.rows[2]
     assert row.eps == 0.0
@@ -285,8 +284,7 @@ def test_rate_zero_noise_level_reduces_to_minimize():
 
 def test_one_level_recover_replays_synthesize_and_minimize_bitwise():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     ((level_spec, result, row),) = recover(spec, [1e-2], (phi, g), CTX)
     assert level_spec == replace(spec, noise_level=1e-2,
                                  alpha_f=10.0 * 1e-2 ** 2,
@@ -351,8 +349,7 @@ def test_an_undefined_source_slope_is_none():
 
 def test_rate_experiment_deterministic():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-8,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     a = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     b = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
     assert a.rows == b.rows
@@ -363,9 +360,14 @@ def readme_level(ctx, level, eps):
     """Spec and data of one level of the README rate run (seed 7)."""
     phi, g = truth_arrays(ctx)
     spec = InverseProblemSpec(alpha_f=10.0 * eps ** 2, alpha_g=eps ** 2,
-                              grad_tol=1e-10, noise_level=eps,
-                              seed=7 ^ level)
+                              noise_level=eps, seed=7 ^ level)
     return spec, synthesize_data(truth_pair(ctx, phi, g), spec, ctx)
+
+
+def zero_gradient_norm(data, ctx):
+    """||grad J(0)|| = ||G^T b||, the scale of the relative certificate."""
+    return float(np.linalg.norm(observation_matrix(ctx).T
+                                @ observed_vector(data, ctx)))
 
 
 def hessian_oracle(spec, data, ctx):
@@ -391,7 +393,9 @@ def test_direct_solve_matches_the_hessian_oracle_on_the_readme_problem(
     n = CTX.domain.nx + 1
     direct = minimize(spec, data, CTX)
     x, J, grad = hessian_oracle(spec, data, CTX)
-    assert direct.converged and np.linalg.norm(grad) <= spec.grad_tol
+    assert direct.converged
+    assert (np.linalg.norm(grad)
+            <= inverse.RTOL * zero_gradient_norm(data, CTX))
     x_direct = np.concatenate([direct.phi_est, direct.g_est])
     assert (np.linalg.norm(x - x_direct)
             <= tol_params * np.linalg.norm(x_direct))
@@ -406,7 +410,8 @@ def test_direct_solve_matches_the_hessian_oracle_on_the_readme_problem(
 def test_converged_is_the_gradient_check():
     spec, data = readme_level(CTX, 1, 1e-2)
     res = minimize(spec, data, CTX)
-    assert res.converged == (res.grad_norm <= spec.grad_tol)
+    assert res.converged == (
+        res.grad_norm <= inverse.RTOL * zero_gradient_norm(data, CTX))
     assert res.converged
     # the reported norm is the PDE gradient at the returned solution
     _, grad = objective_and_gradient(
@@ -416,11 +421,12 @@ def test_converged_is_the_gradient_check():
 
 def test_rate_rows_report_the_final_gradient_norm():
     phi, g = truth_arrays(CTX)
-    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, grad_tol=1e-10,
-                              seed=7)
+    spec = InverseProblemSpec(alpha_f=10.0, alpha_g=1.0, seed=7)
     rr = rate_experiment(spec, [1e-1, 1e-2, 1e-3], (phi, g), CTX)
-    for row in rr.rows:
-        assert row.converged and row.grad_norm <= spec.grad_tol
+    for level, row in enumerate(rr.rows):
+        _, data = readme_level(CTX, level, row.eps)
+        assert row.converged
+        assert row.grad_norm <= inverse.RTOL * zero_gradient_norm(data, CTX)
 
 
 def test_a_wrong_observation_matrix_fails_the_certificate(monkeypatch):
@@ -430,7 +436,8 @@ def test_a_wrong_observation_matrix_fails_the_certificate(monkeypatch):
     flipped = -observation_matrix(CTX)
     monkeypatch.setattr(inverse, "observation_matrix", lambda ctx: flipped)
     res = minimize(spec, data, CTX)
-    assert not res.converged and res.grad_norm > spec.grad_tol
+    assert not res.converged
+    assert res.grad_norm > inverse.RTOL * zero_gradient_norm(data, CTX)
 
 
 def test_minimize_is_one_solve_and_one_certificate(monkeypatch):

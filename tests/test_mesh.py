@@ -1,10 +1,13 @@
 """Grid construction: alignment of the measurement times is the hard part."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parastab import mesh
+from parastab.lab import make_context
 from parastab.mesh import (SpatialDomain, TimeWindow, field_from_function,
                            make_time_window, sample_spatial)
 
@@ -111,6 +114,42 @@ def test_a_step_count_below_two_or_not_an_integer_is_refused(nt, message):
 def test_a_cell_count_that_is_not_an_integer_is_refused(nx, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SpatialDomain(0.0, 1.0, nx)
+
+
+@pytest.mark.parametrize("name, value, got", [
+    ("T", True, "True"), ("delta0", True, "True"), ("delta1", "0.25", "'0.25'"),
+    ("T", None, "None"), ("delta0", 1j, "1j"), ("delta1", np.True_,
+                                                  "np.True_")])
+def test_a_horizon_that_is_not_a_real_number_is_refused(name, value, got):
+    horizon = {"T": 1.0, "delta0": 0.5, "delta1": 0.25, name: value}
+    message = f"^{name} must be a real number, got {re.escape(got)}$"
+    with pytest.raises(ValueError, match=message):
+        make_time_window(nt=8, **horizon)
+    with pytest.raises(ValueError, match=message):
+        make_context(nx=8, nt=8, **horizon)
+    with pytest.raises(ValueError, match=message):
+        TimeWindow(nt=8, **horizon)
+
+
+def test_domain_endpoints_must_be_real_numbers():
+    with pytest.raises(ValueError,
+                       match="^x_left must be a real number, got True$"):
+        SpatialDomain(True, 2.0, 8)
+    with pytest.raises(ValueError,
+                       match="^x_right must be a real number, got '1'$"):
+        SpatialDomain(0.0, "1", 8)
+
+
+def test_check_real_takes_numbers_and_arrays_of_them():
+    for value in (1, 2.5, np.float32(1.0), np.int64(3), float("inf"),
+                  np.ones(4), [1, 2.0], np.arange(3)):
+        mesh.check_real("x", value)
+    for value, got in ((False, "False"), (np.array([True]),
+                                          "an array of bool"),
+                       (["a"], "an array of <U1"), (None, "None")):
+        with pytest.raises(ValueError, match=f"^x must be a real number, "
+                                             f"got {got}$"):
+            mesh.check_real("x", value)
 
 
 def test_numpy_integer_counts_are_accepted():

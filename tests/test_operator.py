@@ -130,6 +130,25 @@ def test_reaction_max_reports_peak_zeroth_order_coefficient():
     assert dop.reaction_max == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"a": True}, "coefficient a must be a real number, got True"),
+    ({"a": "1"}, "coefficient a must be a real number, got '1'"),
+    ({"b": lambda x: x > 0.5},
+     "coefficient b must be a real number, got an array of bool"),
+    ({"c": 1j}, "coefficient c must be a real number, got 1j"),
+    ({"a": np.ones(5)},
+     r"coefficient a has shape \(5,\), which does not fit the grid of 17 "
+     r"points"),
+    ({"c": lambda x: np.ones((x.size, 2))},
+     r"coefficient c has shape \(17, 2\), which does not fit the grid of "
+     r"17 points")])
+def test_a_coefficient_that_is_not_a_grid_of_reals_is_named(fields,
+                                                           message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assemble_operator(SpatialDomain(0.0, 1.0, 16),
+                          EllipticOperator(**fields))
+
+
 @st.composite
 def coefficient_samples(draw):
     """A grid and samples of a, b, c: each a scalar or one value per point,

@@ -6,38 +6,28 @@ Every `parastab` line of a sh block runs once through cli.main, with its
 `echo $?   # N` line right after it quotes, and print nothing on stderr.
 """
 import contextlib
+import importlib.util
 import io
 import os
 import re
-import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parastab.cli import main
+from parastab.inverse import observation_matrix, observed_vector
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-    encoding="utf-8")
+_ROOT = Path(__file__).resolve().parents[1]
+README = (_ROOT / "README.md").read_text(encoding="utf-8")
 
+# the README parser is the one tools/compare_outputs.py takes its runs from
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", _ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
-def _blocks(lang: str) -> list:
-    return re.findall(rf"```{lang}\n(.*?)```", README, re.S)
-
-
-def _commands() -> list:
-    """(argv after `parastab`, expected exit code) per README command."""
-    commands = []
-    for block in _blocks("sh"):
-        for line in block.replace("\\\n", " ").splitlines():
-            tokens = shlex.split(line, comments=True)
-            if tokens[:1] == ["parastab"]:
-                commands.append([tokens[1:], 0])
-            elif tokens[:2] == ["echo", "$?"]:
-                commands[-1][1] = int(line.split("#")[1])
-    return commands
-
-
-COMMANDS = _commands()
+COMMANDS = compare_outputs.readme_commands(README)
 
 
 def _quoted(pattern: str) -> str:
@@ -128,9 +118,11 @@ def test_audit_reads_the_quoted_weight_ratio(runs):
 
 
 def test_library_quick_start_converges(capsys):
-    (block,) = _blocks("python")
+    (block,) = compare_outputs.code_blocks(README, "python")
     scope = {}
     exec(block, scope)
     assert scope["result"].converged
-    assert scope["result"].grad_norm < 1e-10
+    ctx, data = scope["ctx"], scope["data"]
+    zero_grad = observation_matrix(ctx).T @ observed_vector(data, ctx)
+    assert scope["result"].grad_norm < 1e-12 * np.linalg.norm(zero_grad)
     assert capsys.readouterr().out.split()[0] == "True"

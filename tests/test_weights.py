@@ -44,6 +44,17 @@ def test_weight_config_validation():
     with pytest.raises(ValueError, match="factor 8"):
         WeightConfig(s_values=(1.0,))
     assert WeightConfig(s_values=(1, 8)).s_values == (1.0, 8.0)
+    for s in (True, "1"):
+        with pytest.raises(ValueError, match="^s value must be a real "
+                                             "number, got "):
+            WeightConfig(s_values=(s, 8.0))
+
+
+def test_eval_weights_refuses_a_lam_that_is_not_a_real_number():
+    ctx = make_context(nx=16, nt=64)
+    with pytest.raises(ValueError,
+                       match="^lam must be a real number, got True$"):
+        eval_weights(True, ctx.window, ctx.domain)
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])

@@ -5,9 +5,10 @@ Usage: python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository. Every run in RUNS is
 made once per tree, as `python3 -m parastab.cli ...` in a fresh process
-whose PYTHONPATH starts with that tree's src/: the eight README commands,
-four runs on the benchmark's fine grid, then a fixed corpus of edge and
-refusal runs. Before comparing, the `elapsed_seconds:` line is dropped and
+whose PYTHONPATH starts with that tree's src/: the `parastab` commands of
+the README.md beside this script's tools/ (readme_commands, without their
+--out), four runs on the benchmark's fine grid, then a fixed corpus of
+edge and refusal runs. Before comparing, the `elapsed_seconds:` line is dropped and
 the run's output directory is spelled OUT. Each exit code, stdout line,
 stderr line and artifact that differs is printed under its run; the exit
 code is 1 if anything differs, 0 if every run matches byte for byte and 2
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import difflib
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,21 +35,46 @@ _FINE = ("--nx", "256", "--nt", "2048")
 _ALIGNED = ("--nx", "8", "--T", "0.375", "--delta0", "0.625", "--delta1",
             "0.375")
 
-RUNS = [
-    # the README commands
-    ("forward", "--nx", "64", "--nt", "256", "--T", "1", "--delta0", "0.5",
-     "--g", "eigenmode:1"),
-    ("carleman-audit", "--lambda", "1", "--p", "0", "--boundary", "exp"),
-    ("stability-probe", "--kind", "source", "--members", "6"),
-    ("stability-probe", "--kind", "initial", "--members", "8",
-     "--normalized", "false"),
-    ("decompose", "--f", "benchmark", "--g", "eigenmode:1"),
-    ("reconstruct", *_REC_GRID, "--noise", "0.01", "--alpha0_f", "10",
-     "--alpha0_g", "1", "--seed", "7"),
-    ("rate", *_REC_GRID, "--noise", "0.1,0.01,0.001", "--alpha0_f", "10",
-     "--alpha0_g", "1", "--seed", "7"),
-    ("stability-probe", "--kind", "source", "--f", "late-onset", "--C0",
-     "inf"),
+# the README rate run's noise levels and seed, whose verdicts the
+# certificate runs below compare at other data scales
+_REC_RATE = (*_REC_GRID, "--noise", "0.1,0.01,0.001", "--seed", "7")
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def code_blocks(text: str, lang: str) -> list:
+    """The bodies of the ```lang fenced blocks of a markdown text."""
+    return re.findall(rf"```{lang}\n(.*?)```", text, re.S)
+
+
+def readme_commands(text: str) -> list:
+    """[argv after `parastab`, expected exit code] per `parastab` line of
+    the sh blocks of a README text; an `echo $?   # N` line right after a
+    command sets its code, which is 0 otherwise."""
+    commands = []
+    for block in code_blocks(text, "sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            tokens = shlex.split(line, comments=True)
+            if tokens[:1] == ["parastab"]:
+                commands.append([tokens[1:], 0])
+            elif tokens[:2] == ["echo", "$?"]:
+                commands[-1][1] = int(line.split("#")[1])
+    return commands
+
+
+def _readme_runs() -> list:
+    """The README's commands, without their --out and its value."""
+    with open(README, encoding="utf-8") as fh:
+        commands = readme_commands(fh.read())
+    runs = []
+    for argv, _ in commands:
+        i = argv.index("--out")
+        runs.append(tuple(argv[:i] + argv[i + 2:]))
+    return runs
+
+
+RUNS = _readme_runs() + [
     # the 256/2048 grid of the benchmark's fine workload, where the
     # blocked residuals and norms take many column blocks
     ("decompose", *_FINE, "--f", "benchmark", "--g", "eigenmode:1:1.3"),
@@ -76,7 +104,10 @@ RUNS = [
     ("rate", *_REC_GRID, "--noise", "0.2,0.05,0.0", "--alpha0_f", "0.5",
      "--seed", "3"),
     ("reconstruct", *_COARSE, "--f", "zero", "--g", "zero"),
-    ("reconstruct", *_COARSE, "--grad_tol", "1e-300"),
+    # the certificate is relative to the data's gradient at zero, so the
+    # README rate run scaled by 1e6 converges as at amplitude 1
+    ("rate", *_REC_RATE, "--alpha0_f", "10", "--alpha0_g", "1", "--f",
+     "eigenmode:1:1e6", "--g", "eigenmode:1:1e6"),
     # refused runs
     ("forward", *_ALIGNED, "--nt", "-5"),
     ("forward", *_ALIGNED, "--nt", "0"),
@@ -93,6 +124,11 @@ RUNS = [
      "--levels", "3"),
     ("reconstruct", "--nx", "4000", "--nt", "8"),
     ("rate", "--nt", "10000000"),
+    # unregularized noisy levels fail the certificate at every data scale,
+    # so the source slope is undefined
+    *(("rate", *_REC_RATE, "--alpha0_f", "0", "--alpha0_g", "0", "--f",
+       f"eigenmode:1:{amp}", "--g", f"eigenmode:1:{amp}")
+      for amp in ("1", "1e-8")),
     # no level converges, so the source slope is undefined
     ("rate", *_COARSE, "--alpha0_f", "1e308", "--alpha0_g", "1e308",
      "--noise", "1,0.5,0.25"),
