@@ -203,6 +203,9 @@ def _parse_eigenmode(desc: str):
         amp = float(parts[2]) if len(parts) == 3 else 1.0
     except ValueError:
         raise ValueError(f"bad eigenmode descriptor: {desc!r}") from None
+    # an infinite amplitude is left to the admissibility gate's norm check
+    if math.isnan(amp):
+        raise ValueError(f"eigenmode amplitude is nan: {desc!r}")
     return m, amp
 
 
@@ -315,15 +318,19 @@ def _run_carleman_audit(typed):
 def _run_stability_probe(typed):
     if typed["members"] < 0:
         raise ValueError(f"members must be nonnegative, got {typed['members']}")
-    ctx = _context(typed)
     source = typed["kind"] == "source"
+    custom = source and bool(typed["f"])
+    if custom and typed["members"] > 1:
+        raise ValueError(f"members must be 0 or 1 with a custom --f source, "
+                         f"got {typed['members']}")
+    ctx = _context(typed)
     # one member for a custom --f source; --members 0 is the kind's default
-    members = (1 if source and typed["f"]
+    members = (1 if custom
                else typed["members"] or _DEFAULT_MEMBERS[typed["kind"]])
     # before the family is made: --members may ask for millions of closures
     check_probe_budget(ctx, typed["levels"], members, source)
     if source:
-        if typed["f"]:
+        if custom:
             member = source_member(typed["f"], ctx)
             if member is None:
                 raise ValueError("custom source family needs a nonzero f")

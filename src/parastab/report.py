@@ -9,7 +9,8 @@ Tables are streamed to the open file; the whole file is never held as
 one string. All-float tables (the forward field, the decompose profile,
 the reconstruction) are written in blocks of at most shortest.CELLS cells
 by the numpy kernel of parastab.shortest, whose bytes equal repr's cell
-for cell (the few cells it does not spell go through repr itself). Rows
+for cell (the cells it does not spell, such as those below 2**-37 in
+magnitude, go through repr itself). Rows
 that mix floats with integers, booleans or labels (sweep, probe and rate
 tables) are written a row at a time through fmt.
 The manifest is written from the run's parts as they are: the config

@@ -3,16 +3,15 @@
 Blocks spells a block of float64 cells as CSV text: each cell exactly as
 Python's repr spells it, each followed by a comma or, at the end of a
 table row, a newline. Its numpy kernel handles every normal value v =
-m 2**e (m a 53-bit integer) with e in -179..-2, that is 5.9e-39 <= |v| <
-2.3e15:
+m 2**e (m a 53-bit integer) with e in -89..-2, that is 2**-37 <= |v| <
+2**51 (7.3e-12 to 2.3e15):
 
-- It scales by 10**k with k = ceil(-e log10 2) in 1..54, so that v 10**k
-  = m 5**k / 2**s with a binary shift s = -e - k in 1..125. The value and
+- It scales by 10**k with k = ceil(-e log10 2) in 1..27, so that v 10**k
+  = m 5**k / 2**s with a binary shift s = -e - k in 1..62. The value and
   both ends of its round-trip interval, v +- half a gap (the gap below a
   power of two is half the gap above), are formed over 2**(s + 2) as
-  products of the 32-bit limbs of m and 5**k, held in uint64 arrays:
-  128-bit ones for k in 1..27, where 5**k < 2**63, and 192-bit ones for
-  the few cells below 7.3e-12. Their integer parts fit 64 bits.
+  128-bit products of the 32-bit limbs of m and 5**k < 2**63, held in
+  pairs of uint64 arrays. Their integer parts fit 64 bits.
 - An end is never a whole number at this scale: it is an odd number over
   2**(s + 1) or more. So the integers inside the interval run from the
   end below rounded up to the end above rounded down, and whether
@@ -28,7 +27,8 @@ m 2**e (m a 53-bit integer) with e in -179..-2, that is 5.9e-39 <= |v| <
 Every other cell is spelled by fallback_cell, which is repr: zero,
 subnormal, nan and inf, a magnitude outside the range, and an exact tie
 between two nearest multiples. So the bytes equal repr's by construction.
-No cell of the README and benchmark forward fields falls back.
+Of the README and benchmark forward fields, only the cells below 2**-37
+fall back, such as the column at x = 1/2 whose cells are near 1e-17.
 
 A block holds at most CELLS cells, so the kernel's working arrays stay
 small. Blocks allocates them once and every block reuses them, as the
@@ -66,62 +66,17 @@ _EXP_WORD = _ascii_words(b"e-", 2)
 
 
 def _exponent_tables():
-    """Per biased exponent: spelled by the kernel, in the range of two-word
-    powers 5**k, k, 5**k if it fits one word, and the shift s + 2. A cell
-    that falls back gets the entries of 0.5, so the kernel's arithmetic on
-    it stays in bounds."""
+    """Per biased exponent: spelled by the kernel, k, 5**k and the shift
+    s + 2. A cell that falls back gets the entries of 0.5, so the kernel's
+    arithmetic on it stays in bounds."""
     e = np.arange(2048) - 1075
-    one = (e >= -89) & (e <= -2)
-    two = (e >= -179) & (e <= -90)
-    e = np.where(one | two, e, -53)
+    ok = (e >= -89) & (e <= -2)
+    e = np.where(ok, e, -53)
     k = -((e * 78913) >> 18)                      # ceil(-e log10 2)
-    five = 5 ** np.where(two, 16, k).astype(np.uint64)
-    return one | two, two, k, five, (-e - k + 2).astype(np.uint64)
+    return ok, k, 5 ** k.astype(np.uint64), (-e - k + 2).astype(np.uint64)
 
 
-_IN_RANGE, _TWO_WORDS, _K, _FIVE, _SHIFT = _exponent_tables()
-# 5**k for k <= 54 as a high and a low word
-_FIVE_HI = np.array([5 ** i >> 64 for i in range(55)], dtype=np.uint64)
-_FIVE_LO = np.array([5 ** i & (2 ** 64 - 1) for i in range(55)],
-                    dtype=np.uint64)
-
-
-def _product(a, b):
-    """(hi, lo) = a b for uint64 arrays, from 32-bit limbs."""
-    a0, a1 = a & _LOW32, a >> 32
-    b0, b1 = b & _LOW32, b >> 32
-    low, cross, cross2 = a0 * b0, a0 * b1, a1 * b0
-    mid = (low >> 32) + (cross & _LOW32) + (cross2 & _LOW32)
-    return (a1 * b1 + (cross >> 32) + (cross2 >> 32) + (mid >> 32),
-            (mid << 32) | (low & _LOW32))
-
-
-def _two_word_ends(m, k, t, halved):
-    """4 m 5**k and its ends 4 m 5**k + 2 5**k, 4 m 5**k - 2 5**k (- 5**k
-    when halved), for k in 28..54 where 5**k takes two words. Each is
-    formed in three words and shifted right by t - 63 (1..64), so that it
-    stands over 2**63 as in the one-word range. The bits shifted out could
-    only make a near tie look exact, and a tie falls back to repr."""
-    hi, lo = _FIVE_HI[k], _FIVE_LO[k]
-    h1, w0 = _product(m, lo)
-    h2, l2 = _product(m, hi)
-    w1 = h1 + l2
-    w2 = h2 + (w1 < h1)
-    value = ((w2 << 2) | (w1 >> 62), (w1 << 2) | (w0 >> 62), w0 << 2)
-    x2, x1, x0 = value
-    g1, g0 = (hi << 1) | (lo >> 63), lo << 1
-    b1, b0 = np.where(halved, hi, g1), np.where(halved, lo, g0)
-    # three-word sum and difference, carrying and borrowing by hand
-    s0, s1 = x0 + g0, x1 + g1
-    s1c = s1 + (s0 < x0)
-    above = (x2 + ((s1 < x1) | (s1c < s1)), s1c, s0)
-    d0, d1 = x0 - b0, x1 - b1
-    d1c = d1 - (x0 < b0)
-    under = (x2 - ((x1 < b1) | (d1c > d1)), d1c, d0)
-    shift = t - 63
-    return [((w1 >> shift) | (w2 << (64 - shift)),
-             (w0 >> shift) | (w1 << (64 - shift)))
-            for w2, w1, w0 in (value, above, under)]
+_IN_RANGE, _K, _FIVE, _SHIFT = _exponent_tables()
 
 
 # Byte columns of one cell. N is d, times 10**(decpt - nd) for an integer
@@ -250,16 +205,6 @@ class Blocks:
         np.subtract(lo, c, out=llo)
         np.less(lo, c, out=f2)
         np.subtract(hi, f2, out=lhi)
-        # the cells below 7.3e-12, whose 5**k takes two words
-        np.take(_TWO_WORDS, ex, out=f3)
-        if f3.any():
-            at = np.flatnonzero(f3)
-            frac = bits[at] & _MANTISSA
-            ends = _two_word_ends(frac | _HIDDEN, k[at], t[at], frac == 0)
-            for (h, l), (high, low) in zip(ends, ((hi, lo), (uhi, ulo),
-                                                  (lhi, llo))):
-                high[at], low[at] = h, l
-            t[at] = 63
 
         # integer parts over 2**t (numpy shifts a uint64 by 64 to 0), the
         # integer range [bottom, top] inside the interval and v's fraction

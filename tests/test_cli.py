@@ -420,6 +420,15 @@ def test_nan_config_values_are_refused(tmp_path, capsys, argv):
     assert line.startswith("error: invalid value for ") and "nan" in line
 
 
+@pytest.mark.parametrize("flag", ["--f", "--g"])
+def test_a_nan_eigenmode_amplitude_is_refused_by_name(tmp_path, capsys, flag):
+    # --g read "initial value overflows: its L2 norm is nan ...", --f
+    # "field contains non-finite values"
+    assert _refused(tmp_path, capsys,
+                    ["forward", *FAST, flag, "eigenmode:1:nan"]) == [
+        "error: eigenmode amplitude is nan: 'eigenmode:1:nan'"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["reconstruct", "--noise", "inf"],
      "error: noise level inf is not finite"),
@@ -494,6 +503,19 @@ def test_negative_member_count_is_refused_in_one_line(tmp_path, capsys, kind,
         "stability-probe", "--kind", kind, "--members", members, "--nx",
         "16", "--nt", "8", "--levels", "1"]) == [
         f"error: members must be nonnegative, got {members}"]
+
+
+def test_a_custom_source_probe_takes_no_family_size(tmp_path, capsys):
+    # --members 5 wrote the one-member probe.csv of --members 1
+    argv = ["stability-probe", "--kind", "source", "--f", "eigenmode:2",
+            "--nx", "16", "--nt", "8", "--levels", "1"]
+    assert _refused(tmp_path, capsys, [*argv, "--members", "5"]) == [
+        "error: members must be 0 or 1 with a custom --f source, got 5"]
+    a, b = str(tmp_path / "m0"), str(tmp_path / "m1")
+    assert main([*argv, "--members", "0", "--out", a]) == 0
+    assert main([*argv, "--members", "1", "--out", b]) == 0
+    assert read(os.path.join(a, "probe.csv")) == \
+        read(os.path.join(b, "probe.csv"))
 
 
 def test_member_count_zero_is_the_kind_default(tmp_path):

@@ -88,6 +88,8 @@ RUNS = _readme_runs() + [
     ("forward", *_COARSE),
     # negative cells in e-notation (-1e-07, -6.123233995736766e-24)
     ("forward", *_COARSE, "--g", "eigenmode:1:-1e-7"),
+    # every cell below 2**-37, the band that repr spells
+    ("forward", "--nx", "16", "--nt", "64", "--g", "eigenmode:1:1e-20"),
     ("forward", *_ALIGNED, "--nt", "8", "--f", "benchmark", "--g", "one"),
     ("forward", *_ALIGNED, "--nt", "2"),
     ("decompose", *_COARSE, "--f", "one", "--g", "benchmark"),
@@ -114,6 +116,11 @@ RUNS = _readme_runs() + [
     ("forward", *_COARSE, "--C0", "nan"),
     ("forward", *_COARSE, "--seed", "1"),
     ("forward", *_COARSE, "--g", "eigenmode:1:1e160"),
+    ("forward", *_COARSE, "--g", "eigenmode:1:nan"),
+    ("forward", *_COARSE, "--f", "eigenmode:1:nan"),
+    # a custom source is the family's one member
+    ("stability-probe", *_COARSE, "--kind", "source", "--f", "eigenmode:2",
+     "--members", "5"),
     ("forward", "--nx", "8", "--nt", "8", "--T", "1e-154", "--delta0",
      "1e-154", "--delta1", "1e-154"),
     ("forward", "--nx", "100000", "--nt", "100000"),
