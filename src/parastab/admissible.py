@@ -85,7 +85,8 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
     |f_t| <= C0 |f(., T)| is checked on the grid; a source whose measured
     minimal budget exceeds C0 is rejected, and so is data too large for
     floating point (a non-finite L2 norm of f or g, or C^4 surrogate of g),
-    before any of it overflows downstream.
+    before any of it overflows downstream; a g that is not finite is
+    refused as such, at its first such grid point.
     """
     f_norm = g_norm = seminorm = 0.0
     if f is not None:
@@ -101,6 +102,12 @@ def make_admissible_pair(ctx, f: SpaceTimeField | None = None,
         g = np.asarray(g, dtype=float)
         if g.shape != (ctx.domain.nx + 1,):
             raise ValueError("initial value shape does not match the spatial grid")
+        bad = np.flatnonzero(~np.isfinite(g))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"initial value is not finite at "
+                             f"x={float(ctx.domain.points[i])!r}: "
+                             f"g={float(g[i])!r}")
         with np.errstate(all="ignore"):
             g_norm = l2_space(g, ctx.domain)
             seminorm = c4_surrogate(g, ctx.domain.h)

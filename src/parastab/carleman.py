@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import SpaceTimeField
+from .mesh import SpaceTimeField, median
 from .operator import DiscreteOperator
 from .solver import RESIDUAL_WARN_TOL, equation_residual
 from .stencils import fd_first, fd_second
@@ -210,7 +210,7 @@ def sweep_statistic(rows: list[SweepRow]) -> float | None:
     """max/median of the clean ratios: the boundedness proxy for the sweep;
     None, undefined, when no row is clean or their median is 0."""
     ratios = np.array([r.ratio for r in rows if r.flag == FLAG_OK])
-    med = float(np.median(ratios)) if ratios.size else 0.0
+    med = median(ratios) if ratios.size else 0.0
     return float(np.max(ratios)) / med if med != 0.0 else None
 
 

@@ -146,7 +146,7 @@ def _certificates(specs, params, datas, ctx: LabContext) -> list:
     phis, gs = zip(*(unpack_params(x, ctx) for x in params))
     phi_cols = np.stack(phis, axis=1)
     snapshots, traces = observed_march(ctx.dop, window, np.stack(gs, axis=1),
-                                       lambda level: phi_cols)
+                                       phi_cols)
     wx = domain.quad_weights
     ww = window.window_weights
     values, payloads = [], []
@@ -193,8 +193,7 @@ def _observations(ctx: LabContext, state, source):
     eye, zero = np.eye(n), np.zeros((n, n))
     sources = np.hstack([eye, zero, source])
     snapshots, traces = observed_march(ctx.dop, window,
-                                       np.hstack([zero, eye, state]),
-                                       lambda level: sources)
+                                       np.hstack([zero, eye, state]), sources)
     return (_weighted_rows(snapshots[:2 * n], traces[:2 * n], ctx),
             snapshots[2 * n:], traces[2 * n:])
 
@@ -340,6 +339,19 @@ def rel_error(est: np.ndarray, truth: np.ndarray, weights: np.ndarray) -> float:
     return diff / base if base > 0.0 else diff
 
 
+def _truth_pair(truth, ctx: LabContext):
+    """truth as two float arrays (phi, g) of shape (nx+1,), or refused."""
+    shape = (ctx.domain.nx + 1,)
+    try:
+        phi, g = (np.asarray(a, dtype=float) for a in truth)
+    except (TypeError, ValueError):
+        phi = g = None
+    if phi is None or phi.shape != shape or g.shape != shape:
+        raise ValueError(f"truth must be a (phi, g) pair of arrays of shape "
+                         f"{shape}")
+    return phi, g
+
+
 def recover(spec: InverseProblemSpec, noise_list, truth,
             ctx: LabContext) -> list:
     """Recover (phi, g) = truth from its data at each noise level.
@@ -386,7 +398,7 @@ def recover(spec: InverseProblemSpec, noise_list, truth,
                              **weights))
     if not specs:
         raise ValueError("need at least one noise level")
-    phi_truth, g_truth = (np.asarray(a, dtype=float) for a in truth)
+    phi_truth, g_truth = _truth_pair(truth, ctx)
     # a product, not phi + 0.0, so a -0.0 entry of phi stays -0.0
     f_truth = SpaceTimeField(phi_truth[:, None] * np.ones(ctx.window.nt + 1),
                              ctx.domain, ctx.window)

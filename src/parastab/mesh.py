@@ -83,6 +83,21 @@ def blocked_max(block_max, start: int, stop: int):
     return np.max([block_max(sl) for sl in column_blocks(start, stop)])
 
 
+def median(values) -> float:
+    """np.median of a nonempty sequence of floats: the middle value, or
+    (a + b) / 2 of the two middle ones, as numpy computes it; nan if any
+    value is nan. Only the sign of a zero middle value may differ, as the
+    two order equal zeros differently. A command that calls np.median pays
+    for importing numpy.ma."""
+    ordered = sorted(map(float, values))
+    if any(math.isnan(v) for v in ordered):
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _grid_index(value: float, step: float, limit: int) -> int | None:
     """Index of `value` on {0, step, ..., limit*step}, or None if off-grid."""
     m = value / step

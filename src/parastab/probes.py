@@ -36,7 +36,7 @@ import numpy as np
 from .admissible import make_admissible_pair
 from .carleman import FLAG_DEGENERATE, FLAG_VIOLATION, flagged_quotient
 from .mesh import (check_array_budget, check_integer, field_from_function,
-                   sample_space_time, sample_spatial)
+                   median, sample_space_time, sample_spatial)
 from .measurement import measurement_data, observed_march
 # unused here, but perfbench/tracer.py wraps these under these module names
 from .admissible import c4_surrogate, check_source_condition  # noqa: F401
@@ -118,6 +118,8 @@ def check_probe_budget(ctx, levels: int, members: int, source: bool) -> None:
 
 
 def _contexts(ctx, levels: int, family, source: bool):
+    if not family:
+        raise ValueError("the family has no members")
     check_probe_budget(ctx, levels, len(family), source)
     return [ctx if L == 0 else ctx.refined(2 ** L) for L in range(levels)]
 
@@ -129,7 +131,7 @@ def _summarize(kind: str, rows, levels: int) -> ProbeReport:
                 if r.mesh_level == L and math.isfinite(r.value)
                 and not any(tok in r.flag for tok in _SUMMARY_EXCLUDES)]
         maxes.append(max(vals) if vals else math.nan)
-        medians.append(float(np.median(vals)) if vals else math.nan)
+        medians.append(median(vals) if vals else math.nan)
     pairs = [(a, b) for a, b in zip(maxes, maxes[1:])
              if math.isfinite(a) and math.isfinite(b) and min(a, b) > 0.0]
     factor = max((max(a, b) / min(a, b) for a, b in pairs), default=None)
@@ -156,7 +158,7 @@ def _source_combined_norms(c, level: int, family) -> list:
 def source_stability_probe(family, ctx, levels: int) -> ProbeReport:
     """Ratio R per member of a source family (g = 0) across mesh levels.
 
-    family: sequence of (param, fn) with fn(x, t) vectorized and
+    family: nonempty sequence of (param, fn) with fn(x, t) vectorized and
     pointwise. Every member must pass the admissibility gate under the
     context budget C0; violating the precondition is a caller error, not a
     flagged row.
@@ -178,9 +180,9 @@ def source_stability_probe(family, ctx, levels: int) -> ProbeReport:
 def initial_stability_probe(family, ctx, levels: int) -> ProbeReport:
     """Product P per member of an initial-value family (f = 0).
 
-    family: sequence of (param, fn) with fn(x) vectorized. Members whose
-    discrete C^4 seminorm exceeds the context cap M0 are run anyway and
-    flagged expected_failure; members whose measurement is not small are
+    family: nonempty sequence of (param, fn) with fn(x) vectorized. Members
+    whose discrete C^4 seminorm exceeds the context cap M0 are run anyway
+    and flagged expected_failure; members whose measurement is not small are
     rescaled onto combined_norm = e^{-2} (the forward map is linear, so
     no re-solve) and flagged rescaled.
     """
@@ -215,8 +217,15 @@ def initial_stability_probe(family, ctx, levels: int) -> ProbeReport:
     return _summarize("initial", rows, levels)
 
 
+def _check_count(name: str, count) -> None:
+    check_integer(name, count)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count!r}")
+
+
 def source_eigenmode_family(j_max: int):
     """(j, cos(j pi x)/j^2) for j = 1..j_max, constant in time."""
+    _check_count("j_max", j_max)
     def member(j):
         return lambda x, t: np.cos(j * np.pi * x) / j ** 2 + 0.0 * t
     return [(float(j), member(j)) for j in range(1, j_max + 1)]
@@ -228,6 +237,7 @@ def initial_eigenmode_family(k_max: int, normalized: bool):
     The un-normalized variant has fourth differences growing like k^4 and
     exists to demonstrate the expected failure of the log product.
     """
+    _check_count("k_max", k_max)
     def member(k):
         if normalized:
             return lambda x: np.cos(k * np.pi * x) / k ** 4

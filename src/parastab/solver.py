@@ -29,16 +29,28 @@ solves.
 
 One level loop, _march, serves every march. cn_march runs levels 1..nt
 from u^0 = g, for one column or m at once, and alone forms the source of
-level n, kappa (f^{n-1} + f^n), from the samples f^n its callers hand it.
-LAPACK applies the factors to each column with the arithmetic of a single
-right-hand side, so every column equals its own forward_solve bit for bit.
+level n, kappa (f^{n-1} + f^n), from the samples f^n its callers hand it;
+a source constant in time is handed as one array, and its term is formed
+once for all levels. LAPACK applies the factors to each column with the
+arithmetic of a single right-hand side, so every column equals its own
+forward_solve bit for bit.
 adjoint_march runs levels nt..1 from a zero state with the weighted
 payloads of m columns as sources, s[j][:, m] at level m for column j, and
 so equals adjoint_solve of each payload bit for bit; adjoint_solve is
 its one-column case. Its first level equals solving s[j][:, nt] bit for
 bit: the band product of zero is +-0.0, and adding +-0.0 changes no entry
 of s, which adjoint_sources builds by adding onto +0.0 and so never holds
--0.0.
+-0.0. Nor does it march the levels above the last payload level, the last
+one whose sources hold an entry other than +0.0 (for the inverse layer's
+payloads, the end of the lateral window). At each such level the band
+product of a zero state is +-0.0 in every entry, and adding a +0.0
+source makes the right-hand side +0.0 in every entry, so every one of
+them solves the same right-hand side to the same bits: zeros whose signs
+follow the pivots, which are negative for some drift operators. One solve
+of +0.0 fills those levels, and the march starts from its result at the
+last payload level, or at level 1 when only level 0 holds payload. A -0.0
+source entry would take the sign of the band product's zero, so it counts
+as payload.
 
 The loop allocates nothing per level: each march keeps two work buffers
 and one scratch array shaped like its state, forms the band product in
@@ -158,19 +170,34 @@ def cn_march(dop: DiscreteOperator, window: TimeWindow, state: np.ndarray,
     n = 1..last, where last is nt unless _last_level stops the march
     earlier (callers that only measure stop at the end of the lateral
     window); u^n is a work buffer that later levels overwrite, so record
-    copies what it keeps. source(n), when given, returns the sample f^n
-    shaped like the state, for n = 0..last; level n adds
-    kappa (f^{n-1} + f^n).
+    copies what it keeps. source, when given, is either a callable whose
+    source(n) returns the sample f^n shaped like the state, for
+    n = 0..last, or one array shaped like the state: the samples of a
+    source constant in time. Level n adds kappa (f^{n-1} + f^n); for an
+    array f that term is formed once, with the same operations, and added
+    at every level.
     """
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.lower, dop.diag, dop.upper, kappa, "forward",
                            1, state.shape[1] if state.ndim == 2 else 1)
     last = window.nt if _last_level is None else _last_level
     level_source = None
-    if source is not None:
+    if callable(source):
         def level_source(n, out):
             np.add(source(n - 1), source(n), out=out)
             return np.multiply(kappa, out, out=out)
+    elif source is not None:
+        source = np.asarray(source, dtype=float)
+        if source.shape != state.shape:
+            raise ValueError(f"constant source shape {source.shape}, "
+                             f"expected the state's {state.shape}")
+        # F order like the march's buffers, which it is added to at every
+        # level: a sum of mismatched layouts walks one of them strided
+        term = np.add(source, source, order="F")
+        np.multiply(kappa, term, out=term)
+
+        def level_source(n, out):
+            return term
 
     _march(lu, plus, state, range(1, last + 1), record, level_source,
            "forward")
@@ -250,20 +277,43 @@ def adjoint_march(dop: DiscreteOperator, window: TimeWindow,
     products with it take the path they take for one column. Each column
     equals the march of its payload alone bit for bit (module docstring).
     """
+    sources = np.asarray(sources, dtype=float)
     m, rows, _ = sources.shape
     nt = window.nt
     kappa = 0.5 * window.k
     lu, plus = _cn_factors(dop.adj_lower, dop.diag, dop.adj_upper, kappa,
                            "adjoint", nt, m)
     p = np.empty(sources.shape)
+    state = np.zeros((rows, m))
+    # no columns, no solve: dgttrs corrupts memory when handed none
+    top = _last_payload_level(sources) if m else nt
+    if top < nt:
+        # levels top+1..nt all solve a +0.0 right-hand side (module
+        # docstring), given finite zeros and bands; otherwise every level
+        # is marched, so a failure is reported where the full march meets it
+        zero = solve_banded(lu, np.zeros((rows, m), order="F"))
+        if np.all(np.isfinite(zero)) and all(np.all(np.isfinite(band))
+                                             for band in plus):
+            p[:, :, top + 1:] = zero.T[:, :, None]
+            state = zero
+        else:
+            top = nt
 
     def store(level, state):
         p[:, :, level] = state.T
 
-    last = _march(lu, plus, np.zeros((rows, m)), range(nt, 0, -1), store,
+    last = _march(lu, plus, state, range(top, 0, -1), store,
                   lambda level, out: sources[:, :, level].T, "adjoint")
     p[:, :, 0] = sources[:, :, 0] + band_mv(plus, last).T
     return p
+
+
+def _last_payload_level(sources: np.ndarray) -> int:
+    """The last level n >= 1 at which some column's source holds an entry
+    other than +0.0 (-0.0 and nan count), or 1 if none does."""
+    # +0.0 is the one float64 whose bits are all zero
+    live = np.flatnonzero(np.any(sources.view(np.uint64), axis=(0, 1)))
+    return max(1, int(live[-1])) if live.size else 1
 
 
 def adjoint_gradients(p: SpaceTimeField) -> tuple[SpaceTimeField, np.ndarray]:

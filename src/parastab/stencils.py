@@ -16,8 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def _moveaxis(q: np.ndarray, source: int, destination: int) -> np.ndarray:
+    """np.moveaxis(q, source, destination), or q itself when both name the
+    last axis and the move would change nothing."""
+    last = (-1, q.ndim - 1) if q.ndim else ()
+    if source in last and destination in last:
+        return q
+    return np.moveaxis(q, source, destination)
+
+
 def fd_first(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
-    q = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    q = _moveaxis(np.asarray(values, dtype=float), axis, -1)
     if q.shape[-1] < 3:
         raise ValueError("fd_first needs at least 3 points along the axis")
     out = np.empty_like(q)
@@ -30,11 +39,11 @@ def fd_first(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
                    - (q[..., 2] - q[..., 0])) / two_h
     out[..., -1] = (4.0 * (q[..., -1] - q[..., -2])
                     - (q[..., -1] - q[..., -3])) / two_h
-    return np.moveaxis(out, -1, axis)
+    return _moveaxis(out, -1, axis)
 
 
 def fd_second(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
-    q = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    q = _moveaxis(np.asarray(values, dtype=float), axis, -1)
     if q.shape[-1] < 4:
         raise ValueError("fd_second needs at least 4 points along the axis")
     out = np.empty_like(q)
@@ -51,4 +60,4 @@ def fd_second(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
     out[..., -1] = (2.0 * (q[..., -1] - q[..., -2])
                     - 3.0 * (q[..., -2] - q[..., -3])
                     + (q[..., -3] - q[..., -4])) / h2
-    return np.moveaxis(out, -1, axis)
+    return _moveaxis(out, -1, axis)

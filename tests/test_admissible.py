@@ -111,6 +111,24 @@ def test_admissible_pair_validates_shapes_and_budget_sign():
         replace(ctx, M0="100")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_initial_value_is_refused_as_such(bad):
+    # its norm reads nan or inf, but nothing overflowed
+    ctx = make_context(nx=8, nt=8)
+    g = np.cos(np.pi * ctx.domain.points)
+    g[3] = bad
+    with pytest.raises(ValueError, match=rf"^initial value is not finite at "
+                                         rf"x=0.375: g={bad!r}$"):
+        make_admissible_pair(ctx, g=g)
+
+
+def test_a_finite_initial_value_that_overflows_keeps_its_message():
+    ctx = make_context(nx=8, nt=8)
+    with pytest.raises(ValueError, match="^initial value overflows: its L2 "
+                                         "norm is inf"):
+        make_admissible_pair(ctx, g=1e160 * (2.0 + ctx.domain.points))
+
+
 def test_overflowing_source_is_refused_at_the_gate():
     # every value is finite, but its L2(Q) norm is not
     ctx = make_context(nx=16, nt=32)

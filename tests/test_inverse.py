@@ -316,6 +316,16 @@ def test_recover_checks_every_level_before_the_gate(noise, message):
         recover(InverseProblemSpec(), [0.1], (1e160 * phi, g), CTX)
 
 
+@pytest.mark.parametrize("truth", [
+    None, 3.0, "ab", (np.ones(33),), (np.ones(33),) * 3,
+    (np.ones(32), np.ones(33)), (np.ones(33), np.ones((33, 1))),
+    (np.ones(33), ["x"] * 33)])
+def test_recover_refuses_a_truth_that_is_not_a_pair_by_name(truth):
+    with pytest.raises(ValueError, match=r"^truth must be a \(phi, g\) pair "
+                                         r"of arrays of shape \(33,\)$"):
+        recover(InverseProblemSpec(), [0.1], truth, CTX)
+
+
 def test_recover_refuses_a_base_spec_with_noise():
     # it would be replaced by the listed levels without a word
     phi, g = truth_arrays(CTX)

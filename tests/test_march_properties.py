@@ -8,7 +8,11 @@ leave the caller's arrays untouched, and the discrete duality identity must
 hold to round-off, for random a > 0, b and c on random grids and either
 observed boundary set. The batched adjoint march and the batched
 certificate of the inverse layer must equal their one-column cases bit
-for bit.
+for bit. A source constant in time, handed as one array, must march like
+its samples handed level by level, and the adjoint march, which solves the
+payload-free levels above its last payload level once, like the march of
+every level, both over drift operators whose pivots may be negative and
+sources holding signed zeros.
 """
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+from parastab import solver
 from parastab.inverse import (InverseProblemSpec, _certificates,
                               objective_and_gradient)
 from parastab.lab import make_context
@@ -386,3 +391,171 @@ def test_batched_certificate_matches_each_level_bitwise(problem, levels):
         assert same_bits(np.float64(J), np.float64(J_one))
         assert same_bits(np.float64(J), np.float64(J_ref))
         assert same_bits(grad, grad_one) and same_bits(grad, grad_ref)
+
+
+@st.composite
+def drift_problems(draw):
+    """A context whose operator has drift b != 0 and a reaction c that can
+    be strong enough to make pivots of the step matrices negative, plus a
+    payload seed."""
+    nx = draw(st.integers(8, 24))
+    nt = draw(st.integers(2, 40))
+    gamma = draw(st.sampled_from([("left", "right"), ("left",), ("right",)]))
+    a0 = draw(st.floats(0.01, 2.0))
+    b0 = draw(st.floats(0.1, 40.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    b1 = draw(coefficient)
+    c0 = draw(st.floats(-5.0, 30.0))
+    op = EllipticOperator(a=a0, b=lambda x: b0 + b1 * x, c=c0)
+    ctx = make_context(nx=nx, nt=nt, T=0.5, delta0=0.25, delta1=0.125,
+                       op=op, gamma=gamma)
+    return ctx, draw(st.integers(0, 2**32 - 1))
+
+
+def signed_zeros(rng, a, rate=0.3):
+    """a with about a share rate of its entries set to +0.0 or -0.0."""
+    hit = rng.random(a.shape) < rate
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+def outcome(run):
+    """run()'s result, or the type and message of the error it raises: a
+    march whose growth overflows must fail the same way on both sides."""
+    try:
+        return run()
+    except (RuntimeError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return same_bits(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drift_problems(), st.integers(0, 6), st.sampled_from([None, 0.0, -0.0]))
+def test_an_array_source_marches_like_its_samples_at_every_level(problem, m,
+                                                                 zero):
+    # m = 0 stands for the one-column state of shape (nx+1,); a column of
+    # zero state and source solves to zeros whose signs show how the
+    # source term was formed and added
+    ctx, seed = problem
+    rng = np.random.default_rng(seed)
+    shape = (ctx.domain.nx + 1,) + ((m,) if m else ())
+    state = signed_zeros(rng, rng.standard_normal(shape))
+    source = signed_zeros(rng, rng.standard_normal(shape))
+    if zero is not None:
+        column = (slice(None),) + ((rng.integers(m),) if m else ())
+        state[column] = source[column] = zero
+    source_before = source.copy()
+
+    def levels(src):
+        recorded = {}
+
+        def record(n, u):
+            recorded[n] = u.copy()
+        cn_march(ctx.dop, ctx.window, state, record, src)
+        return np.stack([recorded[n] for n in range(1, ctx.window.nt + 1)])
+
+    assert same_outcome(outcome(lambda: levels(source)),
+                        outcome(lambda: levels(lambda n: source)))
+    if m:
+        def observed(src):
+            return np.concatenate([a.ravel() for a in observed_march(
+                ctx.dop, ctx.window, state, src)])
+        assert same_outcome(outcome(lambda: observed(source)),
+                            outcome(lambda: observed(lambda n: source)))
+    assert same_bits(source, source_before)
+
+
+def test_an_array_source_must_be_shaped_like_the_state():
+    ctx = make_context(nx=8, nt=8)
+    with pytest.raises(ValueError, match=r"^constant source shape \(9,\), "
+                                         r"expected the state's \(9, 2\)$"):
+        cn_march(ctx.dop, ctx.window, np.zeros((9, 2)), lambda n, u: None,
+                 np.ones(9))
+
+
+def full_adjoint_march(dop, window, sources):
+    """adjoint_march marching every level nt..1 from a zero state."""
+    m, rows, _ = sources.shape
+    lu, plus = solver._cn_factors(dop.adj_lower, dop.diag, dop.adj_upper,
+                                  0.5 * window.k, "adjoint", window.nt, m)
+    p = np.empty(sources.shape)
+
+    def store(level, state):
+        p[:, :, level] = state.T
+
+    last = solver._march(lu, plus, np.zeros((rows, m)),
+                         range(window.nt, 0, -1), store,
+                         lambda level, out: sources[:, :, level].T,
+                         "adjoint")
+    p[:, :, 0] = sources[:, :, 0] + band_mv(plus, last).T
+    return p
+
+
+@st.composite
+def payload_supports(draw):
+    """Raw adjoint sources of m columns that hold signed zeros and are
+    +0.0 above a drawn last payload level; that level may hold nothing but
+    -0.0, which must count as payload, and the sources may be +0.0
+    throughout."""
+    ctx, seed = draw(drift_problems())
+    m = draw(st.integers(1, 5))
+    top = draw(st.integers(0, ctx.window.nt))
+    support = draw(st.sampled_from(["dense", "minus_zero_top", "none"]))
+    rng = np.random.default_rng(seed)
+    sources = signed_zeros(rng, rng.standard_normal(
+        (m, ctx.domain.nx + 1, ctx.window.nt + 1)))
+    sources[:, :, top + 1:] = 0.0
+    if support == "minus_zero_top":
+        # a -0.0 source keeps a -0.0 entry of the band product, which +0.0
+        # would turn into +0.0: in about 2 of 3 drawn operators the march
+        # then differs from that of +0.0 sources
+        sources[:, :, top] = -0.0
+    elif support == "none":
+        sources[:] = 0.0
+    return ctx, sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload_supports())
+def test_adjoint_march_equals_the_march_of_every_level_bitwise(case):
+    ctx, sources = case
+    before = sources.copy()
+    ours = outcome(lambda: adjoint_march(ctx.dop, ctx.window, sources))
+    assert same_outcome(ours, outcome(lambda: full_adjoint_march(
+        ctx.dop, ctx.window, sources)))
+    assert same_bits(sources, before)
+
+
+def test_the_zero_tail_keeps_the_signs_of_negative_pivots():
+    # c = 20 with a small a makes pivots of the adjoint step matrix
+    # negative, so the payload-free levels hold -0.0 entries, which the one
+    # solve of +0.0 must reproduce
+    ctx = make_context(nx=8, nt=8, T=0.5, delta0=0.25, delta1=0.125,
+                       op=EllipticOperator(a=0.05, b=3.0, c=20.0))
+    w = ctx.window
+    r_T = np.cos(np.pi * ctx.domain.points)
+    sources = adjoint_sources(ctx.dop, r_T, None, None, w)[None]
+    p = adjoint_march(ctx.dop, w, sources)
+    tail = p[:, :, w.snapshot_index + 1:]
+    assert tail.size and np.all(tail == 0.0) and np.any(np.signbit(tail))
+    assert same_bits(p, full_adjoint_march(ctx.dop, w, sources))
+
+
+def test_a_non_finite_zero_tail_fails_where_the_full_march_does():
+    # bands that overflow once scaled by the step leave the one solve of
+    # +0.0 non-finite, so every level is marched and the failure is
+    # reported at level nt, where the march of every level meets it
+    ctx = make_context(nx=8, nt=8, T=1e10, delta0=1e10, delta1=5e9,
+                       op=EllipticOperator(a=1e300, b=1e299))
+    w = ctx.window
+    sources = adjoint_sources(ctx.dop, np.ones(9), None, None, w)[None]
+    assert w.snapshot_index < w.nt
+    message = f"^non-finite iterate in adjoint solve at level {w.nt}$"
+    for march in (adjoint_march, full_adjoint_march):
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                      match=message):
+            march(ctx.dop, w, sources)

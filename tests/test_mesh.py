@@ -1,4 +1,5 @@
 """Grid construction: alignment of the measurement times is the hard part."""
+import math
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from parastab import mesh
 from parastab.lab import make_context
 from parastab.mesh import (SpatialDomain, TimeWindow, field_from_function,
-                           make_time_window, sample_spatial)
+                           make_time_window, median, sample_spatial)
 
 
 def test_spatial_domain_basics():
@@ -219,3 +220,20 @@ def test_blocked_window_search_matches_the_scalar_search(T, delta0, share,
     assert again == win and hash(again) == hash(win)
     assert repr(win) == (f"TimeWindow(T={T!r}, delta0={delta0!r}, "
                          f"delta1={delta1!r}, nt={win.nt!r})")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          width=64), min_size=1, max_size=30),
+       st.booleans())
+def test_median_equals_np_median(values, with_nan):
+    # equal floats that are not zeros have equal bits; a zero middle value
+    # may differ from numpy's in sign alone
+    if with_nan:
+        values = values + [math.nan]
+    with np.errstate(over="ignore"):
+        theirs = float(np.median(values))
+    ours = median(values)
+    assert type(ours) is float
+    assert ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+    assert median(np.array(values)) == ours or math.isnan(ours)

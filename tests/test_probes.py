@@ -122,14 +122,33 @@ def test_zero_initial_value_is_degenerate():
     assert math.isnan(rep.rows[0].value)
 
 
-def test_empty_family_marches_nothing():
-    # dgttrs corrupts memory when given zero right-hand sides, so the
-    # level loop returns before it when a family has no members
+def test_empty_family_marches_nothing(monkeypatch):
+    # a family of no members has no row to summarize, and its level maxima
+    # would read nan, so both probes refuse it before building a level
+    marches = []
+    monkeypatch.setattr(solver, "_march", lambda *args: marches.append(args))
     for probe in (source_stability_probe, initial_stability_probe):
-        rep = probe([], make_context(nx=8, nt=8), levels=2)
-        assert rep.rows == ()
-        assert all(math.isnan(v) for v in rep.level_max)
-        assert rep.max_agreement_factor is None
+        with pytest.raises(ValueError, match="^the family has no members$"):
+            probe([], make_context(nx=8, nt=8), levels=2)
+    assert marches == []
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_family_builders_refuse_a_count_below_one_by_name(count):
+    with pytest.raises(ValueError, match=f"^j_max must be at least 1, got "
+                                         f"{count}$"):
+        source_eigenmode_family(count)
+    for normalized in (True, False):
+        with pytest.raises(ValueError, match=f"^k_max must be at least 1, "
+                                             f"got {count}$"):
+            initial_eigenmode_family(count, normalized)
+
+
+def test_family_builders_refuse_a_count_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^j_max must be an integer"):
+        source_eigenmode_family(2.5)
+    with pytest.raises(ValueError, match="^k_max must be an integer"):
+        initial_eigenmode_family("3", True)
 
 
 def test_rows_are_frozen_and_levels_validated():
@@ -180,7 +199,7 @@ def test_mixed_family_refuses_the_overflowing_member(amplitude, what):
      "field contains non-finite values$"),
     (initial_stability_probe, initial_eigenmode_family(1, normalized=True) + [
         (2.0, lambda x: np.where(x == 0.5, np.nan, 0.0))],
-     "initial value overflows: its L2 norm is nan")])
+     "initial value is not finite at x=0.5: g=nan$")])
 def test_a_non_finite_member_is_refused_with_its_prefix(probe, family,
                                                         message):
     with pytest.raises(ValueError, match="^family member 1 at mesh level 0: "

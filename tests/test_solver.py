@@ -402,9 +402,17 @@ def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
                                           ctx.domain, w), np.ones(17), w)
     assert calls == [(17,)] * w.nt
     calls.clear()
-    # the adjoint solve is the one-column case of the batched march
-    adjoint_solve(ctx.dop, np.ones(17), None, None, w)
+    # the adjoint solve is the one-column case of the batched march, which
+    # marches levels nt..1 when its payload reaches level nt ...
+    adjoint_solve(ctx.dop, None, SpaceTimeField(np.ones((17, w.nt + 1)),
+                                                ctx.domain, w), None, w)
     assert calls == [(17, 1)] * w.nt
+    calls.clear()
+    # ... and otherwise fills the levels above its last payload level, here
+    # the snapshot, with one solve, then marches the snapshot level down
+    adjoint_solve(ctx.dop, np.ones(17), None, None, w)
+    assert w.snapshot_index < w.nt
+    assert calls == [(17, 1)] * (1 + w.snapshot_index)
     calls.clear()
     observed_march(ctx.dop, w, np.ones((17, 3)))
     assert calls == [(17, 3)] * (w.window_slice.stop - 1)
@@ -413,12 +421,14 @@ def test_each_march_calls_solve_banded_once_per_level(monkeypatch):
         sources = np.stack([adjoint_sources(ctx.dop, np.full(17, j + 1.0),
                                             None, None, w) for j in range(m)])
         adjoint_march(ctx.dop, w, sources)
-        assert calls == [(17, m)] * w.nt
+        assert calls == [(17, m)] * (1 + w.snapshot_index)
 
 
 def test_a_march_of_no_columns_makes_no_lapack_solve():
     # dgttrs handed zero right-hand sides corrupts memory, so a child
-    # process runs the march: a crash fails the test instead of the suite
+    # process runs the marches: a crash fails the test instead of the
+    # suite. Adjoint sources of no columns have no payload level, and the
+    # one solve of the payload-free levels must not reach dgttrs either
     code = "\n".join([
         "import numpy as np",
         "from parastab import solver",
@@ -430,11 +440,15 @@ def test_a_march_of_no_columns_makes_no_lapack_solve():
         "ctx = make_context(nx=16, nt=12)",
         "solver.cn_march(ctx.dop, ctx.window, np.zeros((17, 0)),",
         "                lambda n, u: levels.append(n))",
-        "print(len(solves), levels)",
+        "p = solver.adjoint_march(ctx.dop, ctx.window,",
+        "                         np.zeros((0, 17, ctx.window.nt + 1)))",
+        "print(len(solves), levels, p.shape)",
     ])
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "0 []\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "0 [] (0, 17, 13)\n"), \
+        proc.stderr
+
